@@ -1,12 +1,14 @@
-"""Running statistics and confidence intervals."""
+"""Running statistics and confidence intervals.
+
+scipy is imported inside :func:`confidence_interval`, its only user, so
+``import repro`` does not pay scipy's import cost.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-from scipy import stats as scipy_stats
 
 from repro.errors import ConfigurationError
 
@@ -82,6 +84,8 @@ def confidence_interval(
     stats.extend(values)
     if stats.count == 1:
         return stats.mean, 0.0
+    from scipy import stats as scipy_stats
+
     t = scipy_stats.t.ppf((1 + confidence) / 2, df=stats.count - 1)
     half_width = t * stats.stdev / math.sqrt(stats.count)
     return stats.mean, half_width

@@ -22,6 +22,10 @@ entries.  A timeline that is *not* sorted (only hand-built contexts can
 produce one) falls back to the scalar path, which handles arbitrary
 timelines exactly like the reference.
 
+numpy is looked up at import time but only imported the first time a
+timeline reaches ``VECTOR_CUTOFF`` entries, so a run that never gets
+there never pays numpy's import cost.
+
 Kernel selection: ``resolve_kernel()`` reads the ``REPRO_KERNEL``
 environment variable (``python`` | ``numpy`` | ``auto``); scenario specs
 can pin a choice per run via ``StackSpec.kernel``.  ``python`` is the
@@ -31,6 +35,7 @@ this module.  The golden digests are the arbiter that both agree.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 from typing import TYPE_CHECKING
 
@@ -43,10 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.phy.radio import RadioParameters
     from repro.phy.reception import ReceptionContext
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the standard image
-    _np = None  # type: ignore[assignment]
+#: Whether numpy is installed, found without importing it.
+_NUMPY_INSTALLED = importlib.util.find_spec("numpy") is not None
 
 #: Environment variable selecting the reception kernel.
 KERNEL_ENV = "REPRO_KERNEL"
@@ -62,7 +65,7 @@ VECTOR_CUTOFF = 12
 
 def numpy_available() -> bool:
     """True when the numpy backend can actually run."""
-    return _np is not None
+    return _NUMPY_INSTALLED
 
 
 def resolve_kernel(preference: str | None = None) -> str:
@@ -70,7 +73,8 @@ def resolve_kernel(preference: str | None = None) -> str:
 
     ``preference`` (e.g. from a scenario spec) wins over the
     ``REPRO_KERNEL`` environment variable; ``auto`` (the default when
-    neither is set) selects ``numpy`` when importable, else ``python``.
+    neither is set) selects ``numpy`` when installed (loaded on first
+    use), else ``python``.
     An *explicit* request for ``numpy`` without numpy installed is a
     configuration error, not a silent fallback.
     """
@@ -85,7 +89,7 @@ def resolve_kernel(preference: str | None = None) -> str:
         )
     if name == "numpy" and not numpy_available():
         raise ConfigurationError(
-            "reception kernel 'numpy' requested but numpy is not importable"
+            "reception kernel 'numpy' requested but numpy is not installed"
         )
     return name
 
@@ -156,7 +160,9 @@ class SinrKernel:
                     return ReceptionOutcome.SINR_FAILURE
             return ReceptionOutcome.OK
 
-        if _np is not None and n >= VECTOR_CUTOFF:
+        if _NUMPY_INSTALLED and n >= VECTOR_CUTOFF:
+            import numpy as _np
+
             offs = _np.empty(n, dtype=_np.int64)
             mws = _np.empty(n, dtype=_np.float64)
             for i, (off, mw) in enumerate(timeline):

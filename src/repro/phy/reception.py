@@ -106,7 +106,8 @@ class SinrThresholdReception(ReceptionModel):
       monotonicity — the golden digests pin it.
 
     ``kernel=None`` resolves from the ``REPRO_KERNEL`` environment
-    variable (default ``auto``: numpy when importable).
+    variable (default ``auto``: numpy when installed, loaded on first
+    use).
     """
 
     def __init__(self, kernel: str | None = None):

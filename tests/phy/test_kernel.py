@@ -104,7 +104,7 @@ class TestResolveKernel:
             resolve_kernel("fortran")
 
     def test_explicit_numpy_without_numpy_rejected(self, monkeypatch):
-        monkeypatch.setattr(kernel_module, "_np", None)
+        monkeypatch.setattr(kernel_module, "_NUMPY_INSTALLED", False)
         assert resolve_kernel() == "python"  # auto falls back silently
         with pytest.raises(ConfigurationError):
             resolve_kernel("numpy")  # an explicit ask does not
