@@ -286,6 +286,12 @@ def run_sweep(
     ``points``, so parallel, serial and warm-cache runs are
     interchangeable.
 
+    Points with equal content addresses run once: the first executes
+    and every equal point gets a copy of its value (or of its failure).
+    This relies on the cache's contract that a point is a pure function
+    of its parameters.  The cache and the journal hold one record per
+    distinct point.
+
     Completed results are persisted to the cache and ``journal`` as
     each point finishes — a failure at point 900/1000 never discards
     the other 899.  ``on_error`` selects the failure policy: ``raise``

@@ -34,10 +34,19 @@ under the current code-version tag are served from the journal (and
 re-warmed into the cache) and only failed or unfinished points
 execute, so an interrupted sweep's merged results are bit-identical to
 an uninterrupted run.
+
+Points with equal :func:`~repro.parallel.cache.point_key` run once per
+sweep: a point is a pure function of its parameters (the cache's
+contract), so the first point of each key executes and its value — or
+its failure — is copied to every index that shares the key.  Results,
+report tallies and ``on_error`` handling read as if each point had run
+alone; the cache and the journal hold one record per distinct key.
 """
 
 from __future__ import annotations
 
+import copy
+import gc
 import heapq
 import signal
 import sys
@@ -115,6 +124,8 @@ class SweepReport:
     cached: int = 0
     resumed: int = 0
     retried: int = 0
+    #: Points that reused the outcome of an equal point in the sweep.
+    shared: int = 0
     failures: list[PointFailure] = field(default_factory=list)
     elapsed_s: float = 0.0
     journal_path: str | None = None
@@ -129,7 +140,8 @@ class SweepReport:
         lines = [
             f"sweep report: {self.ok}/{self.total} points ok"
             f" ({self.cached} cached, {self.resumed} resumed,"
-            f" {self.retried} retries) in {self.elapsed_s:.1f}s"
+            f" {self.shared} shared, {self.retried} retries)"
+            f" in {self.elapsed_s:.1f}s"
         ]
         for failure in self.failures:
             lines.append(
@@ -151,12 +163,17 @@ class SweepOutcome:
 
 
 class _Task:
-    """One point's execution state inside the supervisor."""
+    """One distinct point's execution state inside the supervisor.
 
-    __slots__ = ("index", "point", "key", "attempt", "started")
+    ``index`` is the first point with this key; ``indices`` lists every
+    point that shares the key (``index`` included) and so its outcome.
+    """
+
+    __slots__ = ("index", "indices", "point", "key", "attempt", "started")
 
     def __init__(self, index: int, point: SweepPoint, key: str):
         self.index = index
+        self.indices = [index]
         self.point = point
         self.key = key
         self.attempt = 0
@@ -181,11 +198,17 @@ def _worker_main(connection: Connection) -> None:
     SIGINT is ignored so a terminal Ctrl-C (delivered to the whole
     foreground process group) leaves shutdown sequencing to the
     supervisor; the supervisor kills workers with SIGTERM/SIGKILL.
+
+    A finished network leaves its ledger rows, datagrams and timers in
+    reference cycles that only a rare full collection frees, so the
+    worker collects after every point.  The heap it started with is
+    frozen first, which keeps each collection down to the new garbage.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
+    gc.freeze()
     while True:
         try:
             message = connection.recv()
@@ -222,6 +245,7 @@ def _worker_main(connection: Connection) -> None:
                 )
             except (BrokenPipeError, OSError):
                 return
+        gc.collect()
 
 
 def _retryable(error_type: str) -> bool:
@@ -313,13 +337,19 @@ class _Supervision:
         if self.journal is not None:
             self.journal.record(record)
 
+    def _fill(self, task: _Task, value: Any) -> None:
+        """Put ``value`` at every index of ``task``, a copy at each sharer."""
+        self.results[task.index] = value
+        for index in task.indices[1:]:
+            self.results[index] = copy.deepcopy(value)
+
     def _complete_ok(
         self, task: _Task, value: Any, attempts: int, cached: bool = False
     ) -> None:
-        self.results[task.index] = value
-        self.report.ok += 1
+        self._fill(task, value)
+        self.report.ok += len(task.indices)
         if cached:
-            self.report.cached += 1
+            self.report.cached += len(task.indices)
         duration = (
             time.monotonic() - task.started if task.started is not None else 0.0
         )
@@ -359,45 +389,51 @@ class _Supervision:
                 error_type=error_type,
             )
         )
-        failure = PointFailure(
-            index=task.index,
-            fn=task.point.fn,
-            key=task.key,
-            status=status,
-            error=message,
-            error_type=error_type,
-            attempts=attempts,
-        )
-        self.report.failures.append(failure)
+        for index in task.indices:
+            failure = PointFailure(
+                index=index,
+                fn=task.point.fn,
+                key=task.key,
+                status=status,
+                error=message,
+                error_type=error_type,
+                attempts=attempts,
+            )
+            self.report.failures.append(failure)
+            self.results[index] = failure if self.on_error == "degrade" else None
         if self.on_error == "raise":
             self._abort = True
             if self._raise_error is None:
                 self._raise_error = worker_error(task.point.fn, record)
-        elif self.on_error == "degrade":
-            self.results[task.index] = failure
-        else:  # skip
-            self.results[task.index] = None
 
     # -- resume / cache triage ---------------------------------------------
 
     def _triage(self) -> list[_Task]:
-        """Serve resumable and cached points; return what must run."""
+        """Group equal points, serve resumed and cached ones; return the rest."""
+        distinct: dict[str, _Task] = {}
+        for index, point in enumerate(self.points):
+            key = point_key(point.fn, point.params, self.version)
+            first = distinct.get(key)
+            if first is None:
+                distinct[key] = _Task(index, point, key)
+            else:
+                first.indices.append(index)
+        self.report.shared = len(self.points) - len(distinct)
         resume_map: dict[str, PointRecord] = {}
         if self.resume and self.journal is not None:
             resume_map = load_journal(self.journal.path)
         tasks: list[_Task] = []
-        for index, point in enumerate(self.points):
-            key = point_key(point.fn, point.params, self.version)
-            task = _Task(index, point, key)
-            record = resume_map.get(key)
+        for task in distinct.values():
+            point = task.point
+            record = resume_map.get(task.key)
             if (
                 record is not None
                 and record.status == "ok"
                 and record.version == self.version
             ):
-                self.results[index] = record.value
-                self.report.ok += 1
-                self.report.resumed += 1
+                self._fill(task, record.value)
+                self.report.ok += len(task.indices)
+                self.report.resumed += len(task.indices)
                 if self.cache is not None:
                     hit, _ = self.cache.lookup(point.fn, point.params)
                     if not hit:
@@ -438,7 +474,7 @@ class _Supervision:
                 )
                 if delay > 0.0:
                     time.sleep(delay)
-                self.report.retried += 1
+                self.report.retried += len(task.indices)
             params = perturbed_params(
                 task.point.params, attempt, self.seed_step
             )
@@ -537,7 +573,7 @@ class _Supervision:
     ) -> None:
         if retryable and task.attempt < self.max_retries and not self._abort:
             task.attempt += 1
-            self.report.retried += 1
+            self.report.retried += len(task.indices)
             delay = backoff_delay_s(
                 task.attempt,
                 self.backoff_base_s,

@@ -8,6 +8,14 @@ canonical spec serialisation (plus the sim-source version tag) — a cache
 hit survives any refactor of experiment plumbing, and two experiments
 asking for the same physical scenario share the entry.
 
+Points carry the spec with a normalised stack
+(:meth:`~repro.scenario.specs.StackSpec.normalised`): a ``stack.mac``
+override that restates a default is dropped, so every spelling of one
+network gives one document and one point key.  Within a sweep the
+supervisor then simulates each distinct key once and copies the outcome
+to every point that shares it.  That rests on the contract the cache
+already relies on: a point is a pure function of its parameters.
+
 Extractors are module-level functions ``extract(net, **extract_params)``
 resolved by dotted path (like sweep point functions), so points stay
 picklable and content-addressable.  They run after the scenario's
@@ -65,7 +73,11 @@ def scenario_sweep_points(
     extract: str,
     extract_params: Mapping[str, Any] | None = None,
 ) -> list[SweepPoint]:
-    """The :class:`SweepPoint` list for a batch of scenarios."""
+    """The :class:`SweepPoint` list for a batch of scenarios.
+
+    Each point carries the spec's document with a normalised stack, so
+    specs that build the same network get equal point keys.
+    """
     points = []
     for spec in specs:
         if not isinstance(spec, ScenarioSpec):
@@ -73,7 +85,9 @@ def scenario_sweep_points(
                 f"scenario sweeps take ScenarioSpec values, got "
                 f"{type(spec).__name__}"
             )
-        params: dict[str, Any] = {"spec": spec.to_dict(), "extract": extract}
+        document = spec.to_dict()
+        document["stack"] = spec.stack.normalised().to_dict()
+        params: dict[str, Any] = {"spec": document, "extract": extract}
         if extract_params:
             params["extract_params"] = dict(extract_params)
         points.append(SweepPoint(fn=SCENARIO_POINT_FN, params=params))
@@ -93,7 +107,8 @@ def run_scenarios(
 ) -> list[Any]:
     """Sweep a batch of scenarios through the parallel engine.
 
-    Results come back in spec order; serial (``jobs=1``), pooled and
+    Results come back in spec order, and specs that build the same
+    network are simulated once; serial (``jobs=1``), pooled and
     warm-cache runs are interchangeable.  ``journal``/``on_error``/
     ``resume`` (or the same-named attributes of ``policy``) flow into
     the supervised executor — see :func:`repro.parallel.run_sweep`.

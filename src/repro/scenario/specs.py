@@ -621,6 +621,34 @@ class StackSpec:
         base = MacParameters(**legacy) if legacy else MacParameters()
         return Dot11bConfig(mac=self.mac.to_mac_parameters(base))
 
+    def _mac_effect(self) -> tuple[Dot11bConfig, int]:
+        """Everything :func:`~repro.scenario.builder.build` reads from ``mac``."""
+        return self.dot11_config() or Dot11bConfig(), self.effective_queue_frames
+
+    def normalised(self) -> "StackSpec":
+        """This stack with every ``stack.mac`` override that changes nothing dropped.
+
+        An override is dropped when removing it leaves
+        ``dot11_config() or Dot11bConfig()`` and
+        :attr:`effective_queue_frames` unchanged; ``mac`` becomes ``None``
+        once no override is left.  Stacks that build the same network
+        then serialise identically, so their sweep points share one
+        cache key.  A stack with nothing to drop is returned as is.
+        """
+        if self.mac is None:
+            return self
+        effect = self._mac_effect()
+        mac = self.mac
+        for spec_field in dataclasses.fields(mac):
+            if getattr(mac, spec_field.name) is None:
+                continue
+            trial = dataclasses.replace(mac, **{spec_field.name: None})
+            if dataclasses.replace(self, mac=trial)._mac_effect() == effect:
+                mac = trial
+        if mac == MacParamsSpec():
+            mac = None
+        return self if mac == self.mac else dataclasses.replace(self, mac=mac)
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "data_rate_mbps": self.data_rate_mbps,

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.mac_surface import (
+    DEFAULT_STATIONS,
     SURFACE_AXES,
     format_mac_surface,
     mac_surface_metrics,
@@ -14,6 +15,7 @@ from repro.experiments.mac_surface import (
     saturation_spec,
     surface_sweeps,
 )
+import repro.scenario.points as scenario_points
 from repro.parallel import SweepCache
 from repro.scenario import ScenarioSpec, build, run_scenarios
 
@@ -92,6 +94,42 @@ def test_surface_output_identical_serial_pooled_and_cached(tmp_path):
     warm = format_mac_surface(run_mac_surface(**kwargs, cache=cache))
     assert serial == pooled == warm
     assert cache.hits > 0
+
+
+#: The Table 1 value on each axis: these six rows per station count
+#: build the same default network.
+TABLE1 = {
+    "cw_min": 32,
+    "cw_max": 1024,
+    "retry": 7,
+    "slot_us": 20.0,
+    "sifs_us": 10.0,
+    "queue": 200,
+}
+
+
+def test_default_surface_simulates_each_distinct_network_once(monkeypatch):
+    # The work guard: 26 rows from 16 builds.  A new MacParamsSpec field
+    # or axis that normalisation misses shows up here as extra builds.
+    builds = []
+
+    def counting_build(spec):
+        builds.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(scenario_points, "build", counting_build)
+    for _ in range(2):  # no memo outlives a sweep: each call builds 16
+        builds.clear()
+        points = run_mac_surface(duration_s=0.1, warmup_s=0.05, cache=None)
+        assert len(points) == 26
+        assert len(builds) == 16
+    for n in DEFAULT_STATIONS:
+        defaults = {
+            (point.throughput_bps, point.model_bps, point.mean_delay_s, point.jain)
+            for point in points
+            if point.stations == n and TABLE1[point.axis] == point.value
+        }
+        assert len(defaults) == 1, defaults
 
 
 # ------------------------------------------- cross-backend determinism

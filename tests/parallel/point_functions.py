@@ -82,3 +82,28 @@ def fail_once_point(value: int, marker_dir: str) -> int:
             handle.write("seen\n")
         os._exit(9)
     return value * value
+
+
+def counting_point(
+    value: int, marker_dir: str, fail: bool = False, interrupt: bool = False
+) -> list[int]:
+    """``[value, value**2]``, leaving one marker file per execution.
+
+    The sharing tests count the markers to see how many times a point
+    really ran.  ``fail`` raises a deterministic (non-retryable) error
+    after marking; ``interrupt`` raises KeyboardInterrupt the first time
+    each ``value`` runs, as a Ctrl-C landing mid-point would.
+    """
+    import os
+    import tempfile
+
+    handle, _ = tempfile.mkstemp(dir=marker_dir, prefix=f"run-{value}-")
+    os.close(handle)
+    if fail:
+        raise ValueError(f"point {value} is broken")
+    seen = os.path.join(marker_dir, f"interrupted-{value}")
+    if interrupt and not os.path.exists(seen):
+        with open(seen, "w", encoding="utf-8") as marker:
+            marker.write("interrupted\n")
+        raise KeyboardInterrupt
+    return [value, value * value]

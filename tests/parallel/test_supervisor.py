@@ -39,6 +39,7 @@ CRASH = "tests.parallel.point_functions:crash_point"
 ALWAYS_CRASH = "tests.parallel.point_functions:always_crash_point"
 HANG = "tests.parallel.point_functions:hang_point"
 FAIL_ONCE = "tests.parallel.point_functions:fail_once_point"
+COUNTING = "tests.parallel.point_functions:counting_point"
 
 #: No backoff in tests: retries re-dispatch immediately.
 FAST = {"backoff_base_s": 0.0, "backoff_max_s": 0.0}
@@ -227,7 +228,7 @@ class TestAcceptance:
     def test_crashed_point_resumes_bit_identical(self, tmp_path):
         markers = tmp_path / "markers"
         markers.mkdir()
-        values = list(range(6))
+        values = [0, 1, 2, 3, 4, 5, 3, 1]  # 3 and 1 appear twice
         # Pre-mark every value except 3: only point 3 hard-crashes its
         # worker (first visit), everything else succeeds immediately.
         for value in values:
@@ -249,7 +250,8 @@ class TestAcceptance:
             journal=str(journal_path),
             on_error="skip",
         )
-        assert partial == [0, 1, 4, None, 16, 25]
+        assert partial == [0, 1, 4, None, 16, 25, None, 1]
+        assert len(point_lines(journal_path)) == 6  # one per distinct point
         # Every completed point is cached despite the crash.
         for value in values:
             hit, _ = cache.lookup(
@@ -266,12 +268,129 @@ class TestAcceptance:
             journal=str(journal_path),
             resume=True,
         )
-        # Only the crashed point re-ran...
+        # Only the crashed point re-ran, once for both its indices...
         assert len(point_lines(journal_path)) == before + 1
         # ...and the merged output matches an uninterrupted serial run
         # (markers all exist now, so a fresh sweep succeeds first try).
         clean = run_sweep(points, jobs=1)
         assert resumed == clean == [v * v for v in values]
+
+
+def runs(markers: Path, value: int | None = None) -> int:
+    """How many times ``counting_point`` executed (for ``value``, or at all)."""
+    prefix = "run-" if value is None else f"run-{value}-"
+    return sum(1 for path in markers.iterdir() if path.name.startswith(prefix))
+
+
+class TestSharedPoints:
+    """Equal points run once; every sharing index reads as if it ran alone."""
+
+    VALUES = [2, 3, 2, 5, 3, 2]
+
+    @pytest.fixture
+    def markers(self, tmp_path):
+        path = tmp_path / "markers"
+        path.mkdir()
+        return path
+
+    def counting(self, markers: Path, values, **params) -> list[SweepPoint]:
+        return [
+            SweepPoint(COUNTING, {"value": v, "marker_dir": str(markers), **params})
+            for v in values
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_duplicates_run_once_and_fill_every_index(self, markers, jobs):
+        outcome = supervise_sweep(self.counting(markers, self.VALUES), jobs=jobs)
+        assert outcome.results == [[v, v * v] for v in self.VALUES]
+        assert [runs(markers, v) for v in (2, 3, 5)] == [1, 1, 1]
+        report = outcome.report
+        assert (report.total, report.ok, report.shared) == (6, 6, 3)
+        assert (report.cached, report.resumed, report.failed) == (0, 0, 0)
+        assert "3 shared" in report.render()
+
+    def test_sharing_indices_get_independent_copies(self, markers):
+        results = run_sweep(self.counting(markers, [4, 4]))
+        results[0].append("mutated")
+        assert results[1] == [4, 16]
+
+    def test_cache_holds_one_entry_per_distinct_key(self, markers, tmp_path):
+        cache = SweepCache(root=tmp_path / "cache")
+        points = self.counting(markers, self.VALUES)
+        run_sweep(points, jobs=2, cache=cache)
+        assert len(list((tmp_path / "cache").rglob("*.json"))) == 3
+        warm = supervise_sweep(points, cache=cache)
+        assert warm.results == [[v, v * v] for v in self.VALUES]
+        assert (warm.report.ok, warm.report.cached) == (6, 6)
+        assert cache.hits == 3
+        assert runs(markers) == 3  # the warm sweep ran nothing
+
+    def test_interrupted_sweep_with_duplicates_resumes_bit_identical(
+        self, markers, tmp_path
+    ):
+        # Value 5 raises KeyboardInterrupt on its first run: the serial
+        # sweep stops there, with 2 and 3 done and journaled once each.
+        journal_path = tmp_path / "sweep.jsonl"
+        values = [2, 3, 2, 5, 3, 5, 7, 2]
+        points = [
+            SweepPoint(point.fn, {**point.params, "interrupt": True})
+            if point.params["value"] == 5
+            else point
+            for point in self.counting(markers, values)
+        ]
+        with pytest.raises(SweepInterrupted):
+            run_sweep(points, journal=str(journal_path))
+        assert [line["index"] for line in point_lines(journal_path)] == [0, 1]
+
+        resumed = run_sweep(points, journal=str(journal_path), resume=True)
+        # Resume ran only 5 (once, for both its indices) and 7.
+        assert [runs(markers, v) for v in (2, 3, 5, 7)] == [1, 1, 2, 1]
+        keys = [line["key"] for line in point_lines(journal_path)]
+        assert len(keys) == len(set(keys)) == 4
+        assert resumed == run_sweep(points) == [[v, v * v] for v in values]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_degrade_reports_a_failure_at_every_sharing_index(self, markers, jobs):
+        points = self.counting(markers, [1, 6, 1], fail=True)
+        points[1] = SweepPoint(SQUARE, {"value": 6})
+        outcome = supervise_sweep(
+            points, jobs=jobs, on_error="degrade", report_stream=io.StringIO()
+        )
+        first, value, second = outcome.results
+        assert value == 36
+        assert isinstance(first, PointFailure) and isinstance(second, PointFailure)
+        assert (first.index, second.index) == (0, 2)
+        assert first.key == second.key and first.error == second.error
+        assert [f.index for f in outcome.report.failures] == [0, 2]
+        assert (outcome.report.ok, outcome.report.failed) == (1, 2)
+        assert runs(markers) == 1
+
+    def test_skip_leaves_none_at_every_sharing_index(self, markers, tmp_path):
+        journal_path = tmp_path / "sweep.jsonl"
+        points = self.counting(markers, [1, 1, 1], fail=True)
+        points.append(SweepPoint(SQUARE, {"value": 3}))
+        outcome = supervise_sweep(
+            points,
+            jobs=2,
+            journal=str(journal_path),
+            on_error="skip",
+            report_stream=io.StringIO(),
+        )
+        assert outcome.results == [None, None, None, 9]
+        assert outcome.report.failed == 3
+        assert runs(markers) == 1
+        statuses = sorted(line["status"] for line in point_lines(journal_path))
+        assert statuses == ["failed", "ok"]
+
+    @pytest.mark.parametrize(
+        "jobs, error", [(1, ValueError), (2, ExperimentError)]
+    )
+    def test_raise_raises_once_for_a_shared_failure(self, markers, jobs, error):
+        points = self.counting(markers, [1, 1], fail=True)
+        points.append(SweepPoint(SQUARE, {"value": 3}))
+        with pytest.raises(error, match="point 1 is broken"):
+            run_sweep(points, jobs=jobs)
+        assert runs(markers) == 1
 
 
 _SIGINT_SCRIPT = """

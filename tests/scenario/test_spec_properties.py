@@ -343,3 +343,144 @@ def test_factory_specs_share_a_sweep_cache_key(topology):
     [point_a] = scenario_sweep_points([spec], extract="m:f")
     [point_b] = scenario_sweep_points([restored], extract="m:f")
     assert canonical_params(point_a.params) == canonical_params(point_b.params)
+
+
+# ------------------------------------------------ stack.mac normalisation
+#
+# StackSpec.normalised drops every stack.mac override that restates a
+# default, so the sweep supervisor can see that differently spelled
+# specs build one network.  These properties pin what it may and may
+# not change.
+
+from hypothesis import assume  # noqa: E402
+
+from repro.core.params import Dot11bConfig  # noqa: E402
+from repro.errors import ConfigurationError  # noqa: E402
+from repro.scenario import MacParamsSpec  # noqa: E402
+
+#: Override values that never restate a default: the stacks below use
+#: a queue depth of 50 or 200, and no DIFS here equals SIFS + 2 x slot
+#: for any slot/SIFS pair drawn (28, 34, 50 or 56 µs).
+NON_DEFAULT = {
+    "cw_min_slots": (16, 64),
+    "cw_max_slots": (128, 256),
+    "short_retry_limit": (1, 3),
+    "long_retry_limit": (2, 7),
+    "slot_time_us": (9.0,),
+    "sifs_us": (16.0,),
+    "difs_us": (40.0, 60.0),
+    "queue_frames": (5, 20),
+}
+
+#: Override values with the Table 1 defaults (and the derived DIFS
+#: values) mixed in.
+ANY_VALUE = {
+    "cw_min_slots": (16, 32, 64),
+    "cw_max_slots": (128, 1024),
+    "short_retry_limit": (1, 7),
+    "long_retry_limit": (2, 4),
+    "slot_time_us": (9.0, 20.0),
+    "sifs_us": (10.0, 16.0),
+    "difs_us": (28.0, 34.0, 40.0, 50.0, 56.0),
+    "queue_frames": (5, 50, 200),
+}
+
+
+def effect(stack: StackSpec):
+    """What build() reads from a stack's MAC overrides."""
+    return stack.dot11_config() or Dot11bConfig(), stack.effective_queue_frames
+
+
+def point_document(stack: StackSpec) -> str:
+    spec = ScenarioSpec(topology=TopologySpec.line(0.0, 10.0), stack=stack)
+    [point] = scenario_sweep_points([spec], extract="m:f")
+    return canonical_params(point.params)
+
+
+@st.composite
+def mac_stacks(draw, values=ANY_VALUE, legacy_retry=True):
+    """A valid stack whose ``mac`` overrides are drawn from ``values``."""
+    overrides = {
+        name: draw(st.none() | st.sampled_from(choices))
+        for name, choices in values.items()
+    }
+    legacy = {
+        name: draw(st.none() | st.integers(min_value=0, max_value=10))
+        if legacy_retry and overrides[name] is None
+        else None
+        for name in ("short_retry_limit", "long_retry_limit")
+    }
+    try:
+        mac = MacParamsSpec(**overrides)
+    except ConfigurationError:
+        assume(False)  # e.g. CWmin above CWmax
+    return StackSpec(
+        mac_queue_frames=draw(st.sampled_from([50, 200])),
+        mac=mac if mac != MacParamsSpec() else draw(st.sampled_from([None, mac])),
+        **legacy,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(mac_stacks())
+def test_normalisation_is_idempotent(stack):
+    once = stack.normalised()
+    assert once.normalised() == once
+    assert once.normalised().to_dict() == once.to_dict()
+
+
+@settings(max_examples=150, deadline=None)
+@given(mac_stacks())
+def test_normalisation_keeps_everything_build_reads(stack):
+    normalised = stack.normalised()
+    assert effect(normalised) == effect(stack)
+    assert normalised.mac != MacParamsSpec()  # an empty override set is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(mac_stacks(values=NON_DEFAULT))
+def test_stacks_without_default_valued_overrides_keep_their_bytes(stack):
+    # No other experiment's point documents or cache keys move.
+    assume(stack.mac != MacParamsSpec())
+    assert stack.normalised() == stack
+    spec = ScenarioSpec(topology=TopologySpec.line(0.0, 10.0), stack=stack)
+    assert point_document(stack) == canonical_params(
+        {"spec": spec.to_dict(), "extract": "m:f"}
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(mac_stacks(values=NON_DEFAULT, legacy_retry=False), st.data())
+def test_default_valued_spellings_share_one_canonical_json(stack, data):
+    mac = stack.mac or MacParamsSpec()
+    defaults = {
+        "cw_min_slots": 32,
+        "cw_max_slots": 1024,
+        "short_retry_limit": 7,
+        "long_retry_limit": 4,
+        "slot_time_us": 20.0,
+        "sifs_us": 10.0,
+        "difs_us": effect(stack)[0].mac.difs_us,
+        "queue_frames": stack.mac_queue_frames,
+    }
+    unset = [name for name in defaults if getattr(mac, name) is None]
+    spelled = data.draw(st.lists(st.sampled_from(unset), unique=True) if unset
+                        else st.just([]))
+    padded = dataclasses.replace(
+        stack,
+        mac=dataclasses.replace(mac, **{name: defaults[name] for name in spelled}),
+    )
+    assert effect(padded) == effect(stack)
+    assert point_document(padded) == point_document(stack)
+
+
+def test_every_mac_override_reaches_what_build_reads():
+    # Normalisation drops any override that dot11_config() and
+    # effective_queue_frames cannot see.  A new MacParamsSpec field that
+    # build() reads some other way must fail here before it is added.
+    names = [spec_field.name for spec_field in dataclasses.fields(MacParamsSpec)]
+    assert sorted(names) == sorted(NON_DEFAULT)
+    for name, (value, *_) in NON_DEFAULT.items():
+        stack = StackSpec(mac=MacParamsSpec(**{name: value}))
+        assert effect(stack) != effect(StackSpec()), name
+        assert stack.normalised() == stack, name
