@@ -631,9 +631,12 @@ class StackSpec:
         An override is dropped when removing it leaves
         ``dot11_config() or Dot11bConfig()`` and
         :attr:`effective_queue_frames` unchanged; ``mac`` becomes ``None``
-        once no override is left.  Stacks that build the same network
-        then serialise identically, so their sweep points share one
-        cache key.  A stack with nothing to drop is returned as is.
+        once no override is left.  An override is kept when removing it
+        would pair the rest with an inconsistent default (``cw_min_slots=8,
+        cw_max_slots=16`` keeps both: CWmin 32 would exceed CWmax 16).
+        Stacks that build the same network then serialise identically, so
+        their sweep points share one cache key.  A stack with nothing to
+        drop is returned as is.
         """
         if self.mac is None:
             return self
@@ -642,7 +645,10 @@ class StackSpec:
         for spec_field in dataclasses.fields(mac):
             if getattr(mac, spec_field.name) is None:
                 continue
-            trial = dataclasses.replace(mac, **{spec_field.name: None})
+            try:
+                trial = dataclasses.replace(mac, **{spec_field.name: None})
+            except ConfigurationError:
+                continue
             if dataclasses.replace(self, mac=trial)._mac_effect() == effect:
                 mac = trial
         if mac == MacParamsSpec():

@@ -17,7 +17,7 @@ from repro.experiments.mac_surface import (
 )
 import repro.scenario.points as scenario_points
 from repro.parallel import SweepCache
-from repro.scenario import ScenarioSpec, build, run_scenarios
+from repro.scenario import ScenarioSpec, apply_overrides, build, run_scenarios
 
 #: Collapse every axis so the whole surface is one point per axis.
 PIN_ALL = {
@@ -130,6 +130,31 @@ def test_default_surface_simulates_each_distinct_network_once(monkeypatch):
             if point.stations == n and TABLE1[point.axis] == point.value
         }
         assert len(defaults) == 1, defaults
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"cw_min_slots": 8, "cw_max_slots": 16},
+        {"cw_min_slots": 2048, "cw_max_slots": 4096},
+        {"sifs_us": 2.0, "difs_us": 5.0},
+    ],
+    ids=["cw-8-16", "cw-2048-4096", "sifs-2-difs-5"],
+)
+def test_overrides_valid_only_together_sweep_as_written(overrides):
+    # Either half alone meets an inconsistent Table 1 default (CWmin 32
+    # above CWmax 16, CWmin 2048 above CWmax 1024, SIFS 10 above DIFS 5),
+    # so the sweep must keep both and run the network as written.
+    spec = apply_overrides(
+        saturation_spec(2, duration_s=0.1, warmup_s=0.05),
+        {f"stack.mac.{name}": value for name, value in overrides.items()},
+    )
+    [row] = run_scenarios(
+        [spec], extract="repro.experiments.mac_surface:mac_surface_metrics"
+    )
+    net = build(spec)
+    net.run(spec.duration_s)
+    assert row == mac_surface_metrics(net)
 
 
 # ------------------------------------------- cross-backend determinism

@@ -352,7 +352,7 @@ def test_factory_specs_share_a_sweep_cache_key(topology):
 # specs build one network.  These properties pin what it may and may
 # not change.
 
-from hypothesis import assume  # noqa: E402
+from hypothesis import assume, example  # noqa: E402
 
 from repro.core.params import Dot11bConfig  # noqa: E402
 from repro.errors import ConfigurationError  # noqa: E402
@@ -360,30 +360,41 @@ from repro.scenario import MacParamsSpec  # noqa: E402
 
 #: Override values that never restate a default: the stacks below use
 #: a queue depth of 50 or 200, and no DIFS here equals SIFS + 2 x slot
-#: for any slot/SIFS pair drawn (28, 34, 50 or 56 µs).
+#: for any slot/SIFS pair drawn (20, 28, 34, 42, 50 or 56 µs).  The
+#: pairs CW 8/16, CW 2048/4096 and SIFS 2/DIFS 5 are only valid
+#: together: either half alone meets an inconsistent Table 1 default.
 NON_DEFAULT = {
-    "cw_min_slots": (16, 64),
-    "cw_max_slots": (128, 256),
+    "cw_min_slots": (16, 64, 8, 2048),
+    "cw_max_slots": (128, 256, 16, 4096),
     "short_retry_limit": (1, 3),
     "long_retry_limit": (2, 7),
     "slot_time_us": (9.0,),
-    "sifs_us": (16.0,),
-    "difs_us": (40.0, 60.0),
+    "sifs_us": (16.0, 2.0),
+    "difs_us": (40.0, 60.0, 5.0),
     "queue_frames": (5, 20),
 }
 
 #: Override values with the Table 1 defaults (and the derived DIFS
-#: values) mixed in.
+#: values, e.g. 5 = 2 + 2 x 1.5 µs) mixed in.
 ANY_VALUE = {
-    "cw_min_slots": (16, 32, 64),
-    "cw_max_slots": (128, 1024),
+    "cw_min_slots": (16, 32, 64, 8, 2048),
+    "cw_max_slots": (128, 1024, 16, 4096),
     "short_retry_limit": (1, 7),
     "long_retry_limit": (2, 4),
-    "slot_time_us": (9.0, 20.0),
-    "sifs_us": (10.0, 16.0),
-    "difs_us": (28.0, 34.0, 40.0, 50.0, 56.0),
+    "slot_time_us": (9.0, 20.0, 1.5),
+    "sifs_us": (10.0, 16.0, 2.0),
+    "difs_us": (5.0, 28.0, 34.0, 40.0, 50.0, 56.0),
     "queue_frames": (5, 50, 200),
 }
+
+#: Overrides that are only valid together (see NON_DEFAULT), and one
+#: whose DIFS restates the derived SIFS + 2 x slot.
+COUPLED = [
+    StackSpec(mac=MacParamsSpec(cw_min_slots=8, cw_max_slots=16)),
+    StackSpec(mac=MacParamsSpec(cw_min_slots=2048, cw_max_slots=4096)),
+    StackSpec(mac=MacParamsSpec(sifs_us=2.0, difs_us=5.0)),
+    StackSpec(mac=MacParamsSpec(slot_time_us=1.5, sifs_us=2.0, difs_us=5.0)),
+]
 
 
 def effect(stack: StackSpec):
@@ -423,6 +434,10 @@ def mac_stacks(draw, values=ANY_VALUE, legacy_retry=True):
 
 @settings(max_examples=150, deadline=None)
 @given(mac_stacks())
+@example(COUPLED[0])
+@example(COUPLED[1])
+@example(COUPLED[2])
+@example(COUPLED[3])
 def test_normalisation_is_idempotent(stack):
     once = stack.normalised()
     assert once.normalised() == once
@@ -431,6 +446,10 @@ def test_normalisation_is_idempotent(stack):
 
 @settings(max_examples=150, deadline=None)
 @given(mac_stacks())
+@example(COUPLED[0])
+@example(COUPLED[1])
+@example(COUPLED[2])
+@example(COUPLED[3])
 def test_normalisation_keeps_everything_build_reads(stack):
     normalised = stack.normalised()
     assert effect(normalised) == effect(stack)
@@ -439,6 +458,9 @@ def test_normalisation_keeps_everything_build_reads(stack):
 
 @settings(max_examples=100, deadline=None)
 @given(mac_stacks(values=NON_DEFAULT))
+@example(COUPLED[0])
+@example(COUPLED[1])
+@example(COUPLED[2])
 def test_stacks_without_default_valued_overrides_keep_their_bytes(stack):
     # No other experiment's point documents or cache keys move.
     assume(stack.mac != MacParamsSpec())
