@@ -59,9 +59,8 @@ WORKLOADS: dict[str, tuple[str, str, dict]] = {
     "figure3": ("repro.experiments.ranges", "run_figure3", {"probes": 120}),
     "figure7": ("repro.experiments.four_nodes", "run_figure7", {"duration_s": 8.0}),
     "table3": ("repro.experiments.ranges", "run_table3", {"probes": 120}),
-    # 250 mobile stations on a wide random field, one CBR per station.
-    # The medium mode follows REPRO_MEDIUM (unset -> auto -> spatial at
-    # this N); `compare` runs it both ways and gates the spatial speedup.
+    # 250 mobile stations on a wide random field, one CBR per station:
+    # the medium's grid pass at scale.
     "multihop": (
         "repro.experiments.multihop",
         "scale_point",
@@ -140,13 +139,11 @@ def _run_workload(figure: str) -> None:
     )
 
 
-def measure(figure: str, runs: int, extra_env: dict[str, str] | None = None) -> dict:
+def measure(figure: str, runs: int) -> dict:
     """Median-of-``runs`` measurement of one figure, fresh process each."""
     samples = []
     env = dict(os.environ)
     env.setdefault("PYTHONPATH", str(REPO_ROOT / "src"))
-    if extra_env:
-        env.update(extra_env)
     for _ in range(runs):
         out = subprocess.run(
             [sys.executable, str(BENCH_DIR / "trajectory.py"), "_workload", figure],
@@ -173,18 +170,7 @@ def measure(figure: str, runs: int, extra_env: dict[str, str] | None = None) -> 
         "events": events,
         "events_per_s": round(events / median_wall) if median_wall > 0 else 0,
         "peak_rss_kb": max(sample["peak_rss_kb"] for sample in samples),
-        "kernel": _kernel_name(),
     }
-
-
-def _kernel_name() -> str:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    try:
-        from repro.phy.kernel import resolve_kernel
-
-        return resolve_kernel()
-    finally:
-        sys.path.pop(0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,38 +240,6 @@ def cmd_check(
     return 0
 
 
-def cmd_compare(runs: int, min_speedup: float, record: bool) -> int:
-    """Measure the scale workload under both medium modes; gate the ratio.
-
-    Spatial must beat dense by at least ``min_speedup`` on the 250-node
-    field — the super-linear win the spatial index exists for.  With
-    ``record``, both measurements land in BENCH_multihop.json (labels
-    ``current`` for spatial — the entry `check` gates against — and
-    ``dense`` for the reference pass).
-    """
-    figure = "multihop"
-    spatial = measure(figure, runs, extra_env={"REPRO_MEDIUM": "spatial"})
-    dense = measure(figure, runs, extra_env={"REPRO_MEDIUM": "dense"})
-    speedup = dense["median_wall_s"] / spatial["median_wall_s"]
-    spatial["medium"] = "spatial"
-    spatial["speedup_vs_dense"] = round(speedup, 2)
-    dense["medium"] = "dense"
-    print(
-        f"{figure}: spatial {spatial['median_wall_s']}s vs dense "
-        f"{dense['median_wall_s']}s -> x{speedup:.2f} speedup "
-        f"(required x{min_speedup:.2f})"
-    )
-    if record:
-        save_entry(figure, "current", spatial)
-        path = save_entry(figure, "dense", dense)
-        print(f"recorded spatial+dense entries -> {path.name}")
-    if speedup < min_speedup:
-        print(f"scale gate FAILED: x{speedup:.2f} < x{min_speedup:.2f}")
-        return 1
-    print("scale gate passed")
-    return 0
-
-
 def cmd_show(figures: list[str]) -> int:
     for figure in figures:
         entries = load_entries(figure)
@@ -326,15 +280,6 @@ def main(argv: list[str] | None = None) -> int:
     p_check.add_argument("--reference", default="current",
                          help="entry label to compare against")
 
-    p_compare = sub.add_parser(
-        "compare", help="dense-vs-spatial medium speedup gate (250 nodes)"
-    )
-    p_compare.add_argument("--runs", type=int, default=3, help="samples per mode")
-    p_compare.add_argument("--min-speedup", type=float, default=3.0,
-                           help="required spatial speedup over dense")
-    p_compare.add_argument("--record", action="store_true",
-                           help="store both entries in BENCH_multihop.json")
-
     p_show = sub.add_parser("show", help="print the stored trajectory")
     p_show.add_argument("figures", nargs="*", default=list(WORKLOADS))
 
@@ -354,8 +299,6 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_record(figures, args.label, args.runs)
     if args.command == "check":
         return cmd_check(figures, args.runs, args.tolerance, args.reference)
-    if args.command == "compare":
-        return cmd_compare(args.runs, args.min_speedup, args.record)
     return cmd_show(figures)
 
 

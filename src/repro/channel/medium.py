@@ -7,43 +7,38 @@ floor — delivers ``signal start`` and ``signal end`` events to the
 receiver after the propagation delay.  Receivers decide for themselves
 what a signal means (carrier sense, preamble lock, interference).
 
-Two reception-event generation paths exist, selected by
-:func:`resolve_medium` (the ``REPRO_MEDIUM`` environment variable, or a
-``TopologySpec.medium`` spec pin):
+One delivery loop serves every frame.  It makes either a *full pass*,
+visiting every attached device (O(N) per transmission, O(N²) pair-cache
+growth), or a *grid* pass: a :class:`GridIndex` buckets devices into
+cells sized by a conservative *cull radius* (the distance at which the
+strongest possible arrival falls below the delivery floor, solved from
+the tx power, the floor and the propagation model), and devices
+provably below the floor are culled without touching their pair-cache
+entries or the scheduler, so per-frame work and cache growth track the
+*neighbour* count instead of N.
 
-* ``dense`` — the reference path: one pass over every attached device
-  per frame, O(N) per transmission and O(N²) pair-cache growth.
-* ``spatial`` — a :class:`GridIndex` buckets devices into cells sized by
-  a conservative *cull radius* (the distance at which the strongest
-  possible arrival falls below the delivery floor, solved from the tx
-  power, the floor and the propagation model).  Devices provably below
-  the floor are culled without touching their pair-cache entries or the
-  scheduler, so per-frame work and cache growth track the *neighbour*
-  count instead of N.
+Both passes emit the same events by construction:
 
-The spatial path is bit-identical to the dense path by construction:
-
-* with per-frame fast shadowing active, the dense path consumes one RNG
-  draw per receiver, so the spatial path walks all devices in the same
-  index order drawing identically and uses the cull radius only to skip
-  the heavy geometry/schedule work for provably-dead links;
+* with per-frame fast shadowing active, every receiver consumes one RNG
+  draw, so the loop walks all devices in index order drawing
+  identically and uses the cull radius only to skip the heavy
+  geometry/schedule work for provably dead links — the draw sequence
+  never depends on culling;
 * with fast shadowing off, one frame-level variable-loss sample decides
   whether culling is safe for the whole frame (the true O(neighbours)
-  path) or the frame degrades to an exact full pass;
-* static shadowing or installed loss hooks disable culling outright —
-  both are sampled per pair, so skipping pairs would change draw order.
+  pass) or the frame degrades to the full pass;
+* static shadowing or installed loss hooks force the full pass — both
+  are sampled per pair, so skipping pairs would change draw order.
 
-``auto`` (the default) uses the spatial path once the device count
-reaches :data:`AUTO_SPATIAL_CUTOFF`; below that, the dense pass is
-cheaper than maintaining the index.  Because both paths produce the same
-events, the knob is purely a performance choice.
+The grid is used once the device count reaches
+:data:`AUTO_SPATIAL_CUTOFF`; below that, the full pass is cheaper than
+maintaining the index.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from bisect import insort
 from typing import Any, Callable, Protocol
 
@@ -54,15 +49,9 @@ from repro.errors import ConfigurationError, MediumError
 from repro.sim.engine import Simulator
 from repro.units import NS_PER_S
 
-#: Environment variable selecting the reception-event generation path.
-MEDIUM_ENV = "REPRO_MEDIUM"
-
-#: Medium modes accepted by :func:`resolve_medium` (besides ``auto``).
-MEDIUMS = ("dense", "spatial")
-
-#: Device count at which ``auto`` switches to the spatial index.  Below
-#: this the dense pass beats the index bookkeeping; at or above it the
-#: culling win dominates.  Purely a performance threshold: both paths
+#: Device count at which the medium switches to the grid pass.  Below
+#: this the full pass beats the index bookkeeping; at or above it the
+#: culling win dominates.  Purely a performance threshold: both passes
 #: emit identical events.
 AUTO_SPATIAL_CUTOFF = 16
 
@@ -75,28 +64,9 @@ AUTO_SPATIAL_CUTOFF = 16
 CULL_GUARD_DB = 3.0
 
 #: Cull radii beyond this are useless (every plausible field fits inside
-#: one cell) — the medium reports "no finite radius" and stays dense.
+#: one cell) — the medium reports "no finite radius" and makes the full
+#: pass.
 MAX_CULL_RADIUS_M = 20_000.0
-
-
-def resolve_medium(preference: str | None = None) -> str:
-    """Pick the medium mode: explicit preference, else environment.
-
-    ``preference`` (e.g. from a scenario spec) wins over the
-    ``REPRO_MEDIUM`` environment variable.  Unlike the reception-kernel
-    knob, ``auto`` resolves to itself: the profitable choice depends on
-    the attached device count, which the medium only knows at transmit
-    time (see :data:`AUTO_SPATIAL_CUTOFF`).  An explicit unknown name is
-    a configuration error, never a silent fallback.
-    """
-    name = preference if preference is not None else os.environ.get(MEDIUM_ENV, "auto")
-    name = name.strip().lower() or "auto"
-    if name != "auto" and name not in MEDIUMS:
-        raise ConfigurationError(
-            f"unknown medium mode {name!r}; expected one of "
-            f"{', '.join(MEDIUMS)} or auto"
-        )
-    return name
 
 
 class Signal:
@@ -144,11 +114,13 @@ class Signal:
 class MediumDevice(Protocol):
     """What the medium requires of an attached transceiver.
 
-    Position changes should be reported via :meth:`Medium.notify_moved`
-    (the :class:`~repro.phy.transceiver.Transceiver` position setter does
-    this automatically); the spatial index self-heals unreported moves
-    with a per-frame identity sweep, but eviction of stale pair-cache
-    rows only happens on notification.
+    Every position change must be reported via
+    :meth:`Medium.notify_moved`, which evicts the device's pair-cache
+    rows and re-buckets it in the spatial index; the grid pass trusts
+    the index, so an unreported move can leave a device in the wrong
+    cell.  The :class:`~repro.phy.transceiver.Transceiver` position
+    setter reports every assignment, and it is the only way anything in
+    :mod:`repro` moves a station.
     """
 
     position_m: Position
@@ -172,12 +144,10 @@ class GridIndex:
     coordinates; each bucket is a **list** of device indices kept in
     ascending order, so every query result has a reproducible order by
     construction (grid buckets must never feed the scheduler from set
-    iteration).  The index stores the exact position tuple each device
-    was bucketed under, so a cheap identity sweep detects moves that
-    bypassed :meth:`Medium.notify_moved`.
+    iteration).
     """
 
-    __slots__ = ("cell_m", "_buckets", "_cells", "_positions")
+    __slots__ = ("cell_m", "_buckets", "_cells")
 
     def __init__(self, cell_m: float):
         if cell_m <= 0:
@@ -185,7 +155,6 @@ class GridIndex:
         self.cell_m = cell_m
         self._buckets: dict[tuple[int, int], list[int]] = {}
         self._cells: list[tuple[int, int]] = []
-        self._positions: list[Position] = []
 
     def __len__(self) -> int:
         return len(self._cells)
@@ -203,11 +172,9 @@ class GridIndex:
         cell = self._cell_of(position)
         insort(self._buckets.setdefault(cell, []), index)
         self._cells.append(cell)
-        self._positions.append(position)
 
     def move(self, index: int, position: Position) -> None:
         """Re-bucket one device after a position change."""
-        self._positions[index] = position
         cell = self._cell_of(position)
         old = self._cells[index]
         if cell == old:
@@ -218,22 +185,6 @@ class GridIndex:
             del self._buckets[old]
         insort(self._buckets.setdefault(cell, []), index)
         self._cells[index] = cell
-
-    def repair(self, devices: list["MediumDevice"]) -> None:
-        """Re-bucket any device whose position no longer matches.
-
-        Not part of the hot path: every supported mover notifies the
-        medium (:attr:`Transceiver.position_m` is a notifying property,
-        and :class:`MediumDevice` makes the contract explicit), so the
-        grid stays fresh without per-frame sweeps.  This O(N) identity
-        sweep exists for test harnesses and diagnostics that mutate
-        positions behind the medium's back.
-        """
-        positions = self._positions
-        for index, device in enumerate(devices):
-            position = device.position_m
-            if position is not positions[index]:
-                self.move(index, position)
 
     def near(self, position: Position, radius_m: float) -> list[int]:
         """Device indices possibly within ``radius_m``, ascending.
@@ -262,9 +213,7 @@ class Medium:
 
     ``delivery_floor_dbm`` suppresses events for signals so weak they can
     affect neither carrier sensing nor interference, keeping the event
-    count linear in *relevant* links.  ``mode`` picks the event
-    generation path (see the module docstring); ``None`` defers to the
-    ``REPRO_MEDIUM`` environment variable.
+    count linear in *relevant* links.
     """
 
     def __init__(
@@ -272,12 +221,10 @@ class Medium:
         sim: Simulator,
         channel: ChannelModel,
         delivery_floor_dbm: float = -110.0,
-        mode: str | None = None,
     ):
         self._sim = sim
         self._channel = channel
         self._delivery_floor_dbm = delivery_floor_dbm
-        self._mode = resolve_medium(mode)
         self._devices: list[MediumDevice] = []
         # Device identity is a per-medium, monotonically assigned index
         # (the device's position in ``_devices``).  The dict holds a
@@ -302,7 +249,7 @@ class Medium:
         #: tuples detects mobility without any explicit invalidation
         #: protocol; rows are additionally *evicted* when a move is
         #: reported via :meth:`notify_moved`, so long mobile runs never
-        #: accumulate stale geometry (and the spatial path never pays
+        #: accumulate stale geometry (and the grid pass never pays
         #: for pairs that stopped being neighbours).
         self._pair_cache: dict[
             tuple[int, int], tuple[Position, Position, float, int]
@@ -320,11 +267,6 @@ class Medium:
     def channel(self) -> ChannelModel:
         """The channel model the medium samples."""
         return self._channel
-
-    @property
-    def mode(self) -> str:
-        """The resolved medium mode: ``dense``, ``spatial`` or ``auto``."""
-        return self._mode
 
     @property
     def devices(self) -> tuple[MediumDevice, ...]:
@@ -380,7 +322,7 @@ class Medium:
         ``hook(source, receiver, time_ns)`` returns the additional loss
         in dB for that directed pair; hooks are summed on top of the
         channel model's own loss.  While any hook is installed the
-        medium stays on the dense path: hooks are sampled per pair, so
+        medium makes the full pass: hooks are sampled per pair, so
         culling pairs would change what they observe.
         """
         if hook in self._loss_hooks:
@@ -406,7 +348,7 @@ class Medium:
         :data:`CULL_GUARD_DB` below the delivery floor, solved from the
         propagation model by bisection.  Beyond this distance a frame
         can only be heard if the variable loss is a gain exceeding the
-        guard — which the transmit path re-checks exactly, frame by
+        guard — which :meth:`transmit` re-checks exactly, frame by
         frame, before trusting the radius.
         """
         entry = self._cull_entry(tx_power_dbm)
@@ -436,20 +378,34 @@ class Medium:
         return entry
 
     def _spatial_entry(self, tx_power_dbm: float) -> tuple[float, float] | None:
-        """The cull entry when the spatial path may run, else None.
+        """The cull entry when the grid pass may run, else None.
 
-        Static shadowing and loss hooks are per-pair samples: skipping
-        pairs would change RNG draw order / hook observations, so either
-        one pins the medium to the dense reference path.
+        Below :data:`AUTO_SPATIAL_CUTOFF` devices the full pass is
+        cheaper.  Static shadowing and loss hooks are per-pair samples:
+        skipping pairs would change RNG draw order / hook observations,
+        so either one forces the full pass.
         """
-        mode = self._mode
-        if mode == "dense":
-            return None
-        if mode == "auto" and len(self._devices) < AUTO_SPATIAL_CUTOFF:
+        if len(self._devices) < AUTO_SPATIAL_CUTOFF:
             return None
         if self._loss_hooks or self._channel.static_sigma_db != 0.0:
             return None
         return self._cull_entry(tx_power_dbm)
+
+    def _grid_for(self, radius_m: float) -> GridIndex:
+        """The spatial index, built on the first grid pass.
+
+        Cells are half the first radius wide — a (2.5r)^2 candidate
+        square instead of (3r)^2 for whole-radius cells.  Later radii
+        need no rebuild: :meth:`GridIndex.near` scales its reach to any
+        radius against any cell size.
+        """
+        grid = self._grid
+        if grid is None:
+            grid = GridIndex(max(radius_m / 2.0, 1.0))
+            for index, device in enumerate(self._devices):
+                grid.add(index, device.position_m)
+            self._grid = grid
+        return grid
 
     # ----------------------------------------------------------- transmit
 
@@ -463,7 +419,10 @@ class Medium:
         """Put a frame on the air and schedule its arrival everywhere.
 
         Returns the :class:`Signal`, whose ``end_ns`` tells the caller when
-        its own transmission completes.
+        its own transmission completes.  The geometry (path loss + static
+        shadowing + propagation delay) is cached per directed pair and
+        revalidated by position-tuple identity; only the per-frame terms
+        are computed fresh.
         """
         source_index = self._device_indices.get(source)
         if source_index is None:
@@ -479,37 +438,54 @@ class Medium:
             now + duration_ns,
             signal_id=next(self._signal_ids),
         )
-        cull = self._spatial_entry(tx_power_dbm)
-        if cull is not None:
-            self._transmit_spatial(signal, source, source_index, cull)
-        else:
-            self._transmit_dense(signal, source, source_index)
-        return signal
-
-    def _transmit_dense(
-        self, signal: Signal, source: MediumDevice, source_index: int
-    ) -> None:
-        """Reference path: one pass per attached receiver per frame.
-
-        The geometry (path loss + static shadowing + propagation delay)
-        is cached per directed pair and revalidated by position-tuple
-        identity; only the per-frame terms are computed fresh.
-        """
-        now = signal.start_ns
-        duration_ns = signal.duration_ns
-        tx_power_dbm = signal.tx_power_dbm
+        devices = self._devices
+        if len(devices) <= 1:
+            return signal
         channel = self._channel
+        floor_dbm = self._delivery_floor_dbm
+        source_pos = source.position_m
+        candidates: range | list[int] = range(len(devices))
+        near_flags: bytearray | None = None
+        variable_db = cull_power_dbm = 0.0
+        cull = self._spatial_entry(tx_power_dbm)
+        full_pass = cull is None
+        if cull is not None:
+            radius_m, cull_power_dbm = cull
+            grid = self._grid_for(radius_m)
+            if channel.fast_sigma_db > 0.0:
+                # Fast shadowing is one draw per receiver: visit every
+                # device so the draws stay in index order; the flags
+                # only skip the per-pair work for devices the draw
+                # cannot lift above the floor.
+                near_flags = bytearray(len(devices))
+                for index in grid.near(source_pos, radius_m):
+                    near_flags[index] = 1
+            else:
+                # The variable term is frame-wide (weather only: the
+                # first variable_loss_db call per frame performs any
+                # weather update, repeats return held state).
+                variable_db = channel.variable_loss_db(now)
+                if cull_power_dbm - variable_db < floor_dbm:
+                    candidates = grid.near(source_pos, radius_m)
+                # Otherwise the term is a gain larger than the guard:
+                # the radius cannot be trusted this frame.
         hooks = self._loss_hooks
         pair_cache = self._pair_cache
         pair_partners = self._pair_partners
-        floor_dbm = self._delivery_floor_dbm
         # Arrival events are fire-and-forget (the medium never cancels
         # them), so the slot API skips the per-event handle allocation.
         schedule = self._sim.schedule_slot
-        source_pos = source.position_m
-        for device_index, device in enumerate(self._devices):
+        for device_index in candidates:
+            device = devices[device_index]
             if device is source:
                 continue
+            if near_flags is not None:
+                variable_db = channel.variable_loss_db(now)
+                if (
+                    not near_flags[device_index]
+                    and cull_power_dbm - variable_db < floor_dbm
+                ):
+                    continue
             device_pos = device.position_m
             pair_key = (source_index, device_index)
             entry = pair_cache.get(pair_key)
@@ -526,7 +502,11 @@ class Medium:
                 pair_cache[pair_key] = entry
                 pair_partners.setdefault(source_index, set()).add(device_index)
                 pair_partners.setdefault(device_index, set()).add(source_index)
-            loss_db = entry[2] + channel.variable_loss_db(now)
+            if full_pass:
+                # After the lookup: a cache miss draws the link's static
+                # shadowing from the same RNG, and that draw comes first.
+                variable_db = channel.variable_loss_db(now)
+            loss_db = entry[2] + variable_db
             if hooks:
                 for hook in hooks:
                     loss_db += hook(source, device, now)
@@ -536,126 +516,4 @@ class Medium:
             delay_ns = entry[3]
             schedule(delay_ns, device.on_signal_start, signal, rx_power_dbm)
             schedule(delay_ns + duration_ns, device.on_signal_end, signal)
-
-    def _transmit_spatial(
-        self,
-        signal: Signal,
-        source: MediumDevice,
-        source_index: int,
-        cull: tuple[float, float],
-    ) -> None:
-        """Spatial path: cull receivers provably below the floor.
-
-        Emits the exact event sequence of :meth:`_transmit_dense` — same
-        receivers, same powers, same schedule-call order, same RNG draw
-        sequence — while skipping geometry, pair-cache and scheduler
-        work for devices beyond the cull radius.
-        """
-        devices = self._devices
-        if len(devices) <= 1:
-            return
-        radius_m, cull_power_dbm = cull
-        grid = self._grid
-        if grid is None:
-            # First spatial frame: build with cells at half this radius —
-            # a (2.5r)^2 candidate square instead of (3r)^2 for whole-
-            # radius cells.  Later radii need no rebuild — ``near``
-            # scales its reach to any radius against any cell size.
-            grid = GridIndex(max(radius_m / 2.0, 1.0))
-            for index, device in enumerate(devices):
-                grid.add(index, device.position_m)
-            self._grid = grid
-        now = signal.start_ns
-        duration_ns = signal.duration_ns
-        tx_power_dbm = signal.tx_power_dbm
-        channel = self._channel
-        pair_cache = self._pair_cache
-        pair_partners = self._pair_partners
-        floor_dbm = self._delivery_floor_dbm
-        schedule = self._sim.schedule_slot
-        source_pos = source.position_m
-
-        if channel.fast_sigma_db > 0.0:
-            # The dense path draws one fast-shadowing sample per
-            # receiver, so the draw sequence is part of the contract:
-            # walk every device in index order consuming draws
-            # identically, and use the radius only to skip the heavy
-            # per-pair work when the draw cannot rescue a dead link.
-            near_flags = bytearray(len(devices))
-            for index in grid.near(source_pos, radius_m):
-                near_flags[index] = 1
-            for device_index, device in enumerate(devices):
-                if device is source:
-                    continue
-                variable_db = channel.variable_loss_db(now)
-                if (
-                    not near_flags[device_index]
-                    and cull_power_dbm - variable_db < floor_dbm
-                ):
-                    continue
-                device_pos = device.position_m
-                pair_key = (source_index, device_index)
-                entry = pair_cache.get(pair_key)
-                if (
-                    entry is None
-                    or entry[0] is not source_pos
-                    or entry[1] is not device_pos
-                ):
-                    base_db = channel.base_loss_db(
-                        source_pos, device_pos, source_index, device_index
-                    )
-                    delay_ns = self.propagation_delay_ns(source_pos, device_pos)
-                    entry = (source_pos, device_pos, base_db, delay_ns)
-                    pair_cache[pair_key] = entry
-                    pair_partners.setdefault(source_index, set()).add(device_index)
-                    pair_partners.setdefault(device_index, set()).add(source_index)
-                # Same expression tree as the dense path — bit-identical
-                # floats require identical rounding order.
-                loss_db = entry[2] + variable_db
-                rx_power_dbm = tx_power_dbm - loss_db
-                if rx_power_dbm < floor_dbm:
-                    continue
-                delay_ns = entry[3]
-                schedule(delay_ns, device.on_signal_start, signal, rx_power_dbm)
-                schedule(delay_ns + duration_ns, device.on_signal_end, signal)
-            return
-
-        # No fast shadowing: the variable term is frame-wide (weather
-        # only; the dense path's first variable_loss_db call per frame
-        # performs any weather update, repeats return held state), so one
-        # sample decides culling for the whole frame.  This is the true
-        # O(neighbours) path.
-        variable_db = channel.variable_loss_db(now)
-        if cull_power_dbm - variable_db < floor_dbm:
-            candidates = grid.near(source_pos, radius_m)
-        else:
-            # The variable term is a gain larger than the guard: the
-            # radius cannot be trusted this frame — exact full pass.
-            candidates = range(len(devices))
-        for device_index in candidates:
-            device = devices[device_index]
-            if device is source:
-                continue
-            device_pos = device.position_m
-            pair_key = (source_index, device_index)
-            entry = pair_cache.get(pair_key)
-            if (
-                entry is None
-                or entry[0] is not source_pos
-                or entry[1] is not device_pos
-            ):
-                base_db = channel.base_loss_db(
-                    source_pos, device_pos, source_index, device_index
-                )
-                delay_ns = self.propagation_delay_ns(source_pos, device_pos)
-                entry = (source_pos, device_pos, base_db, delay_ns)
-                pair_cache[pair_key] = entry
-                pair_partners.setdefault(source_index, set()).add(device_index)
-                pair_partners.setdefault(device_index, set()).add(source_index)
-            loss_db = entry[2] + variable_db
-            rx_power_dbm = tx_power_dbm - loss_db
-            if rx_power_dbm < floor_dbm:
-                continue
-            delay_ns = entry[3]
-            schedule(delay_ns, device.on_signal_start, signal, rx_power_dbm)
-            schedule(delay_ns + duration_ns, device.on_signal_end, signal)
+        return signal

@@ -20,9 +20,9 @@ Two extensions the spatial medium + shortest-path routing open up
   arena ("Impact of Mobility and Transmission Range on Backoff
   Algorithms", PAPERS.md).
 
-Both run with ``fast_sigma_db=0`` so the spatial medium's
-O(neighbours) path carries them — the property that makes N=250
-practical at all (see benchmarks/BENCH_multihop.json).
+Both run with ``fast_sigma_db=0`` so the medium's O(neighbours) grid
+pass carries them — the property that makes N=250 practical at all
+(see benchmarks/BENCH_multihop.json).
 """
 
 from __future__ import annotations
@@ -307,20 +307,17 @@ def scale_point(
     n: int,
     duration_s: float,
     seed: int,
-    medium: str | None = None,
     spacing_m: float = DENSITY_SPACING_M,
     mobile_speed_m_s: float = 0.0,
 ) -> float:
     """One full density-style scenario; returns the total delivered bps.
 
-    ``medium`` pins the reception-event path (``None`` follows
-    ``REPRO_MEDIUM``).  The perf-trajectory benchmark runs this for both
-    modes to prove the spatial path's super-linear win at scale: a wide
-    ``spacing_m`` so the field dwarfs the interference radius, and every
-    station mobile (speeds staggered per node so there is real relative
-    motion) — each position update invalidates the mover's cached pair
-    geometry, which the dense path recomputes for all N-1 partners while
-    the spatial path touches only the neighbours it still examines.
+    The perf benchmarks run this at N=250 to exercise the medium's grid
+    pass at scale: a wide ``spacing_m`` so the field dwarfs the
+    interference radius, and every station mobile (speeds staggered per
+    node so there is real relative motion) — each position update evicts
+    the mover's cached pair geometry, and the grid pass rebuilds it only
+    for the neighbours it still examines.
     """
     from repro.scenario import build
     from repro.units import s_to_ns
@@ -329,8 +326,6 @@ def scale_point(
         n, duration_s, warmup_s=0.0, seed=seed, spacing_m=spacing_m
     )
     topology = spec.topology.to_dict()
-    if medium is not None:
-        topology["medium"] = medium
     if mobile_speed_m_s > 0:
         topology["mobility"] = [
             {

@@ -96,8 +96,8 @@ def data_frame_plan(
     tens of thousands of times; rebuilding the plan each time made the
     per-frame ``Rate`` enum arithmetic one of the hottest lines in the
     whole profile.  Plans are frozen, so sharing is safe, and the
-    identity-stable objects double as cache keys for the reception
-    kernel's per-plan tables.
+    identity-stable objects carry the threshold reception model's
+    per-plan tables.
     """
     cache = airtime.plan_cache
     key = (msdu_bytes, data_rate)

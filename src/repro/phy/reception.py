@@ -17,13 +17,13 @@ import abc
 import enum
 import random
 from dataclasses import dataclass
+from math import log10 as _log10
 
 from repro.phy import ber as ber_models
-from repro.phy.kernel import SinrKernel, resolve_kernel
 from repro.phy.plans import TransmissionPlan
 from repro.phy.radio import RadioParameters
 from repro.errors import ConfigurationError
-from repro.units import dbm_to_mw, linear_to_db
+from repro.units import dbm_to_mw
 
 
 class ReceptionOutcome(enum.Enum):
@@ -92,32 +92,47 @@ class ReceptionModel(abc.ABC):
         """Verdict for one frame."""
 
 
+def _sinr_rows(
+    plan: TransmissionPlan, radio: RadioParameters
+) -> tuple[tuple[int, int, float, float], ...]:
+    """Per-field ``(start_ns, end_ns, sensitivity_dbm, threshold_db)`` rows.
+
+    The table rides on the (interned, frozen) plan itself, written
+    through ``__dict__`` like ``cached_property`` does — an attribute
+    read per frame instead of hashing the plan's segment tuple.  Plans
+    are interned per station (see :mod:`repro.phy.plans`), so the tables
+    stay a handful of entries.  Tagged with the radio it was built
+    against: a plan is only ever evaluated by its transmitting station's
+    radio, but a different radio (shared plans in tests) rebuilds rather
+    than lies.
+    """
+    cached = plan.__dict__.get("_sinr_rows")
+    if cached is not None and cached[0] is radio:
+        return cached[1]
+    rows = tuple(
+        (
+            start_ns,
+            end_ns,
+            radio.sensitivity_dbm[segment.rate],
+            radio.sinr_threshold_db[segment.rate],
+        )
+        for start_ns, end_ns, segment in plan.segment_offsets_ns()
+    )
+    plan.__dict__["_sinr_rows"] = (radio, rows)
+    return rows
+
+
 class SinrThresholdReception(ReceptionModel):
     """Per-field sensitivity + worst-case SINR thresholds.
 
-    Two implementations produce the verdict:
-
-    * ``kernel="python"`` — the reference loop below, one SINR/dB
-      comparison per (field x interference interval);
-    * ``kernel="numpy"`` — the batched kernel
-      (:class:`repro.phy.kernel.SinrKernel`): per-plan threshold tables
-      and a worst-interval reduction (vectorized for long timelines)
-      that makes one dB conversion per field.  Bit-identical by
-      monotonicity — the golden digests pin it.
-
-    ``kernel=None`` resolves from the ``REPRO_KERNEL`` environment
-    variable (default ``auto``: numpy when installed, loaded on first
-    use).
+    A field fails iff its *worst* (minimum-SINR) interference interval
+    fails, and SINR falls as interference power rises.  So each field
+    reduces to its maximum interference power — a pure max, no
+    transcendental — and makes exactly one dB conversion, with the
+    argument a per-interval walk would have used on that worst interval.
+    An empty interval (a timeline entry sharing its offset with the
+    next) spans no time and is skipped; the timeline need not be sorted.
     """
-
-    def __init__(self, kernel: str | None = None):
-        self._kernel_name = resolve_kernel(kernel)
-        self._kernel = SinrKernel() if self._kernel_name == "numpy" else None
-
-    @property
-    def kernel(self) -> str:
-        """Which implementation this model runs (``python``/``numpy``)."""
-        return self._kernel_name
 
     def evaluate(
         self,
@@ -125,39 +140,59 @@ class SinrThresholdReception(ReceptionModel):
         radio: RadioParameters,
         rng: random.Random,
     ) -> ReceptionOutcome:
-        if self._kernel is not None:
-            return self._kernel.evaluate(context, radio)
-        return self._evaluate_reference(context, radio)
+        rx_dbm = context.rx_power_dbm
+        signal_mw = dbm_to_mw(rx_dbm)
+        noise_mw = context.noise_mw
+        timeline = context.interference_timeline
+        n = len(timeline)
+        rows = _sinr_rows(context.plan, radio)
 
-    def _evaluate_reference(
-        self, context: ReceptionContext, radio: RadioParameters
-    ) -> ReceptionOutcome:
-        signal_mw = dbm_to_mw(context.rx_power_dbm)
-        for start_ns, end_ns, segment in context.plan.segment_offsets_ns():
-            if context.rx_power_dbm < radio.sensitivity_dbm[segment.rate]:
-                return ReceptionOutcome.BELOW_SENSITIVITY
-            threshold_db = radio.sinr_threshold_db[segment.rate]
-            for _, _, interference_mw in context.interference_intervals(
-                start_ns, end_ns
-            ):
-                sinr = signal_mw / (context.noise_mw + interference_mw)
-                if linear_to_db(sinr) < threshold_db:
+        # ``10.0 * _log10(x)`` below is units.linear_to_db inlined (SINR
+        # is strictly positive here): same expression, no call frame.
+
+        if n == 1:
+            # No interference change during the whole reception — the
+            # modal case: every field sees the single timeline level.
+            interference_mw = timeline[0][1]
+            for start_ns, end_ns, sensitivity, threshold in rows:
+                if rx_dbm < sensitivity:
+                    return ReceptionOutcome.BELOW_SENSITIVITY
+                if end_ns <= start_ns:
+                    continue
+                sinr = signal_mw / (noise_mw + interference_mw)
+                if 10.0 * _log10(sinr) < threshold:
                     return ReceptionOutcome.SINR_FAILURE
+            return ReceptionOutcome.OK
+
+        for start_ns, end_ns, sensitivity, threshold in rows:
+            if rx_dbm < sensitivity:
+                return ReceptionOutcome.BELOW_SENSITIVITY
+            worst_mw = -1.0
+            for i in range(n):
+                off, mw = timeline[i]
+                nxt = timeline[i + 1][0] if i + 1 < n else end_ns
+                lo = off if off > start_ns else start_ns
+                hi = nxt if nxt < end_ns else end_ns
+                if lo < hi and mw > worst_mw:
+                    worst_mw = mw
+            if worst_mw < 0.0:
+                continue
+            sinr = signal_mw / (noise_mw + worst_mw)
+            if 10.0 * _log10(sinr) < threshold:
+                return ReceptionOutcome.SINR_FAILURE
         return ReceptionOutcome.OK
 
 
 class BerReception(ReceptionModel):
     """Bit-error integration over fields and interference intervals.
 
-    The ``numpy`` kernel setting swaps the per-term transcendental math
-    for the per-rate lookup tables + exact-key memo in
-    :mod:`repro.phy.ber` (:func:`~repro.phy.ber.frame_success_probability_cached`);
-    term order and arithmetic are unchanged, so the accumulated product
-    — and therefore the single Bernoulli draw — is bit-identical.
+    Success probabilities come from the per-rate lookup tables and
+    exact-key memo of
+    :func:`~repro.phy.ber.frame_success_probability_cached`, which
+    computes the same expression as
+    :func:`~repro.phy.ber.frame_success_probability`; terms multiply in
+    field-then-interval order into a single Bernoulli draw.
     """
-
-    def __init__(self, kernel: str | None = None):
-        self._cached = resolve_kernel(kernel) == "numpy"
 
     def evaluate(
         self,
@@ -165,11 +200,7 @@ class BerReception(ReceptionModel):
         radio: RadioParameters,
         rng: random.Random,
     ) -> ReceptionOutcome:
-        success_of = (
-            ber_models.frame_success_probability_cached
-            if self._cached
-            else ber_models.frame_success_probability
-        )
+        success_of = ber_models.frame_success_probability_cached
         signal_mw = dbm_to_mw(context.rx_power_dbm)
         success_probability = 1.0
         for start_ns, end_ns, segment in context.plan.segment_offsets_ns():

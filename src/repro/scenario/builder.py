@@ -35,7 +35,7 @@ from repro.mac.ratecontrol import ArfConfig
 from repro.net.node import Node, NodeStackConfig
 from repro.net.routing import ROUTING_POLICIES, build_shortest_path_tables
 from repro.phy.radio import RadioParameters
-from repro.phy.reception import ReceptionModel, SinrThresholdReception
+from repro.phy.reception import ReceptionModel
 from repro.scenario.network import FlowHandle, ScenarioNetwork
 from repro.scenario.specs import (
     DEFAULT_FAST_SIGMA_DB,
@@ -64,7 +64,6 @@ def build_network(
     reception: ReceptionModel | None = None,
     mac_queue_frames: int = 200,
     arf: ArfConfig | None = None,
-    medium_mode: str | None = None,
     routing: str | None = None,
 ) -> ScenarioNetwork:
     """Construct the full stack for one scenario.
@@ -74,11 +73,9 @@ def build_network(
     Addresses are assigned 1..N left to right, matching the paper's
     S1..S4 naming.
 
-    ``medium_mode`` pins the reception-event path (``dense`` |
-    ``spatial``; ``None`` follows ``REPRO_MEDIUM``).  ``routing``
-    selects the per-node table policy: ``"shortest-path"`` builds
-    hop-count BFS tables over the connectivity graph (link range solved
-    from the radio's sensitivity at the configured data rate) and
+    ``routing`` selects the per-node table policy: ``"shortest-path"``
+    builds hop-count BFS tables over the connectivity graph (link range
+    solved from the radio's sensitivity at the configured data rate) and
     installs them strict, so unreachable destinations surface as typed
     ``no-route`` drops instead of frames aimed at out-of-range MACs.
     """
@@ -95,7 +92,7 @@ def build_network(
         rng=rngs.stream("channel"),
         weather=weather_process,
     )
-    medium = Medium(sim, channel, mode=medium_mode)
+    medium = Medium(sim, channel)
     stack = NodeStackConfig(
         data_rate=data_rate,
         dot11=dot11 if dot11 is not None else Dot11bConfig(),
@@ -252,12 +249,6 @@ def build(spec: ScenarioSpec) -> ScenarioNetwork:
         dot11=_stack_dot11(spec),
         mac_queue_frames=spec.stack.effective_queue_frames,
         arf=ArfConfig() if spec.stack.arf else None,
-        reception=(
-            SinrThresholdReception(kernel=spec.stack.kernel)
-            if spec.stack.kernel is not None
-            else None
-        ),
-        medium_mode=spec.topology.medium,
         routing=spec.stack.routing,
     )
     net.spec = spec

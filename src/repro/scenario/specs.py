@@ -36,16 +36,14 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.channel.medium import MEDIUMS
 from repro.channel.weather import DayConditions
 from repro.core.params import Dot11bConfig, MacParameters, Rate
 from repro.errors import ConfigurationError, FaultError
 from repro.mac.dcf import AckPolicy
 from repro.net.routing import ROUTING_POLICIES
-from repro.phy.kernel import KERNELS
 
 #: Serialisation format version; bump on incompatible spec changes.
-SPEC_VERSION = 1
+SPEC_VERSION = 2
 
 #: Default per-frame shadowing used by the dynamic experiments.  Chosen
 #: so the loss-vs-distance curves of Figure 3 spread over the distance
@@ -248,11 +246,6 @@ class TopologySpec:
     #: log-distance default.
     propagation: str | None = None
     mobility: tuple[MobilitySpec, ...] = ()
-    #: Reception-event generation path: ``"dense"`` | ``"spatial"``, or
-    #: ``None`` to defer to the ``REPRO_MEDIUM`` environment variable
-    #: (default ``auto``).  Purely a performance knob — both paths emit
-    #: bit-identical events.
-    medium: str | None = None
 
     def __post_init__(self) -> None:
         _freeze_types(self, ("fast_sigma_db", "static_sigma_db"))
@@ -266,11 +259,6 @@ class TopologySpec:
             raise ConfigurationError(
                 f"unknown propagation preset {self.propagation!r}; "
                 f"accepted: {list(PROPAGATION_PRESETS)} (or null for calibrated)"
-            )
-        if self.medium is not None and self.medium not in MEDIUMS:
-            raise ConfigurationError(
-                f"unknown medium mode {self.medium!r}; "
-                f"accepted: {list(MEDIUMS)} (or null to follow REPRO_MEDIUM)"
             )
         for mobility in self.mobility:
             if mobility.node >= len(self.positions_m):
@@ -355,7 +343,6 @@ class TopologySpec:
             "weather": self.weather.to_dict() if self.weather is not None else None,
             "propagation": self.propagation,
             "mobility": [m.to_dict() for m in self.mobility],
-            "medium": self.medium,
         }
 
     @classmethod
@@ -376,7 +363,6 @@ class TopologySpec:
             mobility=tuple(
                 MobilitySpec.from_dict(m) for m in data.get("mobility", ())
             ),
-            medium=data.get("medium"),
         )
 
 
@@ -544,9 +530,6 @@ class StackSpec:
     #: defaults.  Mutually exclusive with the top-level
     #: ``short_retry_limit`` / ``long_retry_limit`` fields.
     mac: MacParamsSpec | None = None
-    #: Reception kernel: ``"python"`` | ``"numpy"``, or ``None`` to defer
-    #: to the ``REPRO_KERNEL`` environment variable (default ``auto``).
-    kernel: str | None = None
     #: Routing policy: ``"direct"`` (single-hop, the paper's test-bed) |
     #: ``"shortest-path"`` (hop-count BFS tables built from the topology
     #: at build time, strict no-route misses), or ``None`` for direct.
@@ -572,11 +555,6 @@ class StackSpec:
         if self.mac_queue_frames < 1:
             raise ConfigurationError(
                 f"mac_queue_frames must be >= 1, got {self.mac_queue_frames}"
-            )
-        if self.kernel is not None and self.kernel not in KERNELS:
-            raise ConfigurationError(
-                f"unknown reception kernel {self.kernel!r}; "
-                f"accepted: {list(KERNELS)} (or null to follow REPRO_KERNEL)"
             )
         if self.routing is not None and self.routing not in ROUTING_POLICIES:
             raise ConfigurationError(
@@ -665,7 +643,6 @@ class StackSpec:
             "long_retry_limit": self.long_retry_limit,
             "mac_queue_frames": self.mac_queue_frames,
             "arf": self.arf,
-            "kernel": self.kernel,
             "routing": self.routing,
             "mac": self.mac.to_dict() if self.mac is not None else None,
         }
@@ -692,7 +669,6 @@ class StackSpec:
                 data.get("mac_queue_frames", 200), "mac_queue_frames"
             ),
             arf=bool(data.get("arf", False)),
-            kernel=data.get("kernel"),
             routing=data.get("routing"),
             mac=(
                 MacParamsSpec.from_dict(data["mac"])

@@ -24,10 +24,9 @@ through one).  This package turns them into machine-checked invariants:
   returns and cross-module call arguments; mixing ns with s, adding dB
   to mW, double-converting, or feeding a bare float literal to a
   ``*_ns`` parameter is flagged (see :mod:`repro.simlint.project`).
-* **SL8xx kernel/scheduler parity** — order-dependent float
-  accumulation over sets, builtin ``sum()`` beside numpy reductions,
-  numpy arrays built from unordered iteration, and slot/token API
-  misuse (literal tokens, handles reused after ``cancel_slot``).
+* **SL8xx float order and scheduler tokens** — order-dependent float
+  accumulation over sets, and slot/token API misuse (literal tokens,
+  handles reused after ``cancel_slot``).
 
 SL7xx's cross-module rules run on a whole-program import/symbol graph
 built from picklable per-module summaries; the same summaries let the

@@ -1,26 +1,14 @@
-"""SL8xx — kernel/scheduler parity: keep the dual engines bit-identical.
+"""SL8xx — float summation order and slot-scheduler tokens.
 
-PR 7 split the hot paths in two: reception math runs on either the
-python reference kernel or the vectorized numpy kernel (goldens prove
-them bit-identical), and timers ride the slot/token scheduler API.
-Both splits created bug classes a per-file style check cannot name:
+Two bug classes a per-file style check cannot name:
 
 * **SL801** — order-dependent float accumulation over an unordered
   container.  ``sum()`` over a set (or a generator drawn from one)
-  rounds differently per iteration order, so two runs — or the two
-  kernels — can disagree in the last bit.  ``math.fsum`` is exact and
-  therefore order-independent; ``sorted()`` pins the order.  (SL202
-  deliberately exempts ``sum(...)`` as "order-insensitive"; that is
-  true for ints and exactly wrong for floats, which is this rule.)
-* **SL802** — builtin ``sum()`` in a dual-kernel module (one that also
-  imports numpy): the python reduction and the numpy reduction
-  (pairwise summation) round differently, so a module implementing
-  both paths must route reductions through ``math.fsum`` or a single
-  shared helper.  Integer reductions (``*_ns`` spines) are exact and
-  exempt.
-* **SL803** — a numpy construction or reduction fed directly from a
-  set or dict-key iteration: the array's element order inherits hash
-  seeding, so every downstream reduction is irreproducible.
+  rounds differently per iteration order, so two runs can disagree in
+  the last bit.  ``math.fsum`` is exact and therefore
+  order-independent; ``sorted()`` pins the order.  (SL202 deliberately
+  exempts ``sum(...)`` as "order-insensitive"; that is true for ints
+  and exactly wrong for floats, which is this rule.)
 * **SL804** — slot-API misuse: passing a literal integer where a
   scheduler token (the ``seq`` returned by ``schedule_slot``) is
   expected, or reusing a ``(slot, seq)`` handle pair after it was
@@ -38,9 +26,6 @@ from repro.simlint.checker import Finding, ParsedModule
 #: Call names that take/validate a ``(slot, seq)`` token pair.
 _SLOT_CONSUMERS = frozenset({"cancel_slot", "slot_active"})
 
-#: Numpy entry points whose argument order becomes array order.
-_NUMPY_ALIASES = frozenset({"np", "numpy", "_np"})
-
 
 def _is_set_expr(node: ast.expr, local_sets: frozenset[str]) -> str | None:
     """A short description when ``node`` is provably unordered, else None."""
@@ -51,12 +36,6 @@ def _is_set_expr(node: ast.expr, local_sets: frozenset[str]) -> str | None:
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         if node.func.id in {"set", "frozenset"}:
             return f"a {node.func.id}() value"
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        if node.func.attr == "keys" and not node.args:
-            # dict keys are insertion-ordered, but iterating them for a
-            # float reduction couples the result to build history; only
-            # flagged when a reduction consumes them (see callers).
-            return None
     if isinstance(node, ast.Name) and node.id in local_sets:
         return f"the set variable {node.id!r}"
     if isinstance(node, (ast.GeneratorExp, ast.ListComp)):
@@ -127,100 +106,6 @@ class UnorderedFloatSumRule:
                 message=(
                     f"sum() over {description}: float accumulation order "
                     "follows hash seeding; use math.fsum or sorted()"
-                ),
-            )
-
-
-def _module_uses_numpy(module: ParsedModule) -> bool:
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            if any(alias.name.split(".")[0] == "numpy" for alias in node.names):
-                return True
-        elif isinstance(node, ast.ImportFrom):
-            if node.module is not None and node.module.split(".")[0] == "numpy":
-                return True
-    return False
-
-
-class DualKernelSumRule:
-    """SL802: builtin ``sum()`` in a module that also runs numpy math."""
-
-    rule_id = "SL802"
-    summary = (
-        "builtin sum() in a numpy-importing (dual-kernel) module: python "
-        "and numpy reductions round differently; use math.fsum or one "
-        "shared reduction helper"
-    )
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        if not _module_uses_numpy(module):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if not (isinstance(node.func, ast.Name) and node.func.id == "sum"):
-                continue
-            if not node.args:
-                continue
-            if _names_int_ns(node.args[0]):
-                continue  # exact in both kernels
-            yield Finding(
-                rule_id=self.rule_id,
-                path=module.relpath,
-                line=node.lineno,
-                col=node.col_offset,
-                message=(
-                    "builtin sum() beside numpy reductions: sequential and "
-                    "pairwise summation round differently, so the kernels "
-                    "can diverge; use math.fsum or share one reduction"
-                ),
-            )
-
-
-class NumpyUnorderedFeedRule:
-    """SL803: numpy array/reduction built from set or dict-key iteration."""
-
-    rule_id = "SL803"
-    summary = (
-        "numpy call fed from a set or dict-key iteration: the array "
-        "order inherits hash seeding; materialise a sorted list first"
-    )
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        local_sets = _local_set_names(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in _NUMPY_ALIASES
-            ):
-                continue
-            if not node.args:
-                continue
-            first = node.args[0]
-            description = _is_set_expr(first, local_sets)
-            if description is None and isinstance(first, ast.Call):
-                inner = first.func
-                if (
-                    isinstance(inner, ast.Attribute)
-                    and inner.attr == "keys"
-                    and not first.args
-                ):
-                    description = "dict keys"
-            if description is None:
-                continue
-            yield Finding(
-                rule_id=self.rule_id,
-                path=module.relpath,
-                line=node.lineno,
-                col=node.col_offset,
-                message=(
-                    f"numpy.{func.attr}() consuming {description}: element "
-                    "order follows hash seeding, so every downstream "
-                    "reduction is irreproducible; pass sorted(...) instead"
                 ),
             )
 
@@ -388,7 +273,5 @@ class SlotTokenMisuseRule:
 
 RULES = [
     UnorderedFloatSumRule,
-    DualKernelSumRule,
-    NumpyUnorderedFeedRule,
     SlotTokenMisuseRule,
 ]

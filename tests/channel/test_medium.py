@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from repro.channel.medium import GridIndex, Medium, Signal, resolve_medium
+from repro.channel import medium as medium_module
+from repro.channel.medium import GridIndex, Medium, Signal
 from repro.channel.shadowing import ChannelModel
 from repro.channel.weather import DayConditions, WeatherProcess
 from repro.errors import ConfigurationError, MediumError
@@ -25,6 +26,11 @@ class FakeDevice:
 
     def on_signal_end(self, signal):
         self.events.append(("end", self._sim.now_ns, signal.signal_id))
+
+
+def force_pass(monkeypatch, grid):
+    """Force the grid pass (cutoff 0) or the full pass (cutoff above N)."""
+    monkeypatch.setattr(medium_module, "AUTO_SPATIAL_CUTOFF", 0 if grid else 10**9)
 
 
 def make_medium(*positions, floor=-110.0, sigma=0.0):
@@ -143,32 +149,6 @@ class TestPairCache:
         assert powers[0] == powers[1]
 
 
-class TestResolveMedium:
-    def test_explicit_preference_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEDIUM", "dense")
-        assert resolve_medium("spatial") == "spatial"
-
-    def test_environment_selects_the_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEDIUM", "spatial")
-        assert resolve_medium() == "spatial"
-
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MEDIUM", raising=False)
-        assert resolve_medium() == "auto"
-
-    def test_blank_value_means_auto(self):
-        assert resolve_medium("  ") == "auto"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_medium("quadtree")
-
-    def test_medium_reports_its_resolved_mode(self):
-        sim = Simulator()
-        channel = ChannelModel(fast_sigma_db=0.0, rng=random.Random(1))
-        assert Medium(sim, channel, mode="spatial").mode == "spatial"
-
-
 class TestGridIndex:
     def _random_grid(self, n=80, cell=50.0, seed=4):
         rng = random.Random(seed)
@@ -200,17 +180,6 @@ class TestGridIndex:
         assert 3 not in grid.near(positions[3], 100.0)
         assert 3 in grid.near((2400.0, 2400.0), 1.0)
 
-    def test_repair_catches_silent_moves(self):
-        sim = Simulator()
-        devices = [FakeDevice(sim, (float(index * 100), 0.0)) for index in range(5)]
-        grid = GridIndex(50.0)
-        for index, device in enumerate(devices):
-            grid.add(index, device.position_m)
-        devices[2].position_m = (1000.0, 0.0)  # behind the grid's back
-        grid.repair(devices)
-        assert 2 in grid.near((1000.0, 0.0), 10.0)
-        assert 2 not in grid.near((200.0, 0.0), 10.0)
-
     def test_out_of_order_add_rejected(self):
         grid = GridIndex(10.0)
         with pytest.raises(MediumError):
@@ -221,11 +190,11 @@ class TestGridIndex:
             GridIndex(0.0)
 
 
-def _scripted_run(mode, fast_sigma_db=0.0, weather=False, moves=False):
+def _scripted_run(fast_sigma_db=0.0, weather=False, moves=False, weather_offset_db=1.0):
     """One fixed transmit/move script; returns the medium and all events.
 
     Forty stations on a 2.5 km square — far wider than the ~300 m cull
-    radius at 15 dBm — so the spatial path genuinely skips most devices.
+    radius at 15 dBm — so the grid pass genuinely skips most devices.
     """
     sim = Simulator()
     weather_process = None
@@ -233,13 +202,16 @@ def _scripted_run(mode, fast_sigma_db=0.0, weather=False, moves=False):
         weather_process = WeatherProcess(
             random.Random(5),
             DayConditions(
-                name="test", offset_db=1.0, sigma_db=2.0, correlation_time_s=0.5
+                name="test",
+                offset_db=weather_offset_db,
+                sigma_db=2.0,
+                correlation_time_s=0.5,
             ),
         )
     channel = ChannelModel(
         fast_sigma_db=fast_sigma_db, rng=random.Random(2), weather=weather_process
     )
-    medium = Medium(sim, channel, mode=mode)
+    medium = Medium(sim, channel)
     layout = random.Random(9)
     devices = []
     for _ in range(40):
@@ -263,33 +235,66 @@ def _scripted_run(mode, fast_sigma_db=0.0, weather=False, moves=False):
 
 
 class TestSpatialIdentity:
-    """The tentpole contract: spatial emits the dense event stream, bit for bit."""
+    """The grid pass emits the full pass's event stream, bit for bit."""
 
     @pytest.mark.parametrize("fast_sigma_db", [0.0, 2.5])
     @pytest.mark.parametrize("weather", [False, True])
     @pytest.mark.parametrize("moves", [False, True])
-    def test_spatial_matches_dense(self, fast_sigma_db, weather, moves):
-        _, dense = _scripted_run("dense", fast_sigma_db, weather, moves)
-        _, spatial = _scripted_run("spatial", fast_sigma_db, weather, moves)
-        assert dense == spatial
+    def test_spatial_matches_dense(self, monkeypatch, fast_sigma_db, weather, moves):
+        force_pass(monkeypatch, grid=False)
+        _, full = _scripted_run(fast_sigma_db, weather, moves)
+        force_pass(monkeypatch, grid=True)
+        _, grid = _scripted_run(fast_sigma_db, weather, moves)
+        assert full == grid
         # The script is not vacuous: somebody actually heard something.
-        assert any(events for events in dense)
+        assert any(events for events in full)
 
-    def test_the_script_actually_culls(self):
-        dense_medium, _ = _scripted_run("dense")
-        spatial_medium, _ = _scripted_run("spatial")
-        assert spatial_medium._grid is not None
-        # Dense touches every directed pair; spatial only candidates.
-        assert len(spatial_medium._pair_cache) < len(dense_medium._pair_cache)
+    @pytest.mark.parametrize(
+        "fast_sigma_db, weather_offset_db, reach", [(8.0, 1.0, 1.0), (0.0, -20.0, 2.5)]
+    )
+    def test_links_beyond_the_radius_match(
+        self, monkeypatch, fast_sigma_db, weather_offset_db, reach
+    ):
+        # A deep fast fade, or a good day whose gain exceeds the cull
+        # guard, lifts devices beyond the cull radius above the floor.
+        # The day's gain reaches past the grid's candidate square
+        # (at most 1.5 radii per axis from the source).
+        runs = {}
+        for grid in (False, True):
+            force_pass(monkeypatch, grid)
+            runs[grid] = _scripted_run(
+                fast_sigma_db, weather=True, weather_offset_db=weather_offset_db
+            )
+        (medium, full), (_, grid) = runs[False], runs[True]
+        assert full == grid
+        radius = medium.cull_radius_m(15.0)
+        sources = [medium.devices[i].position_m for i in (0, 19, 39)]
+        beyond = [
+            events
+            for device, events in zip(medium.devices, full)
+            if all(math.dist(device.position_m, xy) > reach * radius for xy in sources)
+        ]
+        assert any(beyond), "no device that far out heard anything"
+
+    def test_the_script_actually_culls(self, monkeypatch):
+        force_pass(monkeypatch, grid=False)
+        full_medium, _ = _scripted_run()
+        force_pass(monkeypatch, grid=True)
+        grid_medium, _ = _scripted_run()
+        assert full_medium._grid is None
+        assert grid_medium._grid is not None
+        # The full pass touches every directed pair; the grid only
+        # candidates.
+        assert len(grid_medium._pair_cache) < len(full_medium._pair_cache)
 
 
 class TestModeDispatch:
-    def _wide_medium(self, n, mode, static_sigma=0.0):
+    def _wide_medium(self, n, static_sigma=0.0):
         sim = Simulator()
         channel = ChannelModel(
             fast_sigma_db=0.0, static_sigma_db=static_sigma, rng=random.Random(1)
         )
-        medium = Medium(sim, channel, mode=mode)
+        medium = Medium(sim, channel)
         devices = []
         for index in range(n):
             device = FakeDevice(sim, (index * 40.0, 0.0))
@@ -298,35 +303,146 @@ class TestModeDispatch:
         return sim, medium, devices
 
     def test_auto_stays_dense_below_the_cutoff(self):
-        sim, medium, devices = self._wide_medium(5, mode="auto")
+        sim, medium, devices = self._wide_medium(medium_module.AUTO_SPATIAL_CUTOFF - 1)
         medium.transmit(devices[0], "f", duration_ns=1000, tx_power_dbm=15.0)
         sim.run()
         assert medium._grid is None
 
     def test_auto_engages_the_grid_at_scale(self):
-        sim, medium, devices = self._wide_medium(32, mode="auto")
+        sim, medium, devices = self._wide_medium(medium_module.AUTO_SPATIAL_CUTOFF)
         medium.transmit(devices[0], "f", duration_ns=1000, tx_power_dbm=15.0)
         sim.run()
         assert medium._grid is not None
 
-    def test_loss_hooks_pin_the_dense_path(self):
-        sim, medium, devices = self._wide_medium(32, mode="spatial")
+    def test_loss_hooks_pin_the_dense_path(self, monkeypatch):
+        force_pass(monkeypatch, grid=True)
+        sim, medium, devices = self._wide_medium(32)
         medium.add_loss_hook(lambda source, receiver, time_ns: 0.0)
         medium.transmit(devices[0], "f", duration_ns=1000, tx_power_dbm=15.0)
         sim.run()
         assert medium._grid is None
 
-    def test_static_shadowing_pins_the_dense_path(self):
-        sim, medium, devices = self._wide_medium(32, mode="spatial", static_sigma=3.0)
+    def test_static_shadowing_pins_the_dense_path(self, monkeypatch):
+        force_pass(monkeypatch, grid=True)
+        sim, medium, devices = self._wide_medium(32, static_sigma=3.0)
         medium.transmit(devices[0], "f", duration_ns=1000, tx_power_dbm=15.0)
         sim.run()
         assert medium._grid is None
 
     def test_cull_radius_exists_for_realistic_power(self):
-        _, medium, _ = self._wide_medium(2, mode="spatial")
+        _, medium, _ = self._wide_medium(2)
         radius = medium.cull_radius_m(15.0)
         assert radius is not None
         assert 100.0 < radius < 1000.0
+
+
+def _reference_transmit(medium, source, frame, duration_ns, tx_power_dbm):
+    """The original dense delivery loop, kept as the draw-order oracle.
+
+    Per receiver in index order: the pair lookup (a cache miss draws the
+    link's static shadowing), then one ``variable_loss_db`` call (fast
+    shadowing, weather update), then the loss hooks.
+    """
+    source_index = medium._device_indices[source]
+    now = medium._sim.now_ns
+    signal = Signal(
+        source,
+        frame,
+        tx_power_dbm,
+        now,
+        now + duration_ns,
+        signal_id=next(medium._signal_ids),
+    )
+    channel = medium._channel
+    hooks = medium._loss_hooks
+    pair_cache = medium._pair_cache
+    pair_partners = medium._pair_partners
+    floor_dbm = medium._delivery_floor_dbm
+    schedule = medium._sim.schedule_slot
+    source_pos = source.position_m
+    for device_index, device in enumerate(medium._devices):
+        if device is source:
+            continue
+        device_pos = device.position_m
+        pair_key = (source_index, device_index)
+        entry = pair_cache.get(pair_key)
+        if (
+            entry is None
+            or entry[0] is not source_pos
+            or entry[1] is not device_pos
+        ):
+            base_db = channel.base_loss_db(
+                source_pos, device_pos, source_index, device_index
+            )
+            delay_ns = medium.propagation_delay_ns(source_pos, device_pos)
+            entry = (source_pos, device_pos, base_db, delay_ns)
+            pair_cache[pair_key] = entry
+            pair_partners.setdefault(source_index, set()).add(device_index)
+            pair_partners.setdefault(device_index, set()).add(source_index)
+        loss_db = entry[2] + channel.variable_loss_db(now)
+        if hooks:
+            for hook in hooks:
+                loss_db += hook(source, device, now)
+        rx_power_dbm = tx_power_dbm - loss_db
+        if rx_power_dbm < floor_dbm:
+            continue
+        delay_ns = entry[3]
+        schedule(delay_ns, device.on_signal_start, signal, rx_power_dbm)
+        schedule(delay_ns + duration_ns, device.on_signal_end, signal)
+    return signal
+
+
+def _shadowed_run(transmit, fast_sigma_db, hook, weather_shares_rng):
+    """A static-shadowing script (always the full pass); returns all events.
+
+    Twenty stations — above the grid cutoff, so the full pass is forced
+    by the static shadowing itself.  The weather process either has its
+    own stream or shares the channel's, which pins where its per-frame
+    update falls among the static and fast draws.
+    """
+    sim = Simulator()
+    rng = random.Random(3)
+    weather = WeatherProcess(
+        rng if weather_shares_rng else random.Random(5),
+        DayConditions(name="test", offset_db=1.0, sigma_db=2.0, correlation_time_s=0.5),
+    )
+    channel = ChannelModel(
+        fast_sigma_db=fast_sigma_db, static_sigma_db=4.0, rng=rng, weather=weather
+    )
+    medium = Medium(sim, channel)
+    layout = random.Random(9)
+    devices = []
+    for _ in range(20):
+        device = FakeDevice(sim, (layout.uniform(0.0, 600.0), layout.uniform(0.0, 600.0)))
+        medium.attach(device)
+        devices.append(device)
+    if hook:
+        hook_rng = random.Random(11)
+        medium.add_loss_hook(lambda source, receiver, time_ns: hook_rng.gauss(0.0, 1.0))
+    mover = devices[7]
+    for round_index in range(4):
+        for tx in (devices[0], devices[9], devices[19]):
+            transmit(medium, tx, f"frame-{round_index}", 1000, 15.0)
+            sim.run()
+        x, y = mover.position_m
+        mover.position_m = (x + 50.0, y)
+        medium.notify_moved(mover)
+    return [device.events for device in devices]
+
+
+class TestFullPassDrawOrder:
+    """The full pass consumes draws exactly as the original dense loop."""
+
+    @pytest.mark.parametrize("fast_sigma_db", [0.0, 2.5])
+    @pytest.mark.parametrize("hook", [False, True])
+    @pytest.mark.parametrize("weather_shares_rng", [False, True])
+    def test_matches_the_reference_loop(self, fast_sigma_db, hook, weather_shares_rng):
+        expected = _shadowed_run(
+            _reference_transmit, fast_sigma_db, hook, weather_shares_rng
+        )
+        actual = _shadowed_run(Medium.transmit, fast_sigma_db, hook, weather_shares_rng)
+        assert actual == expected
+        assert sum(len(events) for events in expected) > 100
 
 
 class TestValidation:

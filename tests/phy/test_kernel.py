@@ -1,29 +1,26 @@
-"""Kernel-vs-reference bit-identity for the reception fast path.
+"""Reception models against brute-force reference loops.
 
-The numpy kernel is only allowed to exist because it is *indistinguishable*
-from the reference implementation: same outcome for every context, same
-RNG consumption.  These tests drive both implementations over generated
-signal-overlap layouts — short and long timelines (straddling the
-vectorization cutoff), duplicate offsets, zero interference, bursts around
-the sensitivity and SINR thresholds — and demand identical verdicts.
+:class:`SinrThresholdReception` reduces each field to its worst
+interference interval and makes one dB conversion per field; the
+reference below makes one SINR/dB comparison per (field x interference
+interval).  :class:`BerReception` reads memoised success-probability
+tables; the reference multiplies :func:`repro.phy.ber.frame_success_probability`
+term by term.  Both pairs must agree exactly — same outcome for every
+context, same RNG consumption — over generated signal-overlap layouts:
+short and long timelines, duplicate offsets, unsorted entries, zero
+interference, bursts around the sensitivity and SINR thresholds.
 """
 
+import math
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.airtime import AirtimeCalculator
 from repro.core.params import Rate
-from repro.errors import ConfigurationError
-from repro.phy import kernel as kernel_module
-from repro.phy.kernel import (
-    KERNEL_ENV,
-    VECTOR_CUTOFF,
-    numpy_available,
-    resolve_kernel,
-)
+from repro.phy import ber as ber_models
+from repro.phy.kernel import VECTOR_CUTOFF
 from repro.phy.plans import data_frame_plan
 from repro.phy.radio import RadioParameters
 from repro.phy.reception import (
@@ -32,11 +29,7 @@ from repro.phy.reception import (
     ReceptionOutcome,
     SinrThresholdReception,
 )
-from repro.units import dbm_to_mw
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="numpy kernel not importable"
-)
+from repro.units import dbm_to_mw, linear_to_db
 
 RADIO = RadioParameters.calibrated()
 AIRTIME = AirtimeCalculator()
@@ -44,6 +37,7 @@ PLANS = [
     data_frame_plan(540, Rate.MBPS_11, AIRTIME),
     data_frame_plan(1460, Rate.MBPS_2, AIRTIME),
     data_frame_plan(20, Rate.MBPS_5_5, AIRTIME),
+    data_frame_plan(0, Rate.MBPS_11, AIRTIME),  # zero-length payload field
 ]
 
 #: Interference levels that straddle every interesting boundary for a
@@ -83,31 +77,71 @@ def make_context(plan, rx_power_dbm, timeline):
     )
 
 
-class TestResolveKernel:
-    def test_explicit_names(self):
-        assert resolve_kernel("python") == "python"
-        assert resolve_kernel("numpy") == "numpy"
+def _evaluate_reference(
+    context: ReceptionContext, radio: RadioParameters
+) -> ReceptionOutcome:
+    signal_mw = dbm_to_mw(context.rx_power_dbm)
+    for start_ns, end_ns, segment in context.plan.segment_offsets_ns():
+        if context.rx_power_dbm < radio.sensitivity_dbm[segment.rate]:
+            return ReceptionOutcome.BELOW_SENSITIVITY
+        threshold_db = radio.sinr_threshold_db[segment.rate]
+        for _, _, interference_mw in context.interference_intervals(
+            start_ns, end_ns
+        ):
+            sinr = signal_mw / (context.noise_mw + interference_mw)
+            if linear_to_db(sinr) < threshold_db:
+                return ReceptionOutcome.SINR_FAILURE
+    return ReceptionOutcome.OK
 
-    def test_auto_prefers_numpy(self):
-        assert resolve_kernel("auto") == "numpy"
 
-    def test_environment_is_consulted(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "python")
-        assert resolve_kernel() == "python"
+def _ber_success_probability(context):
+    """Success product over ``frame_success_probability``."""
+    signal_mw = dbm_to_mw(context.rx_power_dbm)
+    success_probability = 1.0
+    for start_ns, end_ns, segment in context.plan.segment_offsets_ns():
+        duration = end_ns - start_ns
+        if duration <= 0:
+            continue
+        for lo, hi, interference_mw in context.interference_intervals(
+            start_ns, end_ns
+        ):
+            sinr = signal_mw / (context.noise_mw + interference_mw)
+            bits = segment.bits * (hi - lo) / duration
+            success_probability *= ber_models.frame_success_probability(
+                segment.rate, sinr, round(bits)
+            )
+    return success_probability
 
-    def test_preference_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "numpy")
-        assert resolve_kernel("python") == "python"
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_kernel("fortran")
+class FixedDraw:
+    """An rng whose every ``random()`` returns one value, counting calls."""
 
-    def test_explicit_numpy_without_numpy_rejected(self, monkeypatch):
-        monkeypatch.setattr(kernel_module, "_NUMPY_INSTALLED", False)
-        assert resolve_kernel() == "python"  # auto falls back silently
-        with pytest.raises(ConfigurationError):
-            resolve_kernel("numpy")  # an explicit ask does not
+    def __init__(self, value):
+        self.value = value
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.value
+
+
+def assert_ber_matches_reference(context):
+    # BerReception decodes iff its single draw falls below its success
+    # product, so draws at and just below the reference product pin the
+    # model's product to the reference bit for bit.
+    probability = _ber_success_probability(context)
+    at = FixedDraw(probability)
+    assert BerReception().evaluate(context, RADIO, at) is ReceptionOutcome.BER_FAILURE
+    assert at.calls == 1
+    if probability > 0.0:
+        below = FixedDraw(math.nextafter(probability, 0.0))
+        assert BerReception().evaluate(context, RADIO, below) is ReceptionOutcome.OK
+
+
+def assert_models_match_references(context):
+    got = SinrThresholdReception().evaluate(context, RADIO, random.Random(0))
+    assert got is _evaluate_reference(context, RADIO)
+    assert_ber_matches_reference(context)
 
 
 class TestSinrBitIdentity:
@@ -119,16 +153,15 @@ class TestSinrBitIdentity:
     )
     def test_kernel_matches_reference(self, plan_index, rx_power_dbm, timeline):
         plan = PLANS[plan_index]
-        reference = SinrThresholdReception(kernel="python")
-        fast = SinrThresholdReception(kernel="numpy")
         context = make_context(plan, rx_power_dbm, timeline)
-        expected = reference.evaluate(context, RADIO, random.Random(0))
-        assert fast.evaluate(context, RADIO, random.Random(0)) is expected
+        expected = _evaluate_reference(context, RADIO)
+        got = SinrThresholdReception().evaluate(context, RADIO, random.Random(0))
+        assert got is expected
 
     def test_duplicate_offsets_long_timeline(self):
-        # Above the vectorization cutoff with every offset doubled: the
-        # keep-last dedupe must pick the later level, like the reference's
-        # lo < hi interval check does.
+        # A long timeline with every offset doubled: an entry sharing its
+        # offset with its successor spans no time, so the later level
+        # counts, like the reference's lo < hi interval check.
         strong = dbm_to_mw(-60.0)
         offsets = [0] + sorted(
             list(range(0, 700_000, 50_000)) + list(range(0, 700_000, 50_000))
@@ -138,18 +171,11 @@ class TestSinrBitIdentity:
         )
         assert len(timeline) >= VECTOR_CUTOFF
         for plan in PLANS:
-            context = make_context(plan, -60.0, timeline)
-            expected = SinrThresholdReception(kernel="python").evaluate(
-                context, RADIO, random.Random(0)
-            )
-            got = SinrThresholdReception(kernel="numpy").evaluate(
-                context, RADIO, random.Random(0)
-            )
-            assert got is expected
+            assert_models_match_references(make_context(plan, -60.0, timeline))
 
     def test_unsorted_timeline_matches_reference(self):
-        # Only hand-built contexts can be unsorted; the kernel must fall
-        # back to the reference interval walk rather than mis-vectorize.
+        # Only hand-built contexts can be unsorted; the worst-interval
+        # walk must still see exactly the reference's intervals.
         strong = dbm_to_mw(-58.0)
         timeline = tuple(
             [(0, 0.0)]
@@ -157,23 +183,14 @@ class TestSinrBitIdentity:
                (900_000, 100_000, 500_000, 300_000, 700_000) * 3]
         )
         assert len(timeline) >= VECTOR_CUTOFF
-        context = make_context(PLANS[0], -60.0, timeline)
-        expected = SinrThresholdReception(kernel="python").evaluate(
-            context, RADIO, random.Random(0)
-        )
-        got = SinrThresholdReception(kernel="numpy").evaluate(
-            context, RADIO, random.Random(0)
-        )
-        assert got is expected
+        assert_models_match_references(make_context(PLANS[0], -60.0, timeline))
 
     def test_below_sensitivity_short_circuits_identically(self):
         weak = RADIO.sensitivity_dbm[Rate.MBPS_11] - 1.0
         context = make_context(PLANS[0], weak, ((0, 0.0),))
-        for kernel in ("python", "numpy"):
-            outcome = SinrThresholdReception(kernel=kernel).evaluate(
-                context, RADIO, random.Random(0)
-            )
-            assert outcome is ReceptionOutcome.BELOW_SENSITIVITY
+        assert _evaluate_reference(context, RADIO) is ReceptionOutcome.BELOW_SENSITIVITY
+        outcome = SinrThresholdReception().evaluate(context, RADIO, random.Random(0))
+        assert outcome is ReceptionOutcome.BELOW_SENSITIVITY
 
 
 class TestBerBitIdentity:
@@ -182,17 +199,10 @@ class TestBerBitIdentity:
         plan_index=st.integers(min_value=0, max_value=len(PLANS) - 1),
         rx_power_dbm=st.sampled_from(RX_POWERS_DBM),
         timeline=timelines(),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_cached_tables_match_reference(
-        self, plan_index, rx_power_dbm, timeline, seed
-    ):
-        # The memoized success-probability tables must not perturb the
-        # Bernoulli draw: same seed, same outcome, same RNG consumption.
-        plan = PLANS[plan_index]
-        context = make_context(plan, rx_power_dbm, timeline)
-        rng_ref, rng_fast = random.Random(seed), random.Random(seed)
-        expected = BerReception(kernel="python").evaluate(context, RADIO, rng_ref)
-        got = BerReception(kernel="numpy").evaluate(context, RADIO, rng_fast)
-        assert got is expected
-        assert rng_ref.random() == rng_fast.random()  # same draw count
+    def test_cached_tables_match_reference(self, plan_index, rx_power_dbm, timeline):
+        # The memoized success-probability tables must give the reference
+        # product exactly, consumed by exactly one Bernoulli draw.
+        assert_ber_matches_reference(
+            make_context(PLANS[plan_index], rx_power_dbm, timeline)
+        )

@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError
 from repro.scenario import (
     FlowSpec,
     ScenarioSpec,
-    StackSpec,
     TopologySpec,
     TrafficSpec,
     build,
@@ -62,18 +61,3 @@ def test_flow_lookup_is_bounds_checked():
     assert net.flow(0).label == "1->2"
     with pytest.raises(ConfigurationError):
         net.flow(1)
-
-
-def test_stack_kernel_knob_reaches_the_transceivers():
-    # StackSpec.kernel pins the reception kernel per scenario, overriding
-    # whatever REPRO_KERNEL says for this build.
-    net = build(
-        ScenarioSpec(
-            topology=TopologySpec.line(0, 10, fast_sigma_db=0.0),
-            stack=StackSpec(kernel="python"),
-            seed=1,
-            duration_s=1.0,
-        )
-    )
-    for node in net.nodes:
-        assert node.phy._reception.kernel == "python"

@@ -302,11 +302,11 @@ def _spec_around(topology):
 
 
 @settings(max_examples=60, deadline=None)
-@given(factory_topologies, st.sampled_from([None, "dense", "spatial"]))
-def test_factory_topologies_round_trip_losslessly(topology, medium):
+@given(factory_topologies)
+def test_factory_topologies_round_trip_losslessly(topology):
     # Factory-generated positions are computed floats; they must survive
-    # JSON bit for bit, with the medium knob along for the ride.
-    spec = _spec_around(dataclasses.replace(topology, medium=medium))
+    # JSON bit for bit.
+    spec = _spec_around(topology)
     assert ScenarioSpec.from_json(spec.to_json()) == spec
     canonical = spec.canonical_json()
     assert ScenarioSpec.from_json(canonical).canonical_json() == canonical

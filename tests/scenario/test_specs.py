@@ -143,6 +143,14 @@ def test_from_dict_rejects_future_version():
         ScenarioSpec.from_dict(doc)
 
 
+def test_from_dict_rejects_version_1_documents():
+    # Version 2 dropped stack.kernel and topology.medium.
+    doc = _base_spec().to_dict()
+    doc["version"] = 1
+    with pytest.raises(ConfigurationError, match="version 1"):
+        ScenarioSpec.from_dict(doc)
+
+
 def test_canonical_json_is_key_order_independent():
     spec = _base_spec()
     doc = spec.to_dict()
@@ -217,19 +225,11 @@ def test_sweep_round_trips():
     ]
 
 
-def test_stack_kernel_knob_round_trips():
-    spec = ScenarioSpec(
-        topology=TopologySpec(positions_m=((0.0, 0.0), (10.0, 0.0))),
-        stack=StackSpec(kernel="python"),
-    )
-    assert spec.stack.kernel == "python"
-    clone = ScenarioSpec.from_dict(spec.to_dict())
-    assert clone.stack.kernel == "python"
-    assert clone == spec
-    # Default stays "follow the environment".
-    assert StackSpec().kernel is None
-
-
-def test_stack_kernel_knob_rejects_unknown_name():
-    with pytest.raises(ConfigurationError, match="kernel"):
-        StackSpec(kernel="fortran")
+@pytest.mark.parametrize(
+    "section, key, value", [("stack", "kernel", "python"), ("topology", "medium", "dense")]
+)
+def test_removed_backend_knobs_are_unknown_keys(section, key, value):
+    doc = _base_spec().to_dict()
+    doc[section][key] = value
+    with pytest.raises(ConfigurationError, match=f"unknown {section} key"):
+        ScenarioSpec.from_dict(doc)

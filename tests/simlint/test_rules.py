@@ -34,8 +34,6 @@ RULE_IDS = [
     "SL704",
     "SL705",
     "SL801",
-    "SL802",
-    "SL803",
     "SL804",
 ]
 

@@ -242,7 +242,13 @@ class TestPairCacheMobilityEviction:
         def on_signal_end(self, signal):
             pass
 
-    def _make(self, n=18, spacing=40.0, mode="spatial"):
+    @pytest.fixture(autouse=True)
+    def _grid_pass(self, monkeypatch):
+        from repro.channel import medium
+
+        monkeypatch.setattr(medium, "AUTO_SPATIAL_CUTOFF", 0)
+
+    def _make(self, n=18, spacing=40.0):
         import random
 
         from repro.channel.medium import Medium
@@ -250,9 +256,7 @@ class TestPairCacheMobilityEviction:
         from repro.sim.engine import Simulator
 
         sim = Simulator()
-        medium = Medium(
-            sim, ChannelModel(fast_sigma_db=0.0, rng=random.Random(3)), mode=mode
-        )
+        medium = Medium(sim, ChannelModel(fast_sigma_db=0.0, rng=random.Random(3)))
         probes = [self._Probe((index * spacing, 0.0)) for index in range(n)]
         for probe in probes:
             medium.attach(probe)
@@ -283,7 +287,7 @@ class TestPairCacheMobilityEviction:
             )
             sim.run()
             sizes.append(len(medium._pair_cache))
-        # Only the mover transmits, and spatial culls: fewer rows than
+        # Only the mover transmits, and the grid culls: fewer rows than
         # even its full partner count, and no growth across churn.
         assert max(sizes) < len(probes) - 1
         assert sizes[-1] == sizes[-3]

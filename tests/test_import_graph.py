@@ -2,9 +2,9 @@
 
 Every CLI call, benchmark child and spawn-started pool worker is a fresh
 interpreter, so what ``import repro`` pulls in is paid on each of them.
-scipy is needed only for confidence intervals and numpy only for long
-interference timelines; neither may load just because a package was
-imported or a scenario was built and run.
+scipy is needed only for confidence intervals, and :mod:`repro` never
+imports numpy itself (scipy brings it along); neither may load just
+because a package was imported or a scenario was built and run.
 """
 
 from __future__ import annotations
