@@ -13,8 +13,8 @@ from repro.apps.cbr import CbrSource
 from repro.apps.sink import UdpSink
 from repro.channel.placement import figure6_placement
 from repro.core.params import Rate
-from repro.experiments.common import build_network
 from repro.mac.dcf import AckPolicy
+from repro.scenario import build_network
 
 DURATION_S = 6.0
 

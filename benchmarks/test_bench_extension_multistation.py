@@ -14,7 +14,7 @@ from repro.analysis.tables import render_table
 from repro.apps.cbr import CbrSource
 from repro.apps.sink import UdpSink
 from repro.core.params import Rate
-from repro.experiments.common import build_network
+from repro.scenario import build_network
 
 DURATION_S = 4.0
 

@@ -3,13 +3,11 @@
 The simulation clock is integer nanoseconds; the meters historically
 took float seconds, which loses integer precision exactly at the warmup
 boundary (a packet at ``t == warmup`` must count).  The ``record_ns``
-entry points are the native API; the float paths remain for analysis of
-wall-clock data but are deprecated at simulation call sites.
+entry points are the native API; :class:`DelayMeter` takes float
+seconds.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.analysis.stats import RunningStats
 from repro.errors import ConfigurationError
@@ -48,21 +46,6 @@ class ThroughputMeter:
         self._last_time_ns = max(self._last_time_ns, time_ns)
         if time_ns >= self._warmup_ns:
             self._bytes += nbytes
-
-    def record(self, nbytes: int, time_s: float) -> None:
-        """Float-seconds entry point.
-
-        .. deprecated:: use :meth:`record_ns` from simulation code — a
-           float timestamp can land on the wrong side of the warmup
-           boundary after rounding.
-        """
-        warnings.warn(
-            "ThroughputMeter.record(time_s) is deprecated in simulation "
-            "code; use record_ns(time_ns)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.record_ns(nbytes, s_to_ns(time_s))
 
     def throughput_bps(self, horizon_s: float | None = None) -> float:
         """Bits per second over [warmup, horizon]."""

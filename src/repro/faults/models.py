@@ -2,7 +2,7 @@
 
 Each fault is a window ``[start_s, start_s + duration_s)`` during which
 one impairment holds; :meth:`Fault.apply` installs it on a
-:class:`~repro.experiments.common.ScenarioNetwork` and :meth:`Fault.revert`
+:class:`~repro.scenario.ScenarioNetwork` and :meth:`Fault.revert`
 removes it.  Faults are declarative data — a
 :class:`~repro.faults.schedule.FaultSchedule` owns the timing.
 
@@ -24,8 +24,8 @@ from typing import TYPE_CHECKING, Callable
 from repro.errors import FaultError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.experiments.common import ScenarioNetwork
     from repro.net.node import Node
+    from repro.scenario import ScenarioNetwork
 
 #: Extra loss that puts any calibrated link far below the delivery
 #: floor: a blackout, not just a fade.

@@ -3,8 +3,7 @@
 Two levels live here:
 
 * :func:`build_network` — the low-level constructor taking live objects
-  (a :class:`Rate`, a propagation model instance, ...).  This is the
-  former ``repro.experiments.common.build_network``, moved intact.
+  (a :class:`Rate`, a propagation model instance, ...).
 * :func:`build` — the declarative entry point: a
   :class:`~repro.scenario.specs.ScenarioSpec` in, a fully wired
   :class:`~repro.scenario.network.ScenarioNetwork` out, with every flow

@@ -2,13 +2,14 @@
 
 Components publish :class:`TraceRecord` objects ("mac.tx_start",
 "phy.rx_drop"...) to a :class:`Tracer`; analysis code subscribes either to
-everything or to a category prefix.  Tracing is off by default and costs a
-single predicate call per record when disabled.
+everything or to a category prefix.  Tracing is off by default: then
+:meth:`Tracer.emit` still formats its key and bumps its counter, and the
+call sites of :meth:`Tracer.fanout` and :meth:`Tracer.emit_audit`, guarded
+by :attr:`Tracer.active` and :attr:`Tracer.audit`, cost one attribute read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.units import ns_to_s
@@ -16,14 +17,31 @@ from repro.units import ns_to_s
 TraceSubscriber = Callable[["TraceRecord"], None]
 
 
-@dataclass(frozen=True)
 class TraceRecord:
-    """One trace event."""
+    """One trace event (slotted: a traced run builds one per delivery)."""
 
-    time_ns: int
-    category: str
-    event: str
-    fields: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("time_ns", "category", "event", "fields")
+
+    def __init__(
+        self, time_ns: int, category: str, event: str, fields: dict[str, Any] | None = None
+    ) -> None:
+        self.time_ns = time_ns
+        self.category = category
+        self.event = event
+        self.fields = {} if fields is None else fields
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceRecord):
+            return NotImplemented
+        return (self.time_ns, self.category, self.event, self.fields) == (
+            other.time_ns, other.category, other.event, other.fields
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"TraceRecord(time_ns={self.time_ns!r}, category={self.category!r}, "
+            f"event={self.event!r}, fields={self.fields!r})"
+        )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         kv = " ".join(f"{k}={v}" for k, v in self.fields.items())
@@ -50,6 +68,9 @@ class Tracer:
 
     def __init__(self) -> None:
         self._subscribers: list[tuple[str, TraceSubscriber]] = []
+        #: ``category.event`` -> the callbacks whose prefix matches it, in
+        #: subscription order.  Built on first delivery of each key.
+        self._routes: dict[str, tuple[TraceSubscriber, ...]] = {}
         self._counters: dict[str, int] = {}
         self._registered: list[tuple[str, dict[str, int]]] = []
         #: Gate for the audit event channel (:meth:`emit_audit`).  A
@@ -63,14 +84,16 @@ class Tracer:
         #: :meth:`fanout`.  Maintained by subscribe/unsubscribe.
         self.active = False
 
-    @property
-    def enabled(self) -> bool:
-        """True when at least one subscriber is attached."""
-        return bool(self._subscribers)
-
     def subscribe(self, callback: TraceSubscriber, prefix: str = "") -> None:
-        """Receive every record whose ``category.event`` starts with ``prefix``."""
+        """Receive every record whose ``category.event`` starts with ``prefix``.
+
+        Callbacks run in subscription order.  One subscribed under two
+        matching prefixes receives each record twice.  One attached from
+        inside a callback starts with the next record.  All of them share
+        one record, so they must treat it and its ``fields`` as read-only.
+        """
         self._subscribers.append((prefix, callback))
+        self._routes.clear()
         self.active = True
 
     def unsubscribe(self, callback: TraceSubscriber) -> None:
@@ -78,6 +101,7 @@ class Tracer:
         self._subscribers = [
             (prefix, cb) for prefix, cb in self._subscribers if cb != callback
         ]
+        self._routes.clear()
         self.active = bool(self._subscribers)
 
     def register_counters(self, category: str, counters: dict[str, int]) -> None:
@@ -97,12 +121,8 @@ class Tracer:
         """Publish one record; also bumps the ``category.event`` counter."""
         key = f"{category}.{event}"
         self._counters[key] = self._counters.get(key, 0) + 1
-        if not self._subscribers:
-            return
-        record = TraceRecord(time_ns, category, event, fields)
-        for prefix, callback in self._subscribers:
-            if key.startswith(prefix):
-                callback(record)
+        if self.active:
+            self._deliver(key, time_ns, category, event, fields)
 
     def fanout(
         self, time_ns: int, category: str, event: str, fields: dict[str, Any]
@@ -113,13 +133,8 @@ class Tracer:
         (their registered dict already holds the count).  Callers guard
         with :attr:`active`; calling with no subscribers is a no-op.
         """
-        if not self._subscribers:
-            return
-        key = f"{category}.{event}"
-        record = TraceRecord(time_ns, category, event, fields)
-        for prefix, callback in self._subscribers:
-            if key.startswith(prefix):
-                callback(record)
+        if self.active:
+            self._deliver(f"{category}.{event}", time_ns, category, event, fields)
 
     def emit_audit(
         self, time_ns: int, category: str, event: str, **fields: Any
@@ -134,7 +149,24 @@ class Tracer:
         """
         if not self.audit:
             return
-        self.emit(time_ns, category, event, **fields)
+        key = f"{category}.{event}"
+        self._counters[key] = self._counters.get(key, 0) + 1
+        if self.active:
+            self._deliver(key, time_ns, category, event, fields)
+
+    def _deliver(
+        self, key: str, time_ns: int, category: str, event: str, fields: dict[str, Any]
+    ) -> None:
+        """Build one record and hand it to every callback routed to ``key``."""
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = tuple(
+                callback for prefix, callback in self._subscribers if key.startswith(prefix)
+            )
+        if route:
+            record = TraceRecord(time_ns, category, event, fields)
+            for callback in route:
+                callback(record)
 
     def count(self, key: str) -> int:
         """How many records of ``category.event`` were emitted."""

@@ -45,19 +45,6 @@ class TestThroughputMeter:
         meter.record_ns(100, 1_000_000_001)
         assert meter.bytes == 200
 
-    def test_float_path_is_deprecated_but_equivalent(self):
-        meter = ThroughputMeter(warmup_s=1.0)
-        with pytest.warns(DeprecationWarning):
-            meter.record(1000, 1.5)
-        assert meter.bytes == 1000
-        assert meter.throughput_bps(2.0) == pytest.approx(8000.0)
-
-    def test_float_boundary_record_counts(self):
-        meter = ThroughputMeter(warmup_s=1.0)
-        with pytest.warns(DeprecationWarning):
-            meter.record(100, 1.0)  # exactly the warmup instant
-        assert meter.bytes == 100
-
 
 class TestLossMeter:
     def test_loss_rate(self):

@@ -35,7 +35,7 @@ class TestTraceWriter:
         with TraceWriter(tracer, tmp_path / "t.jsonl"):
             pass
         tracer.emit(0, "mac", "tx_data")  # must not explode
-        assert not tracer.enabled
+        assert not tracer.active
 
     def test_creates_parent_directories(self, tmp_path):
         tracer = Tracer()
@@ -46,8 +46,8 @@ class TestTraceWriter:
     def test_real_simulation_trace(self, tmp_path):
         from repro.apps.cbr import CbrSource
         from repro.apps.sink import UdpSink
-        from repro.experiments.common import build_network
         from repro.core.params import Rate
+        from repro.scenario import build_network
 
         net = build_network([0, 10], data_rate=Rate.MBPS_11, fast_sigma_db=0.0)
         UdpSink(net[1], port=5001)

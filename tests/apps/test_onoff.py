@@ -5,7 +5,7 @@ import pytest
 from repro.apps.onoff import OnOffSource
 from repro.apps.sink import UdpSink
 from repro.errors import ConfigurationError
-from repro.experiments.common import build_network
+from repro.scenario import build_network
 
 
 class TestOnOffSource:

@@ -67,7 +67,7 @@ class TestSaturationThroughput:
         """The independent analytic model validates the simulator."""
         from repro.apps.cbr import CbrSource
         from repro.apps.sink import UdpSink
-        from repro.experiments.common import build_network
+        from repro.scenario import build_network
 
         n = 4
         positions = [0.0] + [2.0 + index for index in range(n)]

@@ -75,9 +75,9 @@ def scenario_digests() -> dict:
     from repro.channel.mobility import walk_away
     from repro.channel.propagation import TwoRayGroundPathLoss
     from repro.core.params import Dot11bConfig, MacParameters, Rate
-    from repro.experiments.common import build_network
     from repro.faults import FaultSchedule, NodeCrash, link_blackout
     from repro.phy.radio import RadioParameters
+    from repro.scenario import build_network
 
     digests = {}
 
@@ -197,9 +197,11 @@ def trace_spec_cases() -> dict:
     These pin the *event-level JSONL stream* (every trace record, in
     order, canonically encoded) rather than the counter fingerprint the
     scenario digests use — a reordered event is invisible to counters
-    but changes this digest.
+    but changes this digest.  ``mac-surface-audit`` runs with the audit
+    ledger on, so its stream includes the audit-channel records.
     """
     from repro.experiments.four_nodes import ASYMMETRIC_SESSIONS, panel_spec
+    from repro.experiments.mac_surface import saturation_spec
     from repro.scenario import ScenarioSpec
 
     specs = {}
@@ -211,6 +213,10 @@ def trace_spec_cases() -> dict:
         specs[name] = ScenarioSpec.from_dict(
             {**spec.to_dict(), "observability": {"trace_digest": True}}
         )
+    spec = saturation_spec(5, duration_s=0.3, warmup_s=0.1)
+    specs["mac-surface-audit"] = ScenarioSpec.from_dict(
+        {**spec.to_dict(), "observability": {"audit": True, "trace_digest": True}}
+    )
     return specs
 
 

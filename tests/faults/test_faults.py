@@ -6,7 +6,6 @@ from repro.apps.cbr import CbrSource
 from repro.apps.sink import UdpSink
 from repro.core.params import Rate
 from repro.errors import FaultError
-from repro.experiments.common import build_network
 from repro.faults import (
     ClockJitter,
     FaultSchedule,
@@ -15,6 +14,7 @@ from repro.faults import (
     NodeCrash,
     link_blackout,
 )
+from repro.scenario import build_network
 
 
 def quiet_link(seed=1):

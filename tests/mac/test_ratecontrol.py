@@ -111,8 +111,8 @@ class TestArfIntegration:
     def test_arf_climbs_to_11_mbps_on_a_clean_short_link(self):
         from repro.apps.cbr import CbrSource
         from repro.apps.sink import UdpSink
-        from repro.experiments.common import build_network
         from repro.mac.ratecontrol import ArfConfig
+        from repro.scenario import build_network
 
         net = build_network(
             [0, 10], data_rate=Rate.MBPS_11, fast_sigma_db=0.0, arf=ArfConfig()
@@ -127,8 +127,8 @@ class TestArfIntegration:
     def test_arf_settles_low_on_a_long_link(self):
         from repro.apps.cbr import CbrSource
         from repro.apps.sink import UdpSink
-        from repro.experiments.common import build_network
         from repro.mac.ratecontrol import ArfConfig
+        from repro.scenario import build_network
 
         # 100 m: only 1 Mbps (113 m) survives; 2 Mbps (94 m) fails.
         net = build_network(

@@ -6,13 +6,13 @@ import pytest
 
 from repro.core.params import Rate
 from repro.errors import ConfigurationError
-from repro.experiments.common import build_network
 from repro.net.packet import DEFAULT_TTL, Datagram, PROTO_TCP, PROTO_UDP
 from repro.net.routing import (
     StaticRouting,
     build_shortest_path_tables,
     connectivity_graph,
 )
+from repro.scenario import build_network
 
 
 class TestDatagram:

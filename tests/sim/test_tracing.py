@@ -1,12 +1,23 @@
-"""Tests for the tracing hub."""
+"""Tests for the tracing hub.
 
-from repro.sim.tracing import Tracer
+:class:`Tracer` routes each ``category.event`` key once and caches the
+matching callbacks.  :class:`LinearTracer` below compares every
+subscriber's prefix on every record and is the oracle: over random
+interleavings of subscribe, unsubscribe and the three publishing calls,
+both must deliver the same records to the same callbacks in the same
+order, and keep the same counters in the same key order.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.tracing import TraceRecord, Tracer
 
 
 class TestTracer:
     def test_disabled_by_default_but_counts(self):
         tracer = Tracer()
-        assert not tracer.enabled
+        assert not tracer.active
         tracer.emit(0, "mac", "tx_start", frame="data")
         assert tracer.count("mac.tx_start") == 1
 
@@ -35,7 +46,7 @@ class TestTracer:
         tracer.unsubscribe(records.append)
         tracer.emit(0, "mac", "tx_start")
         assert records == []
-        assert not tracer.enabled
+        assert not tracer.active
 
     def test_counters_accumulate(self):
         tracer = Tracer()
@@ -58,3 +69,174 @@ class TestTracer:
         tracer.emit(1_000_000, "mac", "ack", dst=3)
         assert "mac.ack" in str(records[0])
         assert "dst=3" in str(records[0])
+
+
+class LinearTracer:
+    """Reference delivery: compare every subscriber's prefix per record."""
+
+    def __init__(self):
+        self._subscribers = []
+        self._counters = {}
+        self.audit = False
+
+    def subscribe(self, callback, prefix=""):
+        self._subscribers.append((prefix, callback))
+
+    def unsubscribe(self, callback):
+        self._subscribers = [
+            (prefix, cb) for prefix, cb in self._subscribers if cb != callback
+        ]
+
+    def emit(self, time_ns, category, event, **fields):
+        key = f"{category}.{event}"
+        self._counters[key] = self._counters.get(key, 0) + 1
+        if not self._subscribers:
+            return
+        record = TraceRecord(time_ns, category, event, fields)
+        for prefix, callback in self._subscribers:
+            if key.startswith(prefix):
+                callback(record)
+
+    def fanout(self, time_ns, category, event, fields):
+        if not self._subscribers:
+            return
+        key = f"{category}.{event}"
+        record = TraceRecord(time_ns, category, event, fields)
+        for prefix, callback in self._subscribers:
+            if key.startswith(prefix):
+                callback(record)
+
+    def emit_audit(self, time_ns, category, event, **fields):
+        if not self.audit:
+            return
+        self.emit(time_ns, category, event, **fields)
+
+    def counters(self):
+        return dict(self._counters)
+
+
+PREFIXES = ["", "mac.", "mac.1.", "phy.", "net.3.sdu_open", "x"]
+CATEGORIES = ["mac.1", "mac.12", "phy.0", "net.3", "x", "xy"]
+EVENTS = ["tx", "sdu_open", "sdu_deliver"]
+SUBSCRIBERS = 3
+
+operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("subscribe"),
+            st.integers(0, SUBSCRIBERS - 1),
+            st.sampled_from(PREFIXES),
+        ),
+        st.tuples(st.just("unsubscribe"), st.integers(0, SUBSCRIBERS - 1)),
+        st.tuples(
+            st.sampled_from(["emit", "fanout", "emit_audit"]),
+            st.integers(min_value=0, max_value=10**9),
+            st.sampled_from(CATEGORIES),
+            st.sampled_from(EVENTS),
+            st.dictionaries(st.sampled_from("abc"), st.integers(0, 9), max_size=2),
+        ),
+    ),
+    max_size=40,
+)
+
+
+def replay(tracer, audit, ops):
+    """Run ``ops`` on ``tracer``; return its delivery log and counters."""
+    log = []
+
+    def make(index):
+        def callback(record):
+            log.append(
+                (index, record.time_ns, record.category, record.event, dict(record.fields))
+            )
+        return callback
+
+    callbacks = [make(index) for index in range(SUBSCRIBERS)]
+    tracer.audit = audit
+    for op in ops:
+        if op[0] == "subscribe":
+            tracer.subscribe(callbacks[op[1]], prefix=op[2])
+        elif op[0] == "unsubscribe":
+            tracer.unsubscribe(callbacks[op[1]])
+        elif op[0] == "fanout":
+            _, time_ns, category, event, fields = op
+            tracer.fanout(time_ns, category, event, dict(fields))
+        else:
+            name, time_ns, category, event, fields = op
+            getattr(tracer, name)(time_ns, category, event, **fields)
+    return log, list(tracer.counters().items())
+
+
+class TestRouteTable:
+    @settings(max_examples=300, deadline=None)
+    @given(audit=st.booleans(), ops=operations)
+    def test_delivers_and_counts_like_the_linear_scan(self, audit, ops):
+        assert replay(Tracer(), audit, ops) == replay(LinearTracer(), audit, ops)
+
+    def test_callback_under_two_matching_prefixes_receives_twice(self):
+        tracer = Tracer()
+        records = []
+        tracer.subscribe(records.append, prefix="mac.")
+        tracer.subscribe(records.append, prefix="mac.1.")
+        tracer.subscribe(records.append, prefix="phy.")
+        tracer.emit(5, "mac.1", "tx")
+        tracer.emit(6, "mac.2", "tx")
+        assert [r.time_ns for r in records] == [5, 5, 6]
+        assert records[0] is records[1]
+
+    def test_unsubscribe_removes_every_prefix(self):
+        tracer = Tracer()
+        records = []
+        tracer.subscribe(records.append, prefix="mac.")
+        tracer.subscribe(records.append, prefix="phy.")
+        tracer.emit(0, "mac", "tx")
+        tracer.unsubscribe(records.append)
+        tracer.emit(1, "mac", "tx")
+        tracer.emit(2, "phy", "rx")
+        assert [r.time_ns for r in records] == [0]
+        assert not tracer.active
+
+    def test_subscribe_after_a_route_was_built(self):
+        tracer = Tracer()
+        first, second = [], []
+        tracer.subscribe(first.append)
+        tracer.emit(0, "mac", "tx")
+        tracer.subscribe(second.append, prefix="mac.")
+        tracer.emit(1, "mac", "tx")
+        tracer.unsubscribe(first.append)
+        tracer.emit(2, "mac", "tx")
+        assert [r.time_ns for r in first] == [0, 1]
+        assert [r.time_ns for r in second] == [1, 2]
+
+    def test_subscriber_added_in_a_callback_starts_with_the_next_record(self):
+        tracer = Tracer()
+        late = []
+
+        def attach(record):
+            if record.time_ns == 0:
+                tracer.subscribe(late.append)
+
+        tracer.subscribe(attach)
+        tracer.emit(0, "mac", "tx")
+        tracer.emit(1, "mac", "tx")
+        assert [r.time_ns for r in late] == [1]
+
+
+class TestTraceRecord:
+    def test_equality(self):
+        record = TraceRecord(1, "mac", "tx", {"dst": 2})
+        assert record == TraceRecord(1, "mac", "tx", {"dst": 2})
+        assert record != TraceRecord(1, "mac", "tx", {"dst": 3})
+        assert record != TraceRecord(2, "mac", "tx", {"dst": 2})
+        assert record != (1, "mac", "tx", {"dst": 2})
+
+    def test_repr(self):
+        assert repr(TraceRecord(100, "phy", "rx_drop", {"reason": "collision"})) == (
+            "TraceRecord(time_ns=100, category='phy', event='rx_drop', "
+            "fields={'reason': 'collision'})"
+        )
+
+    def test_default_fields_are_a_fresh_dict(self):
+        one, two = TraceRecord(0, "a", "b"), TraceRecord(0, "a", "b")
+        assert one.fields == {} and one == two
+        assert one.fields is not two.fields

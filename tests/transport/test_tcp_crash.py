@@ -1,8 +1,8 @@
 """TCP behaviour across a node crash: RTO give-up or fresh-connection recovery."""
 
 from repro.apps.bulk import BulkTcpReceiver, BulkTcpSender
-from repro.experiments.common import build_network
 from repro.faults import FaultSchedule, NodeCrash
+from repro.scenario import build_network
 from repro.transport.tcp.connection import TcpConfig
 
 

@@ -7,7 +7,7 @@ from repro.core.throughput_model import ThroughputModel
 from repro.apps.cbr import CbrSource
 from repro.apps.sink import UdpSink
 from repro.errors import TransportError
-from repro.experiments.common import build_network
+from repro.scenario import build_network
 
 
 class TestUdpDelivery:
