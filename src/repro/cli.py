@@ -143,8 +143,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "wall-clock budget per experiment attempt and per sweep "
-            "point (hung pool workers are killed; default: none)"
+            "wall-clock budget per sweep point attempt; with a budget, "
+            "points run in worker processes, which are killed at the "
+            "deadline (default: none)"
         ),
     )
     parser.add_argument(
@@ -155,9 +156,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "reseeded retries after a simulation-kernel failure, "
-            "timeout or worker crash, with jittered exponential "
-            "backoff between attempts (default 1)"
+            "reseeded retries per sweep point after a simulation-kernel "
+            "failure, timeout or worker crash, with jittered "
+            "exponential backoff between attempts (default 1)"
         ),
     )
     parser.add_argument(
@@ -226,14 +227,12 @@ def _list_experiments() -> str:
 def _print_result(result: ExperimentResult) -> None:
     if result.ok:
         print(result.output)
-        retries = f", {result.attempts} attempts" if result.attempts > 1 else ""
-        print(f"[{result.name} completed in {result.elapsed_s:.1f}s wall clock{retries}]")
+        print(f"[{result.name} completed in {result.elapsed_s:.1f}s wall clock]")
         print()
     else:
-        print(
-            f"error: {result.name}: {result.error}",
-            file=sys.stderr,
-        )
+        # One line: a worker traceback stays in the --report document.
+        headline = (result.error or "").partition("\n")[0]
+        print(f"error: {result.name}: {headline}", file=sys.stderr)
 
 
 def _parse_overrides(pairs: Sequence[str]) -> dict:

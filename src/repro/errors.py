@@ -29,10 +29,10 @@ class WatchdogTimeout(SimulationError):
     """A watchdog budget (event count or wall clock) was exhausted.
 
     Raised by the engine's :class:`~repro.sim.engine.Watchdog` when a run
-    spins past its event or wall-clock budget, and by the hardened
-    experiment runner when one experiment exceeds its per-attempt
-    timeout.  Deriving from :class:`SimulationError` makes it eligible
-    for the runner's retry-with-perturbed-seed policy.
+    spins past its event or wall-clock budget, and by the sweep
+    supervisor when a point overruns its wall-clock deadline and its
+    worker is killed.  Deriving from :class:`SimulationError` makes it
+    eligible for the per-point retry-with-perturbed-seed policy.
     """
 
 

@@ -16,17 +16,22 @@ degrading and recovering instead of falling over:
 
 Both scenarios are pure :class:`~repro.scenario.ScenarioSpec` data — the
 fault window is a ``faults`` entry and the crash restart is the spec's
-``restart_flows`` wiring, not a hand-built callback.
+``restart_flows`` wiring, not a hand-built callback.  Each run is one
+sweep point, so it is cached, timed out and retried like every other
+experiment's simulations: the point function returns the result as a
+JSON document and the ``run_*`` function rebuilds the dataclass.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Any
 
 from repro.analysis.tables import render_table
 from repro.core.params import Rate
 from repro.errors import ConfigurationError
+from repro.parallel import SweepCache, SweepPoint, run_sweep
 from repro.scenario import (
     FaultSpec,
     FlowSpec,
@@ -39,6 +44,9 @@ from repro.scenario import (
 
 #: Port used by both workloads at the receiver.
 _PORT = 5001
+
+_BLACKOUT_POINT = "repro.experiments.fault_resilience:link_blackout_point"
+_CRASH_POINT = "repro.experiments.fault_resilience:node_crash_point"
 
 
 @dataclass(frozen=True)
@@ -63,6 +71,18 @@ def _phase_mbps(
     if window_s <= 0:
         return 0.0
     return sum(rx_bytes[lo:hi]) * 8 / window_s / 1e6
+
+
+def _run_point(
+    cls: type, fn: str, cache: SweepCache | None, policy: Any, **params: Any
+) -> Any:
+    """Run one sweep point and rebuild its result dataclass ``cls``."""
+    [document] = run_sweep([SweepPoint(fn, params)], cache=cache, policy=policy)
+    fields = dict(document)
+    fields["phases"] = tuple(
+        PhaseThroughput(**phase) for phase in fields["phases"]
+    )
+    return cls(**fields)
 
 
 # ------------------------------------------------------------- blackout
@@ -130,19 +150,19 @@ def blackout_spec(
     )
 
 
-def run_link_blackout(
-    duration_s: float = 15.0,
-    blackout_s: float = 5.0,
-    offered_mbps: float = 1.5,
-    rate: Rate = Rate.MBPS_11,
-    seed: int = 1,
-) -> BlackoutResult:
-    """UDP flow with a total link outage centred in the run."""
+def link_blackout_point(
+    duration_s: float,
+    blackout_s: float,
+    offered_mbps: float,
+    rate_mbps: float,
+    seed: int,
+) -> dict[str, Any]:
+    """Sweep point: one blackout run, as a :class:`BlackoutResult` dict."""
     spec = blackout_spec(
         duration_s=duration_s,
         blackout_s=blackout_s,
         offered_mbps=offered_mbps,
-        rate_mbps=rate.mbps,
+        rate_mbps=rate_mbps,
         seed=seed,
     )
     fault = spec.faults[0]
@@ -167,13 +187,31 @@ def run_link_blackout(
         )
     )
     mac = net[0].mac.counters
-    return BlackoutResult(
+    result = BlackoutResult(
         phases=phases,
         blackout_start_s=start_s,
         blackout_end_s=end_s,
         packets_received=sink.packets,
         mac_retries=mac.retries,
         mac_drops=mac.tx_drops,
+    )
+    return asdict(result)
+
+
+def run_link_blackout(
+    duration_s: float = 15.0,
+    blackout_s: float = 5.0,
+    offered_mbps: float = 1.5,
+    rate: Rate = Rate.MBPS_11,
+    seed: int = 1,
+    cache: SweepCache | None = None,
+    policy: Any = None,
+) -> BlackoutResult:
+    """UDP flow with a total link outage centred in the run."""
+    return _run_point(
+        BlackoutResult, _BLACKOUT_POINT, cache, policy,
+        duration_s=duration_s, blackout_s=blackout_s,
+        offered_mbps=offered_mbps, rate_mbps=rate.mbps, seed=seed,
     )
 
 
@@ -256,13 +294,10 @@ def crash_spec(
     )
 
 
-def run_node_crash(
-    duration_s: float = 15.0,
-    crash_s: float = 5.0,
-    downtime_s: float = 4.0,
-    seed: int = 1,
-) -> CrashResult:
-    """TCP bulk transfer whose sender crashes and reboots mid-stream."""
+def node_crash_point(
+    duration_s: float, crash_s: float, downtime_s: float, seed: int
+) -> dict[str, Any]:
+    """Sweep point: one crash/reboot run, as a :class:`CrashResult` dict."""
     spec = crash_spec(
         duration_s=duration_s,
         crash_s=crash_s,
@@ -295,13 +330,30 @@ def run_node_crash(
         for time_ns, nbytes in zip(receiver.rx_times_ns, receiver.rx_bytes)
         if time_ns >= reboot_ns
     )
-    return CrashResult(
+    result = CrashResult(
         phases=phases,
         crash_s=crash_s,
         reboot_s=reboot_s,
         old_connection_reason=closed_reasons[0] if closed_reasons else None,
         connections_seen=len(receiver.connections),
         bytes_after_reboot=bytes_after,
+    )
+    return asdict(result)
+
+
+def run_node_crash(
+    duration_s: float = 15.0,
+    crash_s: float = 5.0,
+    downtime_s: float = 4.0,
+    seed: int = 1,
+    cache: SweepCache | None = None,
+    policy: Any = None,
+) -> CrashResult:
+    """TCP bulk transfer whose sender crashes and reboots mid-stream."""
+    return _run_point(
+        CrashResult, _CRASH_POINT, cache, policy,
+        duration_s=duration_s, crash_s=crash_s, downtime_s=downtime_s,
+        seed=seed,
     )
 
 

@@ -318,7 +318,9 @@ def _link_lifetime(
     )
 
 
-def _fault_blackout(duration_s: float = 10.0, seed: int = 1) -> str:
+def _fault_blackout(
+    duration_s: float = 10.0, seed: int = 1, cache=None, policy=None
+) -> str:
     from repro.experiments.fault_resilience import (
         format_link_blackout,
         run_link_blackout,
@@ -326,18 +328,26 @@ def _fault_blackout(duration_s: float = 10.0, seed: int = 1) -> str:
 
     # A 5 s outage needs clean channel either side of it.
     return format_link_blackout(
-        run_link_blackout(duration_s=max(duration_s, 15.0), seed=seed)
+        run_link_blackout(
+            duration_s=max(duration_s, 15.0), seed=seed, cache=cache,
+            policy=policy,
+        )
     )
 
 
-def _fault_crash(duration_s: float = 10.0, seed: int = 1) -> str:
+def _fault_crash(
+    duration_s: float = 10.0, seed: int = 1, cache=None, policy=None
+) -> str:
     from repro.experiments.fault_resilience import (
         format_node_crash,
         run_node_crash,
     )
 
     return format_node_crash(
-        run_node_crash(duration_s=max(duration_s, 15.0), seed=seed)
+        run_node_crash(
+            duration_s=max(duration_s, 15.0), seed=seed, cache=cache,
+            policy=policy,
+        )
     )
 
 

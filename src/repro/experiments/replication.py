@@ -2,15 +2,14 @@
 
 Single runs of a stochastic simulation are point samples; publishable
 numbers need replications.  :func:`replicate` runs a seed-parametrised
-metric function across independent seeds and summarises the results
-with a Student-t confidence interval.
+metric function across independent seeds, in-process, and summarises
+the results with a Student-t confidence interval.  Seeds are derived
+from the base seed alone, never from execution order.
 
-Replications are independent by construction, so ``jobs > 1`` fans the
-seed list across a process pool via :func:`repro.parallel.pmap`; seeds
-are derived from the base seed alone (never from execution order), so
-the summary is bit-identical whatever the worker count.  The metric
-must then be picklable — a module-level function, not a lambda or
-closure.
+:func:`replicate_spec` replicates a declarative scenario instead: each
+replication is a sweep point, so ``jobs > 1`` fans them across the
+supervised worker pool and every replication lands in the result
+cache.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.analysis.stats import Summary, summarize
 from repro.errors import ExperimentError
-from repro.parallel import SweepCache, pmap
+from repro.parallel import SweepCache
 
 MetricFn = Callable[[int], float]
 
@@ -30,7 +29,6 @@ def replicate(
     replications: int = 5,
     base_seed: int = 1,
     confidence: float = 0.95,
-    jobs: int = 1,
 ) -> Summary:
     """Run ``metric(seed)`` for ``replications`` independent seeds.
 
@@ -39,7 +37,7 @@ def replicate(
     """
     if replications < 1:
         raise ExperimentError("need at least one replication")
-    values = pmap(metric, seeds_for(replications, base_seed), jobs=jobs)
+    values = [metric(seed) for seed in seeds_for(replications, base_seed)]
     return summarize(values, confidence=confidence)
 
 
@@ -47,11 +45,10 @@ def replicate_many(
     metrics: dict[str, MetricFn],
     replications: int = 5,
     base_seed: int = 1,
-    jobs: int = 1,
 ) -> dict[str, Summary]:
     """Replicate several named metrics with matched seeds."""
     return {
-        name: replicate(metric, replications, base_seed, jobs=jobs)
+        name: replicate(metric, replications, base_seed)
         for name, metric in metrics.items()
     }
 

@@ -1,18 +1,20 @@
-"""Hardened experiment driver: timeouts, retries, graceful degradation.
+"""Hardened experiment runner: one failure record per experiment.
 
 ``run_suite`` runs a set of registered experiments so that one failure
 can never take down the batch:
 
-* each attempt runs under an optional wall-clock **timeout** (enforced
-  from a watchdog thread; an expired attempt is recorded as a
-  :class:`~repro.errors.WatchdogTimeout`);
-* a :class:`~repro.errors.SimulationError` — including watchdog
-  timeouts — triggers a bounded **retry with a perturbed seed**, on the
-  theory that kernel-level livelocks are usually seed-sensitive corner
-  cases;
-* any other exception (and exhausted retries) degrades to a structured
-  :class:`ExperimentResult` failure record while the rest of the suite
-  completes;
+* each experiment runs once, on the calling thread, with its
+  :class:`RunnerConfig` handed to every sweep it makes.  The sweep
+  point is the only unit that is retried, timed out or isolated
+  (:mod:`repro.parallel.supervisor`): a point that raises a
+  :class:`~repro.errors.SimulationError`, overruns its wall-clock
+  **timeout** or crashes its worker is **retried with a perturbed
+  seed**, and a deadline is enforced by killing the worker process;
+* an exception that escapes the experiment — a point that exhausted
+  its retries, or any other error — degrades to a structured
+  :class:`ExperimentResult` failure record (``timeout`` for a
+  :class:`~repro.errors.WatchdogTimeout`, ``failed`` otherwise) while
+  the rest of the suite completes;
 * the :class:`SuiteReport` renders both a human-readable summary and a
   machine-readable JSON document.
 """
@@ -20,20 +22,13 @@ can never take down the batch:
 from __future__ import annotations
 
 import json
-import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.errors import (
-    ExperimentError,
-    SimulationError,
-    SweepInterrupted,
-    WatchdogTimeout,
-)
+from repro.errors import SweepInterrupted, WatchdogTimeout
 from repro.experiments.registry import EXPERIMENTS, Experiment
-from repro.parallel.engine import backoff_delay_s
 
 #: Default seed offset between retry attempts.  A large odd constant so
 #: perturbed seeds never collide with a user's natural seed sweep.
@@ -47,12 +42,16 @@ class RunnerConfig:
     The same object travels from the CLI through ``run_experiment``
     into every sweep an experiment makes (``policy=`` on
     :func:`repro.parallel.run_sweep`), so retry/timeout/backoff,
-    failure policy and journaling are configured exactly once.
+    failure policy and journaling are configured exactly once, and all
+    of them apply per sweep point.
     """
 
-    #: Wall-clock budget per attempt; ``None`` disables the timeout.
+    #: Wall-clock budget per sweep point attempt; ``None`` disables the
+    #: timeout.  With a budget, every point runs in a worker process
+    #: that is killed at its deadline.
     timeout_s: float | None = None
-    #: Extra attempts after a ``SimulationError`` (0 = never retry).
+    #: Extra attempts per sweep point after a ``SimulationError``, a
+    #: timeout or a worker crash (0 = never retry).
     max_retries: int = 1
     #: Seed offset added per retry attempt.
     retry_seed_step: int = DEFAULT_RETRY_SEED_STEP
@@ -84,8 +83,6 @@ class ExperimentResult:
     output: str | None = None
     error: str | None = None
     error_type: str | None = None
-    attempts: int = 1
-    seeds: list[int] = field(default_factory=list)
     elapsed_s: float = 0.0
     traceback: str | None = None
 
@@ -102,8 +99,6 @@ class ExperimentResult:
             "output": self.output,
             "error": self.error,
             "error_type": self.error_type,
-            "attempts": self.attempts,
-            "seeds": self.seeds,
             "elapsed_s": round(self.elapsed_s, 3),
             "traceback": self.traceback,
         }
@@ -159,52 +154,10 @@ class SuiteReport:
             if result.ok:
                 detail = f"ok in {result.elapsed_s:.1f}s"
             else:
-                detail = f"{result.status}: {result.error}"
-            retries = (
-                f" ({result.attempts} attempts)" if result.attempts > 1 else ""
-            )
-            lines.append(f"  {result.name:16} {detail}{retries}")
+                headline = (result.error or "").partition("\n")[0]
+                detail = f"{result.status}: {headline}"
+            lines.append(f"  {result.name:16} {detail}")
         return "\n".join(lines)
-
-
-class _Attempt:
-    """One experiment attempt, optionally bounded by a wall-clock budget.
-
-    The attempt runs on a daemon worker thread only when a timeout is
-    requested; Python offers no portable way to kill the worker, so a
-    timed-out attempt is *abandoned* (it keeps burning CPU until it
-    finishes or the process exits) and reported as a timeout.  Pair the
-    runner timeout with an engine :class:`~repro.sim.engine.Watchdog`
-    budget when the leak matters.
-    """
-
-    def __init__(self, fn: Callable[[], str]):
-        self._fn = fn
-        self._output: str | None = None
-        self._error: BaseException | None = None
-
-    def _target(self) -> None:
-        try:
-            self._output = self._fn()
-        except BaseException as error:  # noqa: BLE001 - re-raised on the caller
-            self._error = error
-
-    def run(self, timeout_s: float | None) -> str:
-        if timeout_s is None:
-            self._target()
-        else:
-            worker = threading.Thread(target=self._target, daemon=True)
-            worker.start()
-            worker.join(timeout_s)
-            if worker.is_alive():
-                raise WatchdogTimeout(
-                    f"experiment exceeded its {timeout_s:g}s wall-clock budget"
-                )
-        if self._error is not None:
-            raise self._error
-        if self._output is None:
-            raise ExperimentError("experiment returned no output")
-        return self._output
 
 
 def run_experiment(
@@ -218,16 +171,19 @@ def run_experiment(
     cache=None,
     overrides: Mapping[str, Any] | None = None,
 ) -> ExperimentResult:
-    """Run one experiment under the robustness policy.
+    """Run one experiment once under the robustness policy.
 
     Never raises for experiment failures: lookup errors, crashes,
     timeouts and exhausted retries all come back as failure records.
+    A graceful SIGINT/SIGTERM shutdown is not a failure:
+    :class:`~repro.errors.SweepInterrupted` propagates so the CLI can
+    exit with the resumable state (journal and cache already flushed).
 
     ``jobs``/``cache`` flow into sweep-based experiments, which fan
     their independent points across a process pool and a
     content-addressed result cache (:mod:`repro.parallel`).  The
-    ``config`` policy travels with them, so per-point timeout/retry
-    applies inside pool workers too.
+    ``config`` policy travels with them: each point is retried and
+    timed out on its own.
 
     ``overrides`` are user-supplied experiment parameters (the CLI's
     ``--set key=value``); an override the experiment does not declare
@@ -242,61 +198,27 @@ def run_experiment(
     if experiment is None:
         result.error = f"unknown experiment {name!r}; valid: {sorted(registry)}"
         result.error_type = "ExperimentError"
-        result.attempts = 0
         return result
-
-    for attempt in range(config.max_retries + 1):
-        if attempt:
-            # Deterministic jittered exponential backoff: derived from
-            # the attempt index and experiment name, never a live RNG,
-            # so a re-run reproduces the same retry schedule.
-            delay = backoff_delay_s(
-                attempt,
-                config.backoff_base_s,
-                config.backoff_max_s,
-                token=name,
-            )
-            if delay > 0.0:
-                time.sleep(delay)
-        attempt_seed = seed + attempt * config.retry_seed_step
-        result.attempts = attempt + 1
-        result.seeds.append(attempt_seed)
-        try:
-            result.output = _Attempt(
-                lambda: experiment.invoke(
-                    overrides,
-                    seed=attempt_seed,
-                    duration_s=duration_s,
-                    probes=probes,
-                    jobs=jobs,
-                    cache=cache,
-                    policy=config,
-                )
-            ).run(config.timeout_s)
-            result.status = "ok"
-            result.error = None
-            result.error_type = None
-            break
-        except SweepInterrupted:
-            # A graceful SIGINT/SIGTERM shutdown is not a failure to
-            # degrade or retry — it propagates so the CLI can exit with
-            # the resumable state (journal + cache already flushed).
-            raise
-        except SimulationError as error:
-            # Kernel-level failure (watchdog, scheduling, MAC invariant):
-            # eligible for a reseeded retry.
-            result.status = (
-                "timeout" if isinstance(error, WatchdogTimeout) else "failed"
-            )
-            result.error = str(error)
-            result.error_type = type(error).__name__
-        except Exception as error:  # noqa: BLE001 - isolation boundary
-            # Anything else is deterministic; retrying cannot help.
-            result.status = "failed"
-            result.error = str(error) or type(error).__name__
-            result.error_type = type(error).__name__
-            result.traceback = traceback.format_exc()
-            break
+    try:
+        result.output = experiment.invoke(
+            overrides,
+            seed=seed,
+            duration_s=duration_s,
+            probes=probes,
+            jobs=jobs,
+            cache=cache,
+            policy=config,
+        )
+        result.status = "ok"
+    except SweepInterrupted:
+        raise
+    except Exception as error:  # noqa: BLE001 - isolation boundary
+        result.status = (
+            "timeout" if isinstance(error, WatchdogTimeout) else "failed"
+        )
+        result.error = str(error) or type(error).__name__
+        result.error_type = type(error).__name__
+        result.traceback = traceback.format_exc()
     result.elapsed_s = time.monotonic() - started
     return result
 

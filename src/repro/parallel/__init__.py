@@ -7,15 +7,14 @@ Public surface:
   across a supervised worker pool, merging results in deterministic
   point order.
 * :func:`~repro.parallel.supervisor.supervise_sweep` — the crash-safe
-  executor underneath ``run_sweep``: dead/hung-worker detection with
-  respawn, journaled outcomes, ``--resume`` and ``on_error`` failure
-  policies, graceful SIGINT/SIGTERM shutdown.
+  executor underneath ``run_sweep`` and the only place a point is
+  retried or timed out: deadlines enforced by killing the worker,
+  dead/hung-worker detection with respawn, journaled outcomes,
+  ``--resume`` and ``on_error`` failure policies, graceful
+  SIGINT/SIGTERM shutdown.
 * :class:`~repro.parallel.journal.SweepJournal` /
   :func:`~repro.parallel.journal.load_journal` — persistent JSONL
   journal of per-point outcomes enabling bit-identical resume.
-* :func:`~repro.parallel.engine.pmap` — ordered parallel map for
-  picklable callables (the :func:`repro.experiments.replication`
-  path), with serialized worker-error transport.
 * :class:`~repro.parallel.cache.SweepCache` — content-addressed result
   store keyed on canonical parameters + seed + code-version tag.
 """
@@ -29,8 +28,6 @@ from repro.parallel.cache import (
 from repro.parallel.engine import (
     SweepPoint,
     backoff_delay_s,
-    execute_point,
-    pmap,
     run_sweep,
 )
 from repro.parallel.journal import PointRecord, SweepJournal, load_journal
@@ -52,9 +49,7 @@ __all__ = [
     "backoff_delay_s",
     "code_version_tag",
     "default_cache_dir",
-    "execute_point",
     "load_journal",
-    "pmap",
     "point_key",
     "run_sweep",
     "supervise_sweep",

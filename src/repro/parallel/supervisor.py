@@ -9,8 +9,11 @@ replaces it with per-task dispatch over dedicated pipes:
   worker, so a dead process (pipe EOF) is detected immediately and its
   task — and only its task — is reassigned to a respawned worker;
 * a per-point wall-clock **deadline** (``policy.timeout_s``) is
-  enforced from the parent by *killing* the overdue worker, which —
-  unlike the in-process timed call — actually reclaims the CPU;
+  enforced from the parent by *killing* the overdue worker, which
+  reclaims the CPU and leaves nothing running.  A policy with a
+  timeout therefore runs every point in a worker process, even at
+  ``jobs=1``; without one, ``jobs=1`` sweeps and single points run
+  in-process;
 * failures eligible for retry (kernel-level
   :class:`~repro.errors.SimulationError`, timeouts, crashes) are
   re-dispatched up to ``policy.max_retries`` times with perturbed seeds
@@ -48,33 +51,27 @@ from __future__ import annotations
 import copy
 import gc
 import heapq
+import multiprocessing
 import signal
 import sys
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Mapping, Sequence, TextIO
 
+from repro import errors as _errors
 from repro.errors import (
     ExperimentError,
     SimulationError,
     SweepInterrupted,
     WatchdogTimeout,
 )
-from repro.parallel import engine as _engine
 from repro.parallel.cache import SweepCache, code_version_tag, point_key
-from repro.parallel.engine import (
-    ErrorRecord,
-    SweepPoint,
-    backoff_delay_s,
-    perturbed_params,
-    run_point_once,
-    serialize_error,
-    worker_error,
-)
+from repro.parallel.engine import SweepPoint, backoff_delay_s, resolve_point_fn
 from repro.parallel.journal import PointRecord, SweepJournal, load_journal
 
 #: Valid ``on_error`` failure policies.
@@ -162,6 +159,76 @@ class SweepOutcome:
     report: SweepReport
 
 
+def perturbed_params(
+    params: Mapping[str, Any], attempt: int, seed_step: int
+) -> dict[str, Any]:
+    """The point's kwargs for retry ``attempt`` (0 = first try).
+
+    Retries perturb the point's ``seed`` parameter, when it has one, by
+    ``seed_step`` per attempt.  Spec-driven points carry their seed
+    inside a ``spec`` document instead; the same perturbation applies to
+    ``params["spec"]["seed"]``.
+    """
+    kwargs = dict(params)
+    if attempt and "seed" in kwargs:
+        kwargs["seed"] = kwargs["seed"] + attempt * seed_step
+    spec = kwargs.get("spec")
+    if attempt and isinstance(spec, Mapping) and "seed" in spec:
+        reseeded = dict(spec)
+        reseeded["seed"] = reseeded["seed"] + attempt * seed_step
+        kwargs["spec"] = reseeded
+    return kwargs
+
+
+#: The serialised form a worker failure takes across the process
+#: boundary: ``(exception type name, message, formatted traceback)``.
+ErrorRecord = tuple[str, str, str]
+
+
+def serialize_error(error: BaseException) -> ErrorRecord:
+    """Flatten an exception into a picklable record for the parent."""
+    return (type(error).__name__, str(error), traceback.format_exc())
+
+
+def worker_error(fn: str, record: ErrorRecord) -> Exception:
+    """Rebuild a worker failure in the parent.
+
+    The original exception type is preserved when it is one of ours
+    (so the runner still tells a timeout from a failure); foreign types
+    degrade to :class:`ExperimentError` carrying the worker traceback.
+    """
+    error_type, message, worker_traceback = record
+    exc_class = getattr(_errors, error_type, None)
+    detail = f"sweep point {fn} failed: {message}"
+    if isinstance(exc_class, type) and issubclass(exc_class, Exception):
+        return exc_class(detail)
+    return ExperimentError(
+        f"{detail}\n--- worker traceback ---\n{worker_traceback}"
+    )
+
+
+def _retryable(error_type: str) -> bool:
+    """True when a failure type is eligible for a reseeded retry."""
+    exc_class = getattr(_errors, error_type, None)
+    return isinstance(exc_class, type) and issubclass(
+        exc_class, SimulationError
+    )
+
+
+def _mp_context(start_method: str | None) -> multiprocessing.context.BaseContext:
+    """Fork where available (cheap workers), spawn otherwise.
+
+    The worker protocol is spawn-safe — points are picklable
+    descriptions and the worker is a module-level function — so
+    ``start_method`` may force ``"spawn"`` (the tests do) at the cost of
+    per-worker interpreter start-up.
+    """
+    if start_method is None:
+        methods = multiprocessing.get_all_start_methods()
+        start_method = "fork" if "fork" in methods else "spawn"
+    return multiprocessing.get_context(start_method)
+
+
 class _Task:
     """One distinct point's execution state inside the supervisor.
 
@@ -192,20 +259,32 @@ class _Worker:
         self.deadline: float | None = None
 
 
-def _worker_main(connection: Connection) -> None:
+def _worker_main(
+    connection: Connection, inherited: Sequence[Connection]
+) -> None:
     """Worker loop: one attempt per message, outcomes over the pipe.
 
     SIGINT is ignored so a terminal Ctrl-C (delivered to the whole
     foreground process group) leaves shutdown sequencing to the
-    supervisor; the supervisor kills workers with SIGTERM/SIGKILL.
+    supervisor.  SIGTERM gets its default action back: a forked worker
+    inherits the supervisor's graceful-shutdown handler, which would
+    swallow the SIGTERM the supervisor kills it with.
+
+    ``inherited`` are the supervisor's pipe ends that a forked worker
+    holds copies of: its own and every earlier worker's.  Closing them
+    lets ``recv`` see EOF, and the worker exit, once the supervisor is
+    gone, even when it died without reaping its workers.
 
     A finished network leaves its ledger rows, datagrams and timers in
     reference cycles that only a rare full collection frees, so the
     worker collects after every point.  The heap it started with is
     frozen first, which keeps each collection down to the new garbage.
     """
+    for end in inherited:
+        end.close()
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
     gc.freeze()
@@ -221,7 +300,7 @@ def _worker_main(connection: Connection) -> None:
             outcome: tuple[int, str, Any] = (
                 index,
                 "ok",
-                run_point_once(fn, params, None),
+                resolve_point_fn(fn)(**params),
             )
         except BaseException as error:  # noqa: BLE001 - serialised for parent
             outcome = (index, "err", serialize_error(error))
@@ -248,16 +327,6 @@ def _worker_main(connection: Connection) -> None:
         gc.collect()
 
 
-def _retryable(error_type: str) -> bool:
-    """True when a failure type is eligible for a reseeded retry."""
-    import repro.errors as errors_module
-
-    exc_class = getattr(errors_module, error_type, None)
-    return isinstance(exc_class, type) and issubclass(
-        exc_class, SimulationError
-    )
-
-
 class _Supervision:
     """State machine for one supervised sweep (serial or pooled)."""
 
@@ -281,13 +350,16 @@ class _Supervision:
         self.on_error = on_error
         self.resume = resume
         self.report_stream = report_stream
-        (
-            self.timeout_s,
-            self.max_retries,
-            self.seed_step,
-            self.backoff_base_s,
-            self.backoff_max_s,
-        ) = _engine._normalise_policy(_engine._policy_tuple(policy))
+        # A ``None`` policy means no timeout and no retry.
+        self.timeout_s: float | None = getattr(policy, "timeout_s", None)
+        self.max_retries = max(0, int(getattr(policy, "max_retries", 0)))
+        self.seed_step = int(getattr(policy, "retry_seed_step", 0))
+        self.backoff_base_s = max(
+            0.0, float(getattr(policy, "backoff_base_s", 0.0))
+        )
+        self.backoff_max_s = max(
+            0.0, float(getattr(policy, "backoff_max_s", 0.0))
+        )
         self.version = (
             cache.version_tag if cache is not None else code_version_tag()
         )
@@ -301,6 +373,8 @@ class _Supervision:
         self._abort = False
         self._raise_error: BaseException | None = None
         self._retry_sequence = 0
+        #: Supervisor ends of the live workers' pipes (see _spawn_worker).
+        self._parent_ends: set[Connection] = set()
 
     # -- signal handling ---------------------------------------------------
 
@@ -480,11 +554,11 @@ class _Supervision:
             )
             attempts = attempt + 1
             try:
-                value = run_point_once(task.point.fn, params, self.timeout_s)
+                value = resolve_point_fn(task.point.fn)(**params)
             except KeyboardInterrupt:
                 self._interrupted = True
                 return
-            except WatchdogTimeout as error:
+            except WatchdogTimeout as error:  # an engine Watchdog budget
                 last_record = serialize_error(error)
                 last_error = error
                 last_status = "timeout"
@@ -512,15 +586,23 @@ class _Supervision:
 
     def _spawn_worker(self, context: Any) -> _Worker:
         parent_end, child_end = context.Pipe(duplex=True)
+        # A forked child holds a copy of every open parent end; a
+        # spawned one inherits none.
+        inherited = (
+            [parent_end, *self._parent_ends]
+            if context.get_start_method() == "fork"
+            else []
+        )
         process = context.Process(
-            target=_worker_main, args=(child_end,), daemon=True
+            target=_worker_main, args=(child_end, inherited), daemon=True
         )
         process.start()
         child_end.close()
+        self._parent_ends.add(parent_end)
         return _Worker(process, parent_end)
 
-    @staticmethod
-    def _kill_worker(worker: _Worker) -> None:
+    def _kill_worker(self, worker: _Worker) -> None:
+        self._parent_ends.discard(worker.connection)
         try:
             worker.connection.close()
         except OSError:  # pragma: no cover - already closed
@@ -604,6 +686,10 @@ class _Supervision:
             # Hard crash mid-point (os._exit, OOM kill, segfault).
             del busy[worker.connection]
             self._kill_worker(worker)
+            if self._interrupted:
+                # Most likely the SIGTERM sent to the whole process
+                # group: the point is unfinished, so resume re-runs it.
+                return
             exitcode = worker.process.exitcode
             record: ErrorRecord = (
                 "WorkerCrashed",
@@ -613,7 +699,7 @@ class _Supervision:
             # Respawn unconditionally (surplus idle workers are cheap
             # and reaped at shutdown); deciding "is a worker still
             # needed" here would race the retry this crash may schedule.
-            if not (self._abort or self._interrupted):
+            if not self._abort:
                 idle.append(self._spawn_worker(context))
             self._after_attempt_failure(
                 task, "crashed", record, retryable=True, retries=retries
@@ -678,7 +764,7 @@ class _Supervision:
         return max(0.01, timeout)
 
     def _run_pooled(self, tasks: Sequence[_Task]) -> None:
-        context = _engine._mp_context(self.start_method)
+        context = _mp_context(self.start_method)
         queue: deque[_Task] = deque(tasks)
         retries: list[tuple[float, int, _Task]] = []
         workers = min(self.jobs, len(tasks))
@@ -728,8 +814,8 @@ class _Supervision:
         finally:
             self._shutdown_workers(list(idle) + list(busy.values()))
 
-    @staticmethod
-    def _shutdown_workers(workers: Sequence[_Worker]) -> None:
+    def _shutdown_workers(self, workers: Sequence[_Worker]) -> None:
+        self._parent_ends.clear()
         for worker in workers:
             if worker.task is None:
                 try:
@@ -769,7 +855,9 @@ class _Supervision:
         previous_handlers = self._install_signals()
         try:
             if tasks:
-                if self.jobs == 1 or len(tasks) == 1:
+                if self.timeout_s is None and (
+                    self.jobs == 1 or len(tasks) == 1
+                ):
                     self._run_serial(tasks)
                 else:
                     self._run_pooled(tasks)

@@ -15,7 +15,7 @@ through one).  This package turns them into machine-checked invariants:
   ``core/params.py`` / ``units.py`` / ``phy/plans.py`` only; integer
   nanosecond values stay integers.
 * **SL4xx parallel safety** — no mutable class attributes on sim
-  classes, no unpicklable lambdas handed to the sweep engine.
+  classes.
 * **SL5xx spec conformance** — the MAC/PHY constants the code actually
   declares are diffed against a golden 802.11b table (paper Table 1).
 * **SL7xx unit/dimension dataflow** — units inferred from the naming
@@ -30,10 +30,9 @@ through one).  This package turns them into machine-checked invariants:
 
 SL7xx's cross-module rules run on a whole-program import/symbol graph
 built from picklable per-module summaries; the same summaries let the
-per-file pass fan out over processes (``--jobs``) and be cached on
-content hash (:mod:`repro.simlint.cache`).
+per-file pass be cached on content hash (:mod:`repro.simlint.cache`).
 
-Run it as ``repro lint [--format text|json|sarif] [--jobs N]``;
+Run it as ``repro lint [--format text|json|sarif]``;
 findings can be waived inline with ``# simlint: waive[SLnnn] --
 justification`` or recorded in a baseline file (see
 :mod:`repro.simlint.baseline`).  A justified waiver that suppresses

@@ -220,7 +220,7 @@ def _extract_waivers(source: str) -> Iterator[Waiver]:
 
 @dataclass(frozen=True)
 class FileResult:
-    """The per-file half of a lint run: picklable, hence poolable/cacheable.
+    """The per-file half of a lint run: picklable, hence cacheable.
 
     ``findings`` carries the module-rule findings (waivers applied),
     ``summary`` the project-graph contribution (None when the file did
@@ -243,18 +243,11 @@ def _relpath_for(path: Path, root: Path | None) -> str:
     return relpath.replace("\\", "/")
 
 
-def _lint_file_payload(payload: tuple[str, str | None]) -> FileResult:
-    """Module-level pool worker: lint one file with the default rules."""
-    path_text, root_text = payload
-    root = Path(root_text) if root_text is not None else None
-    return Checker().check_file(Path(path_text), root=root)
-
-
 class Checker:
     """Parses files and runs every registered rule over them.
 
-    Module rules run per file (in parallel and through the result cache
-    when :meth:`check_paths` is given ``jobs``/``cache``); project rules
+    Module rules run per file (through the result cache when
+    :meth:`check_paths` is given a ``cache``); project rules
     run once afterwards over the :class:`~repro.simlint.project.ProjectGraph`
     joining every file's summary.
     """
@@ -352,22 +345,18 @@ class Checker:
         self,
         paths: Iterable[Path],
         root: Path | None = None,
-        jobs: int = 1,
         cache: "LintCache | None" = None,
     ) -> list[Finding]:
         """Findings for every ``*.py`` file under ``paths``.
 
-        The per-file pass fans out over ``jobs`` processes (via
-        :func:`repro.parallel.pmap`) and consults ``cache`` (content-hash
-        keyed, see :mod:`repro.simlint.cache`) when given; both shortcuts
-        require the default rule set, since workers and cache entries
-        re-create it by name.  The project pass then joins every file
-        summary, runs the project rules, and reports stale waivers
-        (SL003) that suppressed nothing anywhere.
+        The per-file pass consults ``cache`` (content-hash keyed, see
+        :mod:`repro.simlint.cache`) when given, which requires the
+        default rule set: cache entries stand for its findings.  The
+        project pass then joins every file summary, runs the project
+        rules, and reports stale waivers (SL003) that suppressed nothing
+        anywhere.
         """
-        results = self._file_results(
-            list(iter_python_files(paths)), root, jobs, cache
-        )
+        results = self._file_results(list(iter_python_files(paths)), root, cache)
         findings = [finding for result in results for finding in result.findings]
         findings.extend(self._project_findings(results))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
@@ -377,28 +366,18 @@ class Checker:
         self,
         files: list[Path],
         root: Path | None,
-        jobs: int,
         cache: "LintCache | None",
     ) -> list[FileResult]:
-        if (jobs > 1 or cache is not None) and not self._default_rules:
-            raise ValueError(
-                "jobs/cache require the default rule set: pool workers and "
-                "cache entries re-create the registered rules by name"
-            )
         if cache is None:
-            if jobs > 1:
-                from repro.parallel import pmap
-
-                payloads = [
-                    (str(path), str(root) if root is not None else None)
-                    for path in files
-                ]
-                return list(pmap(_lint_file_payload, payloads, jobs=jobs))
             return [self.check_file(path, root=root) for path in files]
+        if not self._default_rules:
+            raise ValueError(
+                "a cache requires the default rule set: cache entries "
+                "hold the findings of the registered rules"
+            )
 
-        results: dict[int, FileResult] = {}
-        misses: list[tuple[int, Path, str]] = []
-        for index, path in enumerate(files):
+        results: list[FileResult] = []
+        for path in files:
             try:
                 content_hash = cache.content_hash(path)
             except OSError:
@@ -407,27 +386,13 @@ class Checker:
             # A file's relpath depends on the lint root, not its content;
             # reject hits recorded under a different root.
             if cached is not None and cached.relpath == _relpath_for(path, root):
-                results[index] = cached
-            else:
-                misses.append((index, path, content_hash))
-        if misses:
-            if jobs > 1 and len(misses) > 1:
-                from repro.parallel import pmap
-
-                payloads = [
-                    (str(path), str(root) if root is not None else None)
-                    for _, path, _ in misses
-                ]
-                fresh = list(pmap(_lint_file_payload, payloads, jobs=jobs))
-            else:
-                fresh = [
-                    self.check_file(path, root=root) for _, path, _ in misses
-                ]
-            for (index, _, content_hash), result in zip(misses, fresh):
-                results[index] = result
-                if content_hash:
-                    cache.put(content_hash, result)
-        return [results[index] for index in range(len(files))]
+                results.append(cached)
+                continue
+            result = self.check_file(path, root=root)
+            if content_hash:
+                cache.put(content_hash, result)
+            results.append(result)
+        return results
 
     def _project_findings(self, results: Sequence[FileResult]) -> list[Finding]:
         from repro.simlint.project import ProjectGraph, waiver_for_summary

@@ -48,13 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report format (default text; sarif is SARIF 2.1.0 for CI)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="lint files across N processes (default 1)",
-    )
-    parser.add_argument(
         "--cache-dir",
         type=Path,
         default=None,
@@ -143,9 +136,6 @@ def run(argv: Sequence[str] | None = None) -> int:
             print(f"error: no such file or directory: {path}", file=sys.stderr)
         return EXIT_ERROR
 
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_ERROR
     cache = None
     if not args.no_cache:
         cache_dir = (
@@ -154,7 +144,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         cache = LintCache(cache_dir)
 
     files_checked = sum(1 for _ in iter_python_files(paths))
-    findings = Checker().check_paths(paths, root=root, jobs=args.jobs, cache=cache)
+    findings = Checker().check_paths(paths, root=root, cache=cache)
     waived = [finding for finding in findings if finding.waived]
     active = [finding for finding in findings if not finding.waived]
     lookup = LineTextLookup(root=root)

@@ -11,7 +11,7 @@ a refactor.  This module gives rules a project-wide view:
   :class:`ModuleSummary` — resolved imports, module-level function
   signatures with *inferred unit annotations*, and every call site with
   the inferred units of its arguments.  Being plain data, summaries
-  travel through the ``--jobs`` process pool and the content-hash cache.
+  are stored in the content-hash cache.
 * :class:`ProjectGraph` joins the summaries of every linted module and
   resolves call references through ``import`` / ``from … import``
   (including relative forms) to the signature of the callee, so rules
@@ -275,7 +275,7 @@ def waiver_for_summary(summary: ModuleSummary, finding: Finding) -> Waiver | Non
     """Mirror of :meth:`ParsedModule.waiver_for` that works off a summary.
 
     Needed so project-level findings (computed after the per-file pass,
-    possibly from cached or pool-returned summaries with no live source)
+    possibly from cached summaries with no live source)
     still honour inline waivers.
     """
     for waiver in summary.waivers:

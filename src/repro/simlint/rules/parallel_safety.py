@@ -1,16 +1,16 @@
-"""SL4xx — parallel safety: no shared mutable class state, picklable work.
+"""SL4xx — parallel safety: no shared mutable class state.
 
 The sweep engine runs many simulations in one process (serial path) and
-across processes (pool path).  Both break on the same two shapes:
+one after another in each pool worker.  Both break on the same shape:
 
 * **SL401** — a mutable object (list/dict/set, ``itertools.count``,
   ``deque``...) assigned at class level is shared by every instance *in
   the process*, so two live simulations contaminate each other.  This
   is exactly PR 2's ``Signal._ids`` bug: a class-level id counter made
   signal ids depend on how many mediums had ever lived in the worker.
-* **SL402** — a ``lambda`` or nested function handed to ``run_sweep`` /
-  ``pmap`` cannot be pickled to a spawn worker; sweep work must be a
-  module-level function (the engine's dotted-path convention).
+
+Sweep work needs no rule of its own: ``run_sweep`` takes a point
+function by dotted path, so no callable crosses a process boundary.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ _MUTABLE_CONSTRUCTORS = frozenset(
 _CLASS_LEVEL_SAFE_CALLS = frozenset(
     {"field", "property", "staticmethod", "classmethod", "frozenset", "tuple"}
 )
-
-#: Sweep entry points whose arguments must be picklable.
-_SWEEP_ENTRY_POINTS = frozenset({"run_sweep", "pmap"})
 
 
 def _is_enum_class(node: ast.ClassDef) -> bool:
@@ -119,55 +116,4 @@ class MutableClassAttributeRule:
         return None, None
 
 
-def _nested_function_names(module: ParsedModule, call: ast.Call) -> set[str]:
-    """Functions defined inside the function enclosing ``call``."""
-    enclosing = module.enclosing_function(call)
-    if enclosing is None:
-        return set()
-    names: set[str] = set()
-    for node in ast.walk(enclosing):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node is not enclosing:
-                names.add(node.name)
-    return names
-
-
-class UnpicklableSweepArgumentRule:
-    """SL402: lambda / nested function passed to the sweep engine."""
-
-    rule_id = "SL402"
-    summary = (
-        "lambda or nested function passed to run_sweep/pmap cannot be "
-        "pickled to a spawn worker"
-    )
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node)
-            if name not in _SWEEP_ENTRY_POINTS:
-                continue
-            nested = _nested_function_names(module, node)
-            arguments = list(node.args) + [kw.value for kw in node.keywords]
-            for argument in arguments:
-                if isinstance(argument, ast.Lambda):
-                    detail = "a lambda"
-                elif isinstance(argument, ast.Name) and argument.id in nested:
-                    detail = f"the nested function {argument.id!r}"
-                else:
-                    continue
-                yield Finding(
-                    rule_id=self.rule_id,
-                    path=module.relpath,
-                    line=argument.lineno,
-                    col=argument.col_offset,
-                    message=(
-                        f"{detail} passed to {name}() cannot be pickled "
-                        "under the spawn start method; use a module-level "
-                        "function (dotted-path SweepPoint convention)"
-                    ),
-                )
-
-
-RULES = [MutableClassAttributeRule, UnpicklableSweepArgumentRule]
+RULES = [MutableClassAttributeRule]

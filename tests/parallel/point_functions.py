@@ -107,3 +107,33 @@ def counting_point(
             marker.write("interrupted\n")
         raise KeyboardInterrupt
     return [value, value * value]
+
+
+def livelock_point(seed: int, marker_dir: str) -> int:
+    """Always raise a retry-eligible kernel error, leaving one marker per run.
+
+    The marker file is named after the seed the attempt ran at, so the
+    retry tests can count runs and read the perturbed seeds back.
+    """
+    import os
+
+    marker = os.path.join(marker_dir, f"seed-{seed}")
+    with open(marker, "a", encoding="utf-8") as handle:
+        handle.write("run\n")
+    raise SimulationError("livelock detected")
+
+
+def sigterm_is_default_point(value: int) -> bool:
+    """Whether this process leaves SIGTERM to its default action."""
+    import signal
+
+    return signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+
+
+def sleepy_pid_point(value: int, delay_s: float) -> int:
+    """Sleep, then return the pid of the process that ran the point."""
+    import os
+    import time
+
+    time.sleep(delay_s)
+    return os.getpid()

@@ -5,9 +5,10 @@ exceptions and SIGINT — the supervisor must detect every one, keep the
 journal valid, never lose completed work, and make ``resume`` produce
 results bit-identical to an uninterrupted run.
 
-Crash-grade isolation needs the pooled path, which requires ``jobs >=
-2`` *and* at least two outstanding points (a single miss always runs
-in-process); every crash/hang test here is shaped accordingly.
+Crash-grade isolation needs the pooled path.  Without a timeout that
+requires ``jobs >= 2`` *and* at least two outstanding points (a single
+miss runs in-process); every crash test here is shaped accordingly.
+A policy with a timeout runs every point in a worker.
 """
 
 import io
@@ -27,7 +28,6 @@ from repro.parallel import (
     PointFailure,
     SweepCache,
     SweepPoint,
-    load_journal,
     run_sweep,
     supervise_sweep,
 )
@@ -40,6 +40,7 @@ ALWAYS_CRASH = "tests.parallel.point_functions:always_crash_point"
 HANG = "tests.parallel.point_functions:hang_point"
 FAIL_ONCE = "tests.parallel.point_functions:fail_once_point"
 COUNTING = "tests.parallel.point_functions:counting_point"
+SIGTERM_DEFAULT = "tests.parallel.point_functions:sigterm_is_default_point"
 
 #: No backoff in tests: retries re-dispatch immediately.
 FAST = {"backoff_base_s": 0.0, "backoff_max_s": 0.0}
@@ -421,45 +422,56 @@ sys.exit(0)
 """
 
 
+def interrupt_sweep_script(
+    cache_dir: Path, journal_path: Path, interrupt, **popen
+) -> tuple[int, str]:
+    """Run ``_SIGINT_SCRIPT`` and ``interrupt(process)`` it mid-sweep.
+
+    The interrupt lands once at least two points have been journaled
+    (so there is real completed work to preserve).  Returns the exit
+    code and the script's stderr.
+    """
+    repo_root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(repo_root / "src"), str(repo_root)])
+    process = subprocess.Popen(
+        [sys.executable, "-c", _SIGINT_SCRIPT, str(cache_dir), str(journal_path)],
+        env=env,
+        cwd=str(repo_root),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        **popen,
+    )
+    try:
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            if journal_path.exists() and len(point_lines(journal_path)) >= 2:
+                break
+            if process.poll() is not None:
+                break
+            time.sleep(0.05)
+        else:  # pragma: no cover - diagnosis aid
+            pytest.fail("journal never accumulated two points")
+        interrupt(process)
+        _out, err = process.communicate(timeout=30.0)
+    finally:
+        if process.poll() is None:  # pragma: no cover - hung child
+            process.kill()
+            process.communicate()
+    return process.returncode, err
+
+
 class TestGracefulInterrupt:
     def test_sigint_flushes_journal_and_resume_completes(self, tmp_path):
-        repo_root = Path(__file__).resolve().parents[2]
         cache_dir = tmp_path / "cache"
         journal_path = tmp_path / "sweep.jsonl"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(repo_root / "src"), str(repo_root)]
+        returncode, err = interrupt_sweep_script(
+            cache_dir,
+            journal_path,
+            lambda process: process.send_signal(signal.SIGINT),
         )
-        process = subprocess.Popen(
-            [sys.executable, "-c", _SIGINT_SCRIPT, str(cache_dir), str(journal_path)],
-            env=env,
-            cwd=str(repo_root),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        try:
-            # Interrupt once at least two points have been journaled
-            # (so there is real completed work to preserve).
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if (
-                    journal_path.exists()
-                    and len(point_lines(journal_path)) >= 2
-                ):
-                    break
-                if process.poll() is not None:
-                    break
-                time.sleep(0.05)
-            else:  # pragma: no cover - diagnosis aid
-                pytest.fail("journal never accumulated two points")
-            process.send_signal(signal.SIGINT)
-            _out, err = process.communicate(timeout=30.0)
-        finally:
-            if process.poll() is None:  # pragma: no cover - hung child
-                process.kill()
-                process.communicate()
-        assert process.returncode == 130, err
+        assert returncode == 130, err
         assert "interrupted" in err
         assert "resume" in err
 
@@ -491,3 +503,163 @@ class TestGracefulInterrupt:
             resume=True,
         )
         assert resumed == [value * value for value in range(8)]
+
+    def test_sigterm_to_the_process_group_records_no_failure(self, tmp_path):
+        # ``timeout -s TERM`` or ``kill -TERM -<pgid>`` reaches the busy
+        # workers too, and they die at once.  Their points are
+        # unfinished, not crashed, so resume re-runs them.  The script
+        # sets no policy: a crash would be final at once, not retried.
+        journal_path = tmp_path / "sweep.jsonl"
+        returncode, err = interrupt_sweep_script(
+            tmp_path / "cache",
+            journal_path,
+            lambda process: os.killpg(process.pid, signal.SIGTERM),
+            start_new_session=True,
+        )
+        assert returncode == 130, err
+        documents = [
+            json.loads(line) for line in journal_path.read_text().splitlines()
+        ]
+        assert any(doc.get("type") == "interrupted" for doc in documents)
+        completed = point_lines(journal_path)
+        assert completed
+        assert all(record["status"] == "ok" for record in completed)
+
+
+class TestGracefulInterruptWithTimeout:
+    """``--timeout`` runs every point in a worker, and Ctrl-C still exits
+    resumable: the experiment runs on the main thread, so the supervisor
+    installs its signal handlers."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cli_sigint_with_timeout_exits_resumable(self, tmp_path, jobs):
+        repo_root = Path(__file__).resolve().parents[2]
+        journal_path = tmp_path / "sweep.jsonl"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(repo_root / "src")
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "figure3",
+                "--probes", "3000",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--journal", str(journal_path),
+                "--jobs", str(jobs),
+                "--timeout", "300",
+            ],
+            env=env,
+            cwd=str(repo_root),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                if journal_path.exists() and point_lines(journal_path):
+                    break
+                if process.poll() is not None:
+                    break
+                time.sleep(0.05)
+            else:  # pragma: no cover - diagnosis aid
+                pytest.fail("journal never recorded a point")
+            process.send_signal(signal.SIGINT)
+            _out, err = process.communicate(timeout=30.0)
+        finally:
+            if process.poll() is None:  # pragma: no cover - hung child
+                process.kill()
+                process.communicate()
+        assert process.returncode == 130, err
+        assert "resume" in err
+        documents = [
+            json.loads(line) for line in journal_path.read_text().splitlines()
+        ]
+        assert any(doc.get("type") == "interrupted" for doc in documents)
+        if Path("/proc").is_dir():
+            assert running_with_argument(str(journal_path)) == []
+
+
+def process_exited(pid: int) -> bool:
+    """True once ``pid`` is gone or a zombie (exited, not yet reaped)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def running_with_argument(argument: str) -> list[int]:
+    """Live processes whose command line contains ``argument``."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            arguments = (entry / "cmdline").read_bytes().split(b"\0")
+        except OSError:
+            continue
+        if argument.encode() in arguments and not process_exited(int(entry.name)):
+            pids.append(int(entry.name))
+    return pids
+
+
+_ORPHAN_SCRIPT = """
+import sys
+from repro.parallel import SweepPoint, run_sweep
+
+points = [
+    SweepPoint(
+        "tests.parallel.point_functions:sleepy_pid_point",
+        {"value": value, "delay_s": 0.3},
+    )
+    for value in range(40)
+]
+run_sweep(points, jobs=2, journal=sys.argv[1])
+"""
+
+
+class TestWorkerLifetime:
+    def test_pooled_workers_take_sigterm_by_default(self):
+        # The supervisor's graceful-shutdown handler is installed before
+        # the pool forks; a worker that kept it would swallow the
+        # SIGTERM of every kill and wait out the SIGKILL fallback.
+        points = [SweepPoint(SIGTERM_DEFAULT, {"value": v}) for v in (1, 2)]
+        assert run_sweep(points, jobs=2) == [True, True]
+
+    @pytest.mark.skipif(
+        not Path("/proc").is_dir(), reason="needs /proc to watch the workers"
+    )
+    def test_workers_exit_when_the_supervisor_is_killed(self, tmp_path):
+        repo_root = Path(__file__).resolve().parents[2]
+        journal_path = tmp_path / "sweep.jsonl"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(repo_root / "src"), str(repo_root)]
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT, str(journal_path)],
+            env=env,
+            cwd=str(repo_root),
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                if journal_path.exists() and len(point_lines(journal_path)) >= 2:
+                    break
+                time.sleep(0.05)
+            else:  # pragma: no cover - diagnosis aid
+                pytest.fail("journal never accumulated two points")
+        finally:
+            process.kill()  # SIGKILL: no chance to reap its workers
+            process.wait(timeout=30.0)
+        pids = {record["value"] for record in point_lines(journal_path)}
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and not all(
+            process_exited(pid) for pid in pids
+        ):
+            time.sleep(0.1)
+        try:
+            assert all(process_exited(pid) for pid in pids), pids
+        finally:
+            for pid in pids:
+                if not process_exited(pid):  # pragma: no cover - the bug
+                    os.kill(pid, signal.SIGKILL)

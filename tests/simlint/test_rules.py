@@ -26,7 +26,6 @@ RULE_IDS = [
     "SL301",
     "SL302",
     "SL401",
-    "SL402",
     "SL601",
     "SL701",
     "SL702",

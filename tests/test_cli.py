@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _print_result, main
 from repro.errors import ExperimentError
 from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.experiments.runner import ExperimentResult
 
 
 class TestRegistry:
@@ -83,6 +84,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: figure2:")
         assert "Traceback" not in err
+
+    def test_worker_traceback_stays_out_of_the_error_line(self, capsys):
+        # A foreign exception from a pool worker carries the worker
+        # traceback; stderr gets its first line, --report all of it.
+        _print_result(
+            ExperimentResult(
+                "x",
+                "failed",
+                error="sweep point p failed: boom\n--- worker traceback ---\n"
+                "Traceback (most recent call last):\n",
+            )
+        )
+        assert capsys.readouterr().err == "error: x: sweep point p failed: boom\n"
 
 
 def _table_lines(out: str) -> list[str]:
