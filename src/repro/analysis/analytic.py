@@ -39,6 +39,7 @@ instead, for comparison against the literature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from repro.core.airtime import AirtimeCalculator
@@ -322,6 +323,10 @@ def jain_index(values) -> float:
         raise ConfigurationError("Jain index needs at least one value")
     if any(x < 0 for x in xs):
         raise ConfigurationError("Jain index needs non-negative values")
+    peak = max(xs)
+    if 0.0 < peak < math.sqrt(sys.float_info.min):
+        # The squares would underflow; the index is scale-free, so rescale.
+        xs = [x / peak for x in xs]
     square_sum = math.fsum(x * x for x in xs)
     if square_sum == 0.0:
         return 1.0

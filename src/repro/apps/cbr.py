@@ -1,10 +1,13 @@
 """Constant-bit-rate UDP source.
 
 In *saturated* mode (the paper's "asymptotic conditions") the source
-offers packets faster than the channel can drain them, keeping the MAC
-queue non-empty for the whole run; the receiver-side throughput is then
-the channel's saturation throughput.  In rate mode it sends on a fixed
-interval.
+always has a packet ready, like a ttcp writer blocked on a full socket
+buffer.  It ticks every half frame airtime, faster than the channel can
+drain, and offers a packet on each tick on which the MAC queue has room.
+The queue stays full for the whole run, so the receiver-side throughput
+is the channel's saturation throughput, and the sender's own queue never
+tail-drops an offer.  In rate mode the source offers a packet on a fixed
+interval whatever the queue holds, so a full queue tail-drops it.
 """
 
 from __future__ import annotations
@@ -40,10 +43,16 @@ class CbrSource:
         self._payload_bytes = payload_bytes
         self._timestamped = timestamped
         self._socket = node.udp.bind()
-        self._timer = Timer(node.sim, self._tick, name=f"cbr{node.address}")
+        self._mac = node.mac
         self._interval_ns = self._choose_interval_ns(rate_bps)
+        self._on_timer = self._tick if rate_bps is not None else self._tick_saturated
+        self._timer = Timer(node.sim, self._on_timer, name=f"cbr{node.address}")
         self._stopped = False
+        #: Packets handed to the socket: one per tick in rate mode, one
+        #: per tick that finds room in the MAC queue in saturated mode.
         self.packets_offered = 0
+        #: Offered packets the stack accepted (rate mode loses the ones
+        #: a full MAC queue tail-drops; a crashed MAC accepts nothing).
         self.packets_accepted = 0
         self._sequence = 0
         if start_s > 0:
@@ -56,8 +65,8 @@ class CbrSource:
             if rate_bps <= 0:
                 raise ConfigurationError(f"rate must be > 0 bps, got {rate_bps}")
             return us_to_ns(self._payload_bytes * 8 / rate_bps * 1e6)
-        # Saturated mode: offer a packet every half frame airtime, so the
-        # MAC queue can never drain.
+        # Saturated mode: tick every half frame airtime, so the MAC queue
+        # can never drain.
         airtime = AirtimeCalculator(self._node.stack.dot11)
         msdu = mac_payload_bytes(self._payload_bytes)
         frame_us = airtime.data_frame_us(msdu, self._node.stack.data_rate)
@@ -66,12 +75,20 @@ class CbrSource:
     def start(self) -> None:
         """Begin (or resume) generating packets."""
         self._stopped = False
-        self._tick()
+        self._on_timer()
 
     def stop(self) -> None:
         """Stop generating packets."""
         self._stopped = True
         self._timer.cancel()
+
+    def _tick_saturated(self) -> None:
+        # An offer now would be tail-dropped at this node's own queue, so
+        # skip it: the MAC accepts the same packets at the same instants.
+        if self._mac.queue_full:
+            self._timer.start(self._interval_ns)
+        else:
+            self._tick()
 
     def _tick(self) -> None:
         if self._stopped:

@@ -293,6 +293,11 @@ class MacStation(PhyListener):
         return len(self._queue)
 
     @property
+    def queue_full(self) -> bool:
+        """True while :meth:`enqueue` would tail-drop a new MSDU."""
+        return len(self._queue) >= self._config.max_queue_frames
+
+    @property
     def busy(self) -> bool:
         """True while an MSDU is queued or being transmitted."""
         return self._work is not None or bool(self._queue)
@@ -321,7 +326,7 @@ class MacStation(PhyListener):
             if self._tracer.audit:
                 self._audit_sdu("sdu_drop", msdu, dst, reason="fault-crash")
             return False
-        if len(self._queue) >= self._config.max_queue_frames:
+        if self.queue_full:
             self.counters.queue_drops += 1
             if self._tracer.audit:
                 self._audit_sdu("sdu_drop", msdu, dst, reason="queue-overflow")

@@ -1,7 +1,8 @@
 """Online invariant auditors.
 
-Each auditor subscribes to a slice of the trace stream and checks one
-cross-layer invariant *while the simulation runs*.  A violation calls
+Each auditor subscribes to a slice of the trace stream (a category
+prefix and the events it reads) and checks one cross-layer invariant
+*while the simulation runs*.  A violation calls
 ``on_violation(message)`` — the :class:`~repro.obs.recorder.FlightRecorder`
 wires that to raise :class:`~repro.errors.AuditError` immediately (fail
 fast, with sim-time context in the message) unless strict mode is off,
@@ -21,6 +22,9 @@ class Auditor:
 
     #: Subscription prefix on the tracer.
     prefix = ""
+    #: The events :meth:`on_record` reads under :attr:`prefix`; the
+    #: tracer routes it no others (``None``: every event).
+    events: frozenset[str] | None = None
 
     def __init__(self) -> None:
         self.violations: list[str] = []
@@ -56,6 +60,7 @@ class AirtimeAuditor(Auditor):
     """
 
     prefix = "phy."
+    events = frozenset({"tx_start"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -65,8 +70,6 @@ class AirtimeAuditor(Auditor):
         self._union_end_ns = 0
 
     def on_record(self, record: TraceRecord) -> None:
-        if record.event != "tx_start":
-            return
         station = record.category
         now = record.time_ns
         dur = record.fields.get("dur_ns", 0)
@@ -113,10 +116,9 @@ class NavAuditor(Auditor):
     """The NAV (virtual carrier sense) never points into the past."""
 
     prefix = "mac."
+    events = frozenset({"nav"})
 
     def on_record(self, record: TraceRecord) -> None:
-        if record.event != "nav":
-            return
         until_ns = record.fields["until_ns"]
         if until_ns < record.time_ns:
             self.violate(
@@ -136,6 +138,7 @@ class TcpMonotonicAuditor(Auditor):
     """
 
     prefix = "tcp."
+    events = frozenset({"open", "state"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -144,8 +147,6 @@ class TcpMonotonicAuditor(Auditor):
     def on_record(self, record: TraceRecord) -> None:
         if record.event == "open":
             self._state.pop(record.category, None)
-            return
-        if record.event != "state":
             return
         snd_una = record.fields["snd_una"]
         snd_nxt = record.fields["snd_nxt"]

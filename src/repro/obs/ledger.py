@@ -128,11 +128,14 @@ class PacketLedger:
 
     # ------------------------------------------------------- subscription
 
+    @property
+    def events(self) -> frozenset[str]:
+        """The event names :meth:`on_record` reads: subscribe with these."""
+        return frozenset(self._dispatch)
+
     def on_record(self, record: TraceRecord) -> None:
-        """Tracer subscriber: dispatch on the event name."""
-        handler = self._dispatch.get(record.event)
-        if handler is not None:
-            handler(record)
+        """Tracer subscriber for :attr:`events`: dispatch on the event name."""
+        self._dispatch[record.event](record)
 
     def _anomaly(self, kind: str) -> None:
         self.anomalies[kind] = self.anomalies.get(kind, 0) + 1

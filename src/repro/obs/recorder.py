@@ -60,12 +60,12 @@ class FlightRecorder:
     """Attaches observability to one (simulator, tracer) pair.
 
     ``attach()`` flips the tracer's audit channel on, subscribes the
-    ledger and auditors, and registers :meth:`finalize` as a simulator
-    shutdown hook, so a scenario that ends via
-    :meth:`Simulator.shutdown` balances its books automatically.  In
-    strict mode (the default) an invariant violation raises
-    :class:`~repro.errors.AuditError` the moment it happens, and an
-    unbalanced ledger raises at finalize.
+    ledger and auditors, each to the events it reads, and registers
+    :meth:`finalize` as a simulator shutdown hook, so a scenario that
+    ends via :meth:`Simulator.shutdown` balances its books
+    automatically.  In strict mode (the default) an invariant violation
+    raises :class:`~repro.errors.AuditError` the moment it happens, and
+    an unbalanced ledger raises at finalize.
     """
 
     def __init__(
@@ -108,7 +108,7 @@ class FlightRecorder:
         if self._audit:
             self._tracer.audit = True
             self.ledger = PacketLedger()
-            self._tracer.subscribe(self.ledger.on_record)
+            self._tracer.subscribe(self.ledger.on_record, events=self.ledger.events)
             self.auditors = (
                 AirtimeAuditor(),
                 NavAuditor(),
@@ -117,7 +117,9 @@ class FlightRecorder:
             for auditor in self.auditors:
                 if self._strict:
                     auditor.on_violation = self._raise
-                self._tracer.subscribe(auditor.on_record, prefix=auditor.prefix)
+                self._tracer.subscribe(
+                    auditor.on_record, prefix=auditor.prefix, events=auditor.events
+                )
         self._sim.add_shutdown_hook(self.finalize)
         return self
 

@@ -2,7 +2,8 @@
 
 Components publish :class:`TraceRecord` objects ("mac.tx_start",
 "phy.rx_drop"...) to a :class:`Tracer`; analysis code subscribes either to
-everything or to a category prefix.  Tracing is off by default: then
+everything or to a category prefix, and may name the events it reads so
+that it receives no others.  Tracing is off by default: then
 :meth:`Tracer.emit` still formats its key and bumps its counter, and the
 call sites of :meth:`Tracer.fanout` and :meth:`Tracer.emit_audit`, guarded
 by :attr:`Tracer.active` and :attr:`Tracer.audit`, cost one attribute read.
@@ -10,7 +11,7 @@ by :attr:`Tracer.active` and :attr:`Tracer.audit`, cost one attribute read.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.units import ns_to_s
 
@@ -67,9 +68,12 @@ class Tracer:
     """
 
     def __init__(self) -> None:
-        self._subscribers: list[tuple[str, TraceSubscriber]] = []
-        #: ``category.event`` -> the callbacks whose prefix matches it, in
-        #: subscription order.  Built on first delivery of each key.
+        self._subscribers: list[
+            tuple[str, frozenset[str] | None, TraceSubscriber]
+        ] = []
+        #: ``category.event`` -> the callbacks whose prefix matches it and
+        #: whose event set admits its event, in subscription order.  Built
+        #: on first delivery of each key.
         self._routes: dict[str, tuple[TraceSubscriber, ...]] = {}
         self._counters: dict[str, int] = {}
         self._registered: list[tuple[str, dict[str, int]]] = []
@@ -84,22 +88,33 @@ class Tracer:
         #: :meth:`fanout`.  Maintained by subscribe/unsubscribe.
         self.active = False
 
-    def subscribe(self, callback: TraceSubscriber, prefix: str = "") -> None:
+    def subscribe(
+        self,
+        callback: TraceSubscriber,
+        prefix: str = "",
+        events: Iterable[str] | None = None,
+    ) -> None:
         """Receive every record whose ``category.event`` starts with ``prefix``.
 
         Callbacks run in subscription order.  One subscribed under two
         matching prefixes receives each record twice.  One attached from
         inside a callback starts with the next record.  All of them share
         one record, so they must treat it and its ``fields`` as read-only.
+        ``events``, when given, narrows the subscription to records whose
+        ``event`` is one of those names; event names contain no dot, so
+        the last part of a key is its event.  A record no callback
+        receives is never built.
         """
-        self._subscribers.append((prefix, callback))
+        self._subscribers.append(
+            (prefix, None if events is None else frozenset(events), callback)
+        )
         self._routes.clear()
         self.active = True
 
     def unsubscribe(self, callback: TraceSubscriber) -> None:
         """Detach a subscriber (all of its prefixes)."""
         self._subscribers = [
-            (prefix, cb) for prefix, cb in self._subscribers if cb != callback
+            entry for entry in self._subscribers if entry[2] != callback
         ]
         self._routes.clear()
         self.active = bool(self._subscribers)
@@ -161,7 +176,9 @@ class Tracer:
         route = self._routes.get(key)
         if route is None:
             route = self._routes[key] = tuple(
-                callback for prefix, callback in self._subscribers if key.startswith(prefix)
+                callback
+                for prefix, events, callback in self._subscribers
+                if key.startswith(prefix) and (events is None or event in events)
             )
         if route:
             record = TraceRecord(time_ns, category, event, fields)

@@ -188,6 +188,9 @@ class TestJainIndex:
     def test_all_zero_is_fair(self):
         assert jain_index([0.0, 0.0]) == 1.0
 
+    def test_tiny_shares_do_not_underflow(self):
+        assert jain_index([1e-170, 0.0]) == 0.5
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
             jain_index([])
@@ -204,6 +207,8 @@ class TestJainIndex:
     # Rounds to 0.19999999999999998, a hair below 1/5: both bounds
     # need the same float slack.
     @example([0.0, 0.0, 0.0, 0.0, 1.9])
+    # Squares of these underflow into subnormals.
+    @example([2.303e-162] * 3)
     def test_always_in_the_unit_interval(self, values):
         index = jain_index(values)
         assert 1.0 / len(values) - 1e-9 <= index <= 1.0 + 1e-9

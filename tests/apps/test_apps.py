@@ -6,6 +6,7 @@ from repro.apps.bulk import BulkTcpReceiver, BulkTcpSender
 from repro.apps.cbr import CbrSource
 from repro.apps.sink import UdpSink
 from repro.errors import ConfigurationError
+from repro.obs import FlightRecorder
 from repro.scenario import build_network
 
 
@@ -21,12 +22,59 @@ class TestCbrSource:
         assert source.packets_offered == pytest.approx(100, abs=2)
         assert sink.packets == pytest.approx(100, abs=2)
 
-    def test_saturated_mode_overflows_queue(self):
+    def test_saturated_mode_keeps_the_queue_full_without_overflow(self):
+        net = build_network([0, 10], fast_sigma_db=0.0, mac_queue_frames=5)
+        sink = UdpSink(net[1], port=5001)
+        source = CbrSource(net[0], dst=2, dst_port=5001, payload_bytes=512)
+        mac = net[0].mac
+        lengths = []
+        for at_s in (0.1, 0.25, 0.5, 0.75, 0.99):
+            net.sim.schedule_s(at_s, lambda: lengths.append(mac.queue_length))
+        net.run(1.0)
+        assert mac.counters.queue_drops == 0
+        assert net[0].ip.send_failures == 0
+        assert source.packets_offered == source.packets_accepted
+        assert sink.packets > 0
+        # One frame leaves the queue per exchange and the next tick
+        # refills it, so the backlog never falls below the limit minus one.
+        assert len(lengths) == 5 and min(lengths) >= 4
+
+    def test_rate_mode_tail_drops_at_a_full_queue(self):
         net = build_network([0, 10], fast_sigma_db=0.0)
         UdpSink(net[1], port=5001)
-        source = CbrSource(net[0], dst=2, dst_port=5001, payload_bytes=512)
+        source = CbrSource(
+            net[0], dst=2, dst_port=5001, payload_bytes=512, rate_bps=9e6
+        )
         net.run(1.0)
+        assert net[0].mac.counters.queue_drops > 0
         assert source.packets_offered > source.packets_accepted
+
+    def test_saturated_source_on_a_crashed_node_keeps_offering(self):
+        net = build_network([0, 10], fast_sigma_db=0.0, mac_queue_frames=5)
+        recorder = FlightRecorder(net.sim, net.tracer).attach()
+        UdpSink(net[1], port=5001)
+        source = CbrSource(net[0], dst=2, dst_port=5001, payload_bytes=512)
+        mac = net[0].mac
+        lengths = {}
+        for at_s in (0.45, 0.9):
+            net.sim.schedule_s(
+                at_s, lambda at_s=at_s: lengths.update({at_s: mac.queue_length})
+            )
+        net.sim.schedule_s(0.3, net[0].crash)
+        net.sim.schedule_s(0.6, net[0].reboot)
+        net.run(1.0)
+        net.sim.shutdown()
+        report = recorder.report
+        assert report.balanced, report.problems
+        # A down MAC has an empty queue, so every offer reaches it and
+        # dies there; the frames the crash flushed die too, unless one
+        # was already delivered.
+        rejected = source.packets_offered - source.packets_accepted
+        assert rejected > 0 and mac.counters.queue_drops == rejected
+        crashed = report.drops["fault-crash"]
+        assert rejected < crashed <= rejected + mac.counters.flushed_frames
+        assert report.drops["queue-overflow"] == 0
+        assert lengths[0.45] == 0 and lengths[0.9] >= 4
 
     def test_stop_halts_generation(self):
         net = build_network([0, 10], fast_sigma_db=0.0)

@@ -11,11 +11,18 @@ import pytest
 
 from repro.errors import AuditError
 from repro.obs.auditors import AirtimeAuditor, NavAuditor, TcpMonotonicAuditor
-from repro.sim.tracing import TraceRecord
+from repro.sim.tracing import TraceRecord, Tracer
 
 
 def rec(time_ns, category, event, **fields):
     return TraceRecord(time_ns, category, event, fields)
+
+
+def subscribed(auditor):
+    """A tracer that feeds ``auditor`` the way the flight recorder does."""
+    tracer = Tracer()
+    tracer.subscribe(auditor.on_record, prefix=auditor.prefix, events=auditor.events)
+    return tracer
 
 
 class TestNavAuditor:
@@ -33,8 +40,10 @@ class TestNavAuditor:
 
     def test_other_mac_events_are_ignored(self):
         auditor = NavAuditor()
-        auditor.on_record(rec(1000, "mac.1", "tx_start", dur_ns=-5))
-        assert auditor.violations == []
+        tracer = subscribed(auditor)
+        tracer.emit(1000, "mac.1", "tx_start", dur_ns=-5)
+        tracer.emit(1000, "mac.1", "nav", until_ns=900)
+        assert len(auditor.violations) == 1
 
     def test_on_violation_callback_fires_immediately(self):
         auditor = NavAuditor()
@@ -136,6 +145,9 @@ class TestAirtimeAuditor:
 
     def test_non_tx_events_are_ignored(self):
         auditor = AirtimeAuditor()
-        auditor.on_record(rec(10, "phy.n1", "rx_end", ok=True))
-        auditor.finalize(end_ns=100)
+        tracer = subscribed(auditor)
+        tracer.emit(10, "phy.n1", "rx_end", ok=True, dur_ns=500)
+        tracer.emit(20, "phy.n1", "tx_start", dur_ns=100)
+        auditor.finalize(end_ns=1000)
         assert auditor.violations == []
+        assert auditor.union_busy_ns == 100

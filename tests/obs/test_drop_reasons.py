@@ -86,6 +86,16 @@ def test_saturated_run_ends_with_sdus_in_flight():
     assert report.drops["sim-end-in-flight"] > 0
 
 
+def test_saturated_contenders_never_overflow_their_own_queues():
+    from repro.experiments.mac_surface import saturation_spec
+
+    # Saturated sources offer only when their MAC queue has room.
+    report = report_of(saturation_spec(2, duration_s=0.5))
+    assert report.drops["queue-overflow"] == 0
+    assert report.delivered > 0
+    assert report.drops["sim-end-in-flight"] > 0
+
+
 def test_breakdown_covers_only_known_reasons():
     report = report_of(hidden_terminal_spec(duration_s=1.0))
     assert set(report.drops) == set(DROP_REASONS)

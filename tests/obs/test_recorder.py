@@ -10,7 +10,7 @@ from repro.scenario import build
 from repro.sim.engine import Simulator
 from repro.sim.tracing import Tracer
 
-from tests.obs.util import two_node_udp_spec
+from tests.obs.util import run_audited, two_node_udp_spec
 
 
 def test_attach_enables_the_audit_channel():
@@ -111,3 +111,49 @@ def test_audit_off_recorder_still_finalizes():
     report = recorder.finalize()
     assert report.opened == 0
     assert report.balanced
+
+
+def _subscribe_checking_events_per_record(original, skipped):
+    """A ``Tracer.subscribe`` that ignores ``events`` when routing.
+
+    Every record under the prefix reaches a guard in front of the
+    callback, which passes on only the named events: the per-record check
+    a subscriber makes when the tracer cannot filter for it.
+    """
+
+    def subscribe(self, callback, prefix="", events=None):
+        if events is not None:
+            names, inner = frozenset(events), callback
+
+            def callback(record):
+                if record.event in names:
+                    inner(record)
+                else:
+                    skipped.append(record.event)
+
+        original(self, callback, prefix)
+
+    return subscribe
+
+
+@pytest.mark.parametrize("name", ["figure7-tcp", "mac-surface-audit"])
+def test_event_filters_drop_nothing_the_recorder_reads(monkeypatch, name):
+    from repro.scenario import ScenarioSpec
+
+    from tests.experiments.make_goldens import trace_spec_cases
+
+    spec = ScenarioSpec.from_dict(
+        {
+            **trace_spec_cases()[name].to_dict(),
+            "observability": {"audit": True, "trace_digest": True},
+        }
+    )
+    filtered = run_audited(spec).recorder.report
+    skipped: list[str] = []
+    monkeypatch.setattr(
+        Tracer, "subscribe", _subscribe_checking_events_per_record(Tracer.subscribe, skipped)
+    )
+    reference = run_audited(spec).recorder.report
+    assert skipped, "the reference run routed no record outside an event set"
+    assert filtered == reference
+    assert filtered.balanced and filtered.trace_sha256 is not None

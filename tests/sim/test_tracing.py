@@ -2,15 +2,17 @@
 
 :class:`Tracer` routes each ``category.event`` key once and caches the
 matching callbacks.  :class:`LinearTracer` below compares every
-subscriber's prefix on every record and is the oracle: over random
-interleavings of subscribe, unsubscribe and the three publishing calls,
-both must deliver the same records to the same callbacks in the same
-order, and keep the same counters in the same key order.
+subscriber's prefix and event set on every record and is the oracle:
+over random interleavings of subscribe, unsubscribe and the three
+publishing calls, both must deliver the same records to the same
+callbacks in the same order, and keep the same counters in the same key
+order.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import tracing
 from repro.sim.tracing import TraceRecord, Tracer
 
 
@@ -72,38 +74,33 @@ class TestTracer:
 
 
 class LinearTracer:
-    """Reference delivery: compare every subscriber's prefix per record."""
+    """Reference delivery: compare every subscriber's filter per record."""
 
     def __init__(self):
         self._subscribers = []
         self._counters = {}
         self.audit = False
 
-    def subscribe(self, callback, prefix=""):
-        self._subscribers.append((prefix, callback))
+    def subscribe(self, callback, prefix="", events=None):
+        self._subscribers.append((prefix, events, callback))
 
     def unsubscribe(self, callback):
         self._subscribers = [
-            (prefix, cb) for prefix, cb in self._subscribers if cb != callback
+            entry for entry in self._subscribers if entry[2] != callback
         ]
 
     def emit(self, time_ns, category, event, **fields):
         key = f"{category}.{event}"
         self._counters[key] = self._counters.get(key, 0) + 1
-        if not self._subscribers:
-            return
-        record = TraceRecord(time_ns, category, event, fields)
-        for prefix, callback in self._subscribers:
-            if key.startswith(prefix):
-                callback(record)
+        self.fanout(time_ns, category, event, fields)
 
     def fanout(self, time_ns, category, event, fields):
         if not self._subscribers:
             return
         key = f"{category}.{event}"
         record = TraceRecord(time_ns, category, event, fields)
-        for prefix, callback in self._subscribers:
-            if key.startswith(prefix):
+        for prefix, events, callback in self._subscribers:
+            if key.startswith(prefix) and (events is None or event in events):
                 callback(record)
 
     def emit_audit(self, time_ns, category, event, **fields):
@@ -126,6 +123,7 @@ operations = st.lists(
             st.just("subscribe"),
             st.integers(0, SUBSCRIBERS - 1),
             st.sampled_from(PREFIXES),
+            st.none() | st.sets(st.sampled_from(EVENTS + ["nav"]), max_size=2),
         ),
         st.tuples(st.just("unsubscribe"), st.integers(0, SUBSCRIBERS - 1)),
         st.tuples(
@@ -155,7 +153,7 @@ def replay(tracer, audit, ops):
     tracer.audit = audit
     for op in ops:
         if op[0] == "subscribe":
-            tracer.subscribe(callbacks[op[1]], prefix=op[2])
+            tracer.subscribe(callbacks[op[1]], prefix=op[2], events=op[3])
         elif op[0] == "unsubscribe":
             tracer.unsubscribe(callbacks[op[1]])
         elif op[0] == "fanout":
@@ -207,6 +205,29 @@ class TestRouteTable:
         tracer.emit(2, "mac", "tx")
         assert [r.time_ns for r in first] == [0, 1]
         assert [r.time_ns for r in second] == [1, 2]
+
+    def test_a_key_routed_to_nobody_builds_no_record(self, monkeypatch):
+        built = []
+
+        class CountingRecord(TraceRecord):
+            __slots__ = ()
+
+            def __init__(self, time_ns, category, event, fields=None):
+                built.append(f"{category}.{event}")
+                super().__init__(time_ns, category, event, fields)
+
+        monkeypatch.setattr(tracing, "TraceRecord", CountingRecord)
+        tracer = Tracer()
+        tracer.audit = True
+        records = []
+        tracer.subscribe(records.append, prefix="mac.", events={"nav"})
+        tracer.emit(0, "mac.1", "tx_start")
+        tracer.fanout(1, "mac.1", "rx_end", {"ok": True})
+        tracer.emit_audit(2, "mac.1", "sdu_drop", sdu=0)
+        tracer.emit(3, "phy.n1", "nav")
+        assert built == [] and records == []
+        tracer.emit(4, "mac.1", "nav", until_ns=9)
+        assert built == ["mac.1.nav"] and len(records) == 1
 
     def test_subscriber_added_in_a_callback_starts_with_the_next_record(self):
         tracer = Tracer()
