@@ -41,14 +41,15 @@ def _evaluate():
 
 
 def test_bench_extension_multistation(benchmark):
-    from repro.core.bianchi import saturation_throughput_bps
+    from repro.analysis.analytic import saturation_throughput
 
     results = run_once(benchmark, _evaluate)
     rows = [
         (
             n,
             total,
-            saturation_throughput_bps(n).throughput_bps / 1e6,
+            # Bianchi's classic T_data + DIFS collision cost.
+            saturation_throughput(n, collision_model="difs").throughput_bps / 1e6,
             worst,
             best,
             best / max(worst, 1e-9),

@@ -342,7 +342,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     arguments = list(sys.argv[1:] if argv is None else argv)
     if arguments and arguments[0] == "lint":
         # The linter owns its whole argument surface (paths, --format,
-        # baselines), so dispatch before the experiment parser sees it.
+        # --show-waivers), so dispatch before the experiment parser sees it.
         from repro.simlint.cli import run as lint_run
 
         return lint_run(arguments[1:])

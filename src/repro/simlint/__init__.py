@@ -16,8 +16,6 @@ through one).  This package turns them into machine-checked invariants:
   nanosecond values stay integers.
 * **SL4xx parallel safety** — no mutable class attributes on sim
   classes.
-* **SL5xx spec conformance** — the MAC/PHY constants the code actually
-  declares are diffed against a golden 802.11b table (paper Table 1).
 * **SL7xx unit/dimension dataflow** — units inferred from the naming
   contract (``*_ns``/``*_us``/``*_s``/``*_dbm``/``*_mw``/``*_bps``…)
   and from :mod:`repro.units` converters flow through assignments,
@@ -29,39 +27,28 @@ through one).  This package turns them into machine-checked invariants:
   handles reused after ``cancel_slot``).
 
 SL7xx's cross-module rules run on a whole-program import/symbol graph
-built from picklable per-module summaries; the same summaries let the
-per-file pass be cached on content hash (:mod:`repro.simlint.cache`).
+built from the same parsed modules the per-file rules see.  The paper's
+Table 1 constants themselves are pinned by ``tests/core/test_params.py``.
 
-Run it as ``repro lint [--format text|json|sarif]``;
-findings can be waived inline with ``# simlint: waive[SLnnn] --
-justification`` or recorded in a baseline file (see
-:mod:`repro.simlint.baseline`).  A justified waiver that suppresses
-nothing is itself reported (SL003) so waivers cannot outlive the code
-they excused.
+Run it as ``repro lint [--format text|json]``; findings can be waived
+inline with ``# simlint: waive[SLnnn] -- justification``.  A justified
+waiver that suppresses nothing is itself reported (SL003) so waivers
+cannot outlive the code they excused.
 """
 
 from __future__ import annotations
 
-from repro.simlint.baseline import Baseline, fingerprint
-from repro.simlint.cache import LintCache, default_cache_dir
-from repro.simlint.checker import Checker, Finding, ParsedModule, lint_paths
+from repro.simlint.checker import Checker, Finding, ParsedModule
 from repro.simlint.project import ModuleSummary, ProjectGraph, summarize_module
 from repro.simlint.report import render_json, render_text
-from repro.simlint.sarif import render_sarif
 
 __all__ = [
-    "Baseline",
     "Checker",
     "Finding",
-    "LintCache",
     "ModuleSummary",
     "ParsedModule",
     "ProjectGraph",
-    "default_cache_dir",
-    "fingerprint",
-    "lint_paths",
     "render_json",
-    "render_sarif",
     "render_text",
     "summarize_module",
 ]

@@ -25,11 +25,15 @@ import re
 import tokenize
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (project -> checker)
-    from repro.simlint.cache import LintCache
-    from repro.simlint.project import ModuleSummary
+#: Findings the checker emits itself, outside the rule registry;
+#: ``repro lint --list-rules`` prints them after the registry's.
+CHECKER_RULES: Mapping[str, str] = {
+    "SL001": "waiver comment without a '-- justification' suffix",
+    "SL002": "file cannot be parsed",
+    "SL003": "stale waiver: suppresses no finding in the current run",
+}
 
 #: Matches waiver comments: ``simlint: waive[SL101, SL202] -- reason``.
 _WAIVER_RE = re.compile(
@@ -88,13 +92,9 @@ class ParsedModule:
         """Read and parse ``path``; ``root`` anchors the reported relpath."""
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=str(path))
-        try:
-            relpath = str(path.relative_to(root)) if root is not None else str(path)
-        except ValueError:
-            relpath = str(path)
         module = cls(
             path=path,
-            relpath=relpath.replace("\\", "/"),
+            relpath=_relpath_for(path, root),
             source=source,
             tree=tree,
             lines=source.splitlines(),
@@ -218,23 +218,6 @@ def _extract_waivers(source: str) -> Iterator[Waiver]:
         )
 
 
-@dataclass(frozen=True)
-class FileResult:
-    """The per-file half of a lint run: picklable, hence cacheable.
-
-    ``findings`` carries the module-rule findings (waivers applied),
-    ``summary`` the project-graph contribution (None when the file did
-    not parse), ``used_waiver_lines`` the lines of waivers that
-    suppressed at least one module-rule finding — the project pass adds
-    its own uses before SL003 reports the leftovers as stale.
-    """
-
-    relpath: str
-    findings: tuple[Finding, ...]
-    summary: "ModuleSummary | None"
-    used_waiver_lines: tuple[int, ...]
-
-
 def _relpath_for(path: Path, root: Path | None) -> str:
     try:
         relpath = str(path.relative_to(root)) if root is not None else str(path)
@@ -243,13 +226,22 @@ def _relpath_for(path: Path, root: Path | None) -> str:
     return relpath.replace("\\", "/")
 
 
+def _waive(module: ParsedModule, finding: Finding, used_lines: set[int]) -> Finding:
+    """``finding``, marked waived when a justified waiver in ``module``
+    covers it; the waiver's line is then recorded in ``used_lines``."""
+    waiver = module.waiver_for(finding)
+    if waiver is None or waiver.reason is None:
+        return finding
+    used_lines.add(waiver.line)
+    return replace(finding, waived=True, waiver_reason=waiver.reason)
+
+
 class Checker:
     """Parses files and runs every registered rule over them.
 
-    Module rules run per file (through the result cache when
-    :meth:`check_paths` is given a ``cache``); project rules
-    run once afterwards over the :class:`~repro.simlint.project.ProjectGraph`
-    joining every file's summary.
+    Module rules run per file; project rules run once afterwards over
+    the :class:`~repro.simlint.project.ProjectGraph` built from the same
+    parsed modules.
     """
 
     def __init__(self, rules: Sequence[object] | None = None):
@@ -263,167 +255,76 @@ class Checker:
             rule for rule in rules if hasattr(rule, "check_project")
         ]
 
-    @property
-    def rules(self) -> tuple[object, ...]:
-        """The rule instances this checker runs."""
-        return tuple(
-            sorted(
-                [*self._module_rules, *self._project_rules],
-                key=lambda rule: rule.rule_id,  # type: ignore[attr-defined]
-            )
-        )
-
-    def check_module(self, module: ParsedModule) -> list[Finding]:
-        """Module-rule findings for one parsed module, waivers applied.
-
-        Project rules and SL003 need the whole file set and therefore
-        only run from :meth:`check_paths`.
-        """
-        findings, _ = self._check_module(module)
-        return findings
-
     def _check_module(
-        self, module: ParsedModule
-    ) -> tuple[list[Finding], set[int]]:
-        findings: list[Finding] = []
-        used_waiver_lines: set[int] = set()
+        self, module: ParsedModule, used_lines: set[int]
+    ) -> Iterator[Finding]:
+        """SL001 and module-rule findings for one module, waivers applied."""
         for waiver in module.waivers:
             if waiver.reason is None:
-                findings.append(
-                    Finding(
-                        rule_id="SL001",
-                        path=module.relpath,
-                        line=waiver.line,
-                        col=0,
-                        message=(
-                            "waiver without a justification: write "
-                            "'# simlint: waive[SLnnn] -- reason'"
-                        ),
-                    )
+                yield Finding(
+                    rule_id="SL001",
+                    path=module.relpath,
+                    line=waiver.line,
+                    col=0,
+                    message=(
+                        "waiver without a justification: write "
+                        "'# simlint: waive[SLnnn] -- reason'"
+                    ),
                 )
         for rule in self._module_rules:
             for finding in rule.check(module):  # type: ignore[attr-defined]
-                waiver = module.waiver_for(finding)
-                if waiver is not None and waiver.reason is not None:
-                    finding = replace(
-                        finding, waived=True, waiver_reason=waiver.reason
-                    )
-                    used_waiver_lines.add(waiver.line)
-                findings.append(finding)
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-        return findings, used_waiver_lines
-
-    def check_file(self, file_path: Path, root: Path | None = None) -> FileResult:
-        """Parse and module-rule-check one file into a :class:`FileResult`."""
-        from repro.simlint.project import summarize_module
-
-        try:
-            module = ParsedModule.parse(file_path, root=root)
-        except (SyntaxError, UnicodeDecodeError) as error:
-            finding = Finding(
-                rule_id="SL002",
-                path=_relpath_for(file_path, root),
-                line=getattr(error, "lineno", 1) or 1,
-                col=0,
-                message=f"cannot parse file: {error}",
-            )
-            return FileResult(
-                relpath=finding.path,
-                findings=(finding,),
-                summary=None,
-                used_waiver_lines=(),
-            )
-        findings, used = self._check_module(module)
-        return FileResult(
-            relpath=module.relpath,
-            findings=tuple(findings),
-            summary=summarize_module(module),
-            used_waiver_lines=tuple(sorted(used)),
-        )
+                yield _waive(module, finding, used_lines)
 
     def check_paths(
-        self,
-        paths: Iterable[Path],
-        root: Path | None = None,
-        cache: "LintCache | None" = None,
+        self, paths: Iterable[Path], root: Path | None = None
     ) -> list[Finding]:
         """Findings for every ``*.py`` file under ``paths``.
 
-        The per-file pass consults ``cache`` (content-hash keyed, see
-        :mod:`repro.simlint.cache`) when given, which requires the
-        default rule set: cache entries stand for its findings.  The
-        project pass then joins every file summary, runs the project
-        rules, and reports stale waivers (SL003) that suppressed nothing
-        anywhere.
+        Each file is parsed once and kept in memory: the module rules
+        run on it, then the same modules build the project graph the
+        project rules query.  A file that does not parse yields one
+        SL002 and takes no part in the project pass.  Under the default
+        rule set, SL003 finally reports the justified waivers that
+        suppressed nothing anywhere.
         """
-        results = self._file_results(list(iter_python_files(paths)), root, cache)
-        findings = [finding for result in results for finding in result.findings]
-        findings.extend(self._project_findings(results))
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-        return findings
+        from repro.simlint.project import ProjectGraph
 
-    def _file_results(
-        self,
-        files: list[Path],
-        root: Path | None,
-        cache: "LintCache | None",
-    ) -> list[FileResult]:
-        if cache is None:
-            return [self.check_file(path, root=root) for path in files]
-        if not self._default_rules:
-            raise ValueError(
-                "a cache requires the default rule set: cache entries "
-                "hold the findings of the registered rules"
-            )
-
-        results: list[FileResult] = []
-        for path in files:
-            try:
-                content_hash = cache.content_hash(path)
-            except OSError:
-                content_hash = ""
-            cached = cache.get(content_hash) if content_hash else None
-            # A file's relpath depends on the lint root, not its content;
-            # reject hits recorded under a different root.
-            if cached is not None and cached.relpath == _relpath_for(path, root):
-                results.append(cached)
-                continue
-            result = self.check_file(path, root=root)
-            if content_hash:
-                cache.put(content_hash, result)
-            results.append(result)
-        return results
-
-    def _project_findings(self, results: Sequence[FileResult]) -> list[Finding]:
-        from repro.simlint.project import ProjectGraph, waiver_for_summary
-
-        summaries = [
-            result.summary for result in results if result.summary is not None
-        ]
-        by_relpath = {summary.relpath: summary for summary in summaries}
-        used: dict[str, set[int]] = {
-            result.relpath: set(result.used_waiver_lines) for result in results
-        }
-        graph = ProjectGraph({summary.module: summary for summary in summaries})
         findings: list[Finding] = []
+        modules: list[ParsedModule] = []
+        used: dict[str, set[int]] = {}
+        for path in iter_python_files(paths):
+            try:
+                module = ParsedModule.parse(path, root=root)
+            except (SyntaxError, UnicodeDecodeError) as error:
+                findings.append(
+                    Finding(
+                        rule_id="SL002",
+                        path=_relpath_for(path, root),
+                        line=getattr(error, "lineno", 1) or 1,
+                        col=0,
+                        message=f"cannot parse file: {error}",
+                    )
+                )
+                continue
+            used[module.relpath] = set()
+            findings.extend(self._check_module(module, used[module.relpath]))
+            modules.append(module)
+
+        by_relpath = {module.relpath: module for module in modules}
+        graph = ProjectGraph.from_modules(modules)
         for rule in self._project_rules:
             for finding in rule.check_project(graph):  # type: ignore[attr-defined]
-                summary = by_relpath.get(finding.path)
-                if summary is not None:
-                    waiver = waiver_for_summary(summary, finding)
-                    if waiver is not None and waiver.reason is not None:
-                        finding = replace(
-                            finding, waived=True, waiver_reason=waiver.reason
-                        )
-                        used.setdefault(finding.path, set()).add(waiver.line)
-                findings.append(finding)
+                findings.append(
+                    _waive(by_relpath[finding.path], finding, used[finding.path])
+                )
         if self._default_rules:
-            findings.extend(self._stale_waivers(summaries, used))
+            findings.extend(self._stale_waivers(modules, used))
+        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
         return findings
 
     @staticmethod
     def _stale_waivers(
-        summaries: Sequence["ModuleSummary"],
+        modules: Sequence[ParsedModule],
         used: dict[str, set[int]],
     ) -> Iterator[Finding]:
         """SL003: justified waivers that suppressed nothing this run.
@@ -432,15 +333,14 @@ class Checker:
         exercising one rule) would otherwise report every other family's
         waivers as stale.
         """
-        for summary in summaries:
-            used_lines = used.get(summary.relpath, set())
-            for waiver in summary.waivers:
-                if waiver.reason is None or waiver.line in used_lines:
+        for module in modules:
+            for waiver in module.waivers:
+                if waiver.reason is None or waiver.line in used[module.relpath]:
                     continue
                 rules_text = ", ".join(waiver.rule_ids)
                 yield Finding(
                     rule_id="SL003",
-                    path=summary.relpath,
+                    path=module.relpath,
                     line=waiver.line,
                     col=0,
                     message=(
@@ -454,22 +354,11 @@ class Checker:
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
     """Every ``*.py`` file under the given files/directories, sorted.
 
-    Sorted traversal keeps reports and baselines stable across
-    filesystems (``iterdir`` order is platform-dependent).
+    Sorted traversal keeps reports stable across filesystems
+    (``iterdir`` order is platform-dependent).
     """
     for path in paths:
         if path.is_dir():
             yield from sorted(path.rglob("*.py"))
         elif path.suffix == ".py":
             yield path
-
-
-def lint_paths(
-    paths: Sequence[Path] | None = None, root: Path | None = None
-) -> list[Finding]:
-    """Convenience one-shot: lint ``paths`` (default: the repro package)."""
-    if paths is None:
-        package_root = Path(__file__).resolve().parent.parent
-        paths = [package_root]
-        root = root if root is not None else package_root.parent
-    return Checker().check_paths(paths, root=root)

@@ -7,11 +7,10 @@ nanosecond value flowing into a microsecond parameter two modules away,
 or a dBm level added to a milliwatt total after a conversion was lost in
 a refactor.  This module gives rules a project-wide view:
 
-* :func:`summarize_module` distils one parsed module into a picklable
+* :func:`summarize_module` distils one parsed module into a
   :class:`ModuleSummary` — resolved imports, module-level function
   signatures with *inferred unit annotations*, and every call site with
-  the inferred units of its arguments.  Being plain data, summaries
-  are stored in the content-hash cache.
+  the inferred units of its arguments.
 * :class:`ProjectGraph` joins the summaries of every linted module and
   resolves call references through ``import`` / ``from … import``
   (including relative forms) to the signature of the callee, so rules
@@ -42,7 +41,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
-from repro.simlint.checker import Finding, ParsedModule, Waiver
+from repro.simlint.checker import ParsedModule
 
 #: Recognised unit suffixes, grouped by dimension.
 TIME_UNITS = ("ns", "us", "ms", "s")
@@ -150,7 +149,7 @@ def mixing_violation(left: str | None, right: str | None) -> tuple[str, str] | N
 
 
 # --------------------------------------------------------------------------
-# Summary data model (all picklable, all hashable building blocks)
+# Summary data model (all hashable building blocks)
 # --------------------------------------------------------------------------
 
 
@@ -218,10 +217,6 @@ class ModuleSummary:
     imports: tuple[tuple[str, str], ...]
     functions: tuple[FunctionSig, ...]
     calls: tuple[CallSite, ...]
-    waivers: tuple[Waiver, ...]
-    #: 1-based line numbers that are blank or comment-only — enough to
-    #: re-run waiver matching without the source text.
-    soft_lines: frozenset[int]
 
 
 def module_name_for(relpath: str) -> tuple[str, bool]:
@@ -269,29 +264,6 @@ def extract_imports(
                 target = f"{base}.{alias.name}" if base else alias.name
                 bindings.append((local, target))
     return tuple(bindings)
-
-
-def waiver_for_summary(summary: ModuleSummary, finding: Finding) -> Waiver | None:
-    """Mirror of :meth:`ParsedModule.waiver_for` that works off a summary.
-
-    Needed so project-level findings (computed after the per-file pass,
-    possibly from cached summaries with no live source)
-    still honour inline waivers.
-    """
-    for waiver in summary.waivers:
-        if waiver.line == finding.line and waiver.covers(finding.rule_id):
-            return waiver
-    best: Waiver | None = None
-    for waiver in summary.waivers:
-        if not waiver.standalone or not waiver.covers(finding.rule_id):
-            continue
-        if waiver.line >= finding.line:
-            continue
-        between = range(waiver.line + 1, finding.line)
-        if all(line in summary.soft_lines for line in between):
-            if best is None or waiver.line > best.line:
-                best = waiver
-    return best
 
 
 # --------------------------------------------------------------------------
@@ -702,15 +674,6 @@ def _literal_kind(node: ast.expr) -> str:
     return "expr"
 
 
-def _soft_lines(module: ParsedModule) -> frozenset[int]:
-    soft: set[int] = set()
-    for number, text in enumerate(module.lines, start=1):
-        stripped = text.strip()
-        if not stripped or stripped.startswith("#"):
-            soft.add(number)
-    return frozenset(soft)
-
-
 def _inference_for(module: ParsedModule) -> InferenceResult:
     """The (memoised) unit-inference result for one parsed module.
 
@@ -726,7 +689,7 @@ def _inference_for(module: ParsedModule) -> InferenceResult:
 
 
 def summarize_module(module: ParsedModule) -> ModuleSummary:
-    """Distil one parsed module into its picklable project summary."""
+    """Distil one parsed module into its project summary."""
     name, is_package = module_name_for(module.relpath)
     inference = _inference_for(module)
     return ModuleSummary(
@@ -736,8 +699,6 @@ def summarize_module(module: ParsedModule) -> ModuleSummary:
         imports=extract_imports(module.tree, name, is_package),
         functions=tuple(inference.functions),
         calls=tuple(inference.calls),
-        waivers=module.waivers,
-        soft_lines=_soft_lines(module),
     )
 
 

@@ -2,13 +2,11 @@
 
 Text output is one ``path:line:col: SLnnn message`` line per finding —
 the grep/editor-jump format — followed by a one-line summary.  JSON
-output is a stable machine-readable document (schema version 1) that CI
-uploads as an artifact, including the spec-constant table the SL5xx
-rule extracted so a red diff shows *which* constant drifted.
+output is a stable machine-readable document (schema version 2) that CI
+uploads as an artifact.
 
-Exit codes: 0 — clean (every finding waived or baselined); 1 — at
-least one active finding; 2 — usage or internal error (the CLI's
-job to raise).
+Exit codes: 0 — clean (every finding waived); 1 — at least one active
+finding; 2 — usage or internal error (the CLI's job to raise).
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ def exit_code(active_findings: Sequence[Finding]) -> int:
 def summarise(
     active: Sequence[Finding],
     waived: Sequence[Finding],
-    baselined: Sequence[Finding],
     files_checked: int,
 ) -> str:
     """The one-line human summary closing the text report."""
@@ -46,8 +43,6 @@ def summarise(
         parts[0] += f" ({details})"
     if waived:
         parts.append(f"{len(waived)} waived")
-    if baselined:
-        parts.append(f"{len(baselined)} baselined")
     parts.append(f"{files_checked} files checked")
     return "simlint: " + ", ".join(parts)
 
@@ -55,7 +50,6 @@ def summarise(
 def render_text(
     active: Sequence[Finding],
     waived: Sequence[Finding],
-    baselined: Sequence[Finding],
     files_checked: int,
     verbose_waivers: bool = False,
 ) -> str:
@@ -70,7 +64,7 @@ def render_text(
                 f"{finding.location()}: {finding.rule_id} waived "
                 f"-- {finding.waiver_reason}"
             )
-    lines.append(summarise(active, waived, baselined, files_checked))
+    lines.append(summarise(active, waived, files_checked))
     return "\n".join(lines)
 
 
@@ -91,17 +85,14 @@ def _finding_payload(finding: Finding) -> dict[str, object]:
 def render_json(
     active: Sequence[Finding],
     waived: Sequence[Finding],
-    baselined: Sequence[Finding],
     files_checked: int,
-    spec_constants: dict[str, object] | None = None,
 ) -> str:
     """The machine-readable report CI archives."""
     document = {
-        "version": 1,
+        "version": 2,
         "summary": {
             "active": len(active),
             "waived": len(waived),
-            "baselined": len(baselined),
             "files_checked": files_checked,
             "by_rule": dict(
                 sorted(Counter(f.rule_id for f in active).items())
@@ -109,11 +100,5 @@ def render_json(
         },
         "findings": [_finding_payload(finding) for finding in active],
         "waivers": [_finding_payload(finding) for finding in waived],
-        "baselined": [_finding_payload(finding) for finding in baselined],
     }
-    if spec_constants is not None:
-        document["spec_constants"] = {
-            key: list(value) if isinstance(value, tuple) else value
-            for key, value in sorted(spec_constants.items())
-        }
     return json.dumps(document, indent=2)

@@ -4,7 +4,6 @@
 * ``SL2xx`` :mod:`repro.simlint.rules.ordering`
 * ``SL3xx`` :mod:`repro.simlint.rules.simtime`
 * ``SL4xx`` :mod:`repro.simlint.rules.parallel_safety`
-* ``SL5xx`` :mod:`repro.simlint.rules.spec`
 * ``SL6xx`` :mod:`repro.simlint.rules.scenario_layer`
 * ``SL7xx`` :mod:`repro.simlint.rules.units_flow`
 * ``SL8xx`` :mod:`repro.simlint.rules.kernel_parity`
@@ -66,7 +65,6 @@ def all_rules() -> list[AnyRule]:
         parallel_safety,
         scenario_layer,
         simtime,
-        spec,
         units_flow,
     )
 
@@ -76,7 +74,6 @@ def all_rules() -> list[AnyRule]:
         ordering,
         simtime,
         parallel_safety,
-        spec,
         scenario_layer,
         units_flow,
         kernel_parity,

@@ -26,14 +26,13 @@ from typing import Iterator
 from repro.simlint.checker import Finding, ParsedModule
 
 #: Files allowed to spell out spec timing constants: the unit helpers,
-#: the parameter tables, the PLCP plan builder, and this linter's own
-#: golden table.
+#: the parameter tables, the PLCP plan builder, and this rule's own
+#: table.
 TIMING_CONSTANT_HOMES = (
     "units.py",
     "core/params.py",
     "phy/plans.py",
     "simlint/rules/simtime.py",
-    "simlint/rules/spec.py",
 )
 
 #: 802.11b timing values (paper Table 1) in µs (floats) and ns (ints).

@@ -23,9 +23,8 @@ visible to a dataflow pass — these rules run that pass (see
   always mean someone thought the argument was seconds or µs.
 
 SL701–703 need only the local pass; SL704/705 query the
-:class:`~repro.simlint.project.ProjectGraph` and therefore only run in
-:meth:`Checker.check_paths` (single-module ``check_module`` calls skip
-them).
+:class:`~repro.simlint.project.ProjectGraph` that
+:meth:`Checker.check_paths` builds from every linted module.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from repro.analysis.analytic import (
     saturation_throughput,
     solve_fixed_point,
 )
-from repro.core.params import Dot11bConfig, MacParameters, Rate
+from repro.core.params import ALL_RATES, Dot11bConfig, MacParameters, Rate
 from repro.core.throughput_model import ThroughputModel
 from repro.errors import ConfigurationError
 
@@ -69,14 +69,18 @@ class TestFixedPoint:
         assert tau == pytest.approx(2 / 33)
 
     def test_solution_is_consistent(self):
-        tau, p = solve_fixed_point(5, 32, 1024, 7)
-        assert p == pytest.approx(1 - (1 - tau) ** 4, abs=1e-9)
+        for stations in (2, 5, 10):
+            tau, p = solve_fixed_point(stations, 32, 1024, 7)
+            assert p == pytest.approx(1 - (1 - tau) ** (stations - 1), abs=1e-9)
 
-    @given(stations=st.integers(min_value=2, max_value=50))
+    @given(stations=st.integers(min_value=2, max_value=99))
     def test_collision_probability_grows_with_stations(self, stations):
-        _, p_small = solve_fixed_point(stations, 32, 1024, 7)
-        _, p_large = solve_fixed_point(stations + 1, 32, 1024, 7)
+        # Together with the single-station case this keeps (tau, p) in
+        # range for n = 1..100, with tau falling as p rises.
+        tau_small, p_small = solve_fixed_point(stations, 32, 1024, 7)
+        tau_large, p_large = solve_fixed_point(stations + 1, 32, 1024, 7)
         assert 0.0 < p_small < p_large < 1.0
+        assert 0.0 < tau_large < tau_small < 1.0
 
     def test_zero_stations_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -90,6 +94,11 @@ class TestSaturationThroughput:
         # mean initial backoff), so the two models must agree.
         prediction = saturation_throughput(1, app_payload_bytes=1024)
         assert prediction.efficiency == pytest.approx(1.0)
+        # That bound is the paper's Equation (1), at every 802.11b rate.
+        for rate in ALL_RATES:
+            single = saturation_throughput(1, 512, rate).throughput_bps
+            equation_1 = ThroughputModel().max_throughput_bps(512, rate)
+            assert single == pytest.approx(equation_1)
 
     def test_throughput_degrades_with_contention(self):
         # Collisions erode throughput monotonically once more than one
@@ -100,6 +109,7 @@ class TestSaturationThroughput:
             for n in (2, 5, 10, 20)
         ]
         assert points == sorted(points, reverse=True)
+        assert 0.0 < points[-1] and points[0] < Rate.MBPS_11.bps
 
     def test_larger_cw_min_helps_under_heavy_contention(self):
         crowded = Dot11bConfig(mac=MacParameters(cw_min_slots=256))
@@ -125,6 +135,15 @@ class TestSaturationThroughput:
         assert difs == config.mac.difs_us
         with pytest.raises(ConfigurationError):
             collision_overhead_us(config, "nonsense")
+        # Bianchi's classic shape with the cheap DIFS collision cost:
+        # two stations waste fewer idle slots than one, and by 16
+        # collisions cost more than that saves.
+        classic = {
+            n: saturation_throughput(n, collision_model="difs").throughput_bps
+            for n in (1, 2, 4, 16)
+        }
+        assert classic[2] > classic[1]
+        assert classic[16] < classic[4]
 
 
 class TestMaxThroughputByRate:

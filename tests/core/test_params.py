@@ -1,4 +1,9 @@
-"""Tests for the Table-1 parameter sets."""
+"""Tests for the Table-1 parameter sets.
+
+This file is the golden table: every IEEE 802.11b value of the paper's
+Table 1 that ``core/params.py`` declares is asserted here, in the
+repo's own conventions, against the constructed objects.
+"""
 
 import pytest
 
@@ -32,6 +37,7 @@ class TestRate:
             Rate.from_mbps(54.0)
 
     def test_basic_rate_set_is_1_and_2_mbps(self):
+        # Control frames must use the basic rate set.
         assert BASIC_RATE_SET == (Rate.MBPS_1, Rate.MBPS_2)
 
 
@@ -48,6 +54,22 @@ class TestPlcpParameters:
     def test_short_plcp_is_96_us(self):
         assert PlcpParameters.short().duration_us == pytest.approx(96.0)
 
+    def test_plcp_fields_match_table1(self):
+        # Long: a 144-bit preamble and a 48-bit header, both at 1 Mb/s,
+        # 192 us in total: the paper's PHYhdr.
+        long = PlcpParameters.long()
+        assert long.preamble_bits == 144
+        assert long.preamble_rate is Rate.MBPS_1
+        assert long.header_bits == 48
+        assert long.header_rate is Rate.MBPS_1
+        # Short: a 72-bit preamble at 1 Mb/s and a 48-bit header at
+        # 2 Mb/s, 96 us in total.
+        short = PlcpParameters.short()
+        assert short.preamble_bits == 72
+        assert short.preamble_rate is Rate.MBPS_1
+        assert short.header_bits == 48
+        assert short.header_rate is Rate.MBPS_2
+
     def test_for_preamble_dispatches(self):
         assert PlcpParameters.for_preamble(PlcpPreamble.LONG).duration_us == 192.0
         assert PlcpParameters.for_preamble(PlcpPreamble.SHORT).duration_us == 96.0
@@ -59,10 +81,17 @@ class TestMacParameters:
         assert mac.slot_time_us == 20.0
         assert mac.sifs_us == 10.0
         assert mac.difs_us == 50.0
+        # cw_min_slots = 32 means backoffs are drawn from {0, ..., 31};
+        # the standard's aCWmin = 31 names the same window by its
+        # largest draw.  Likewise cw_max_slots = 1024 is aCWmax = 1023.
         assert mac.cw_min_slots == 32
         assert mac.cw_max_slots == 1024
-        assert mac.mac_header_bits == 272
-        assert mac.ack_bits == 112
+        assert mac.mac_header_bits == 272  # 4-address MAC header + FCS: 34 bytes
+        assert mac.ack_bits == 112  # 14-byte ACK
+        assert mac.rts_bits == 160  # 20-byte RTS
+        assert mac.cts_bits == 112  # 14-byte CTS
+        assert mac.short_retry_limit == 7
+        assert mac.long_retry_limit == 4
         assert mac.propagation_delay_us == 1.0
 
     def test_difs_is_sifs_plus_two_slots(self):

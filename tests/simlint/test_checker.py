@@ -123,6 +123,12 @@ class TestParseFailures:
         findings = Checker().check_paths([tmp_path], root=tmp_path)
         assert {f.rule_id for f in findings} == {"SL002", "SL101"}
 
+    def test_sl002_reports_root_relative_path(self, tmp_path):
+        (tmp_path / "broken.py").write_text("def broken(:\n", encoding="utf-8")
+        (finding,) = Checker().check_paths([tmp_path], root=tmp_path)
+        assert finding.rule_id == "SL002"
+        assert finding.path == "broken.py"
+
 
 class TestDiscovery:
     def test_iter_python_files_is_sorted_and_recursive(self, tmp_path):

@@ -1,12 +1,16 @@
 """The ``repro lint`` front-end — including the self-lint gate.
 
-``test_repro_package_lints_clean`` is the PR's acceptance criterion:
+``test_repro_package_lints_clean`` is the linter's acceptance criterion:
 the shipped sources must produce zero active findings (every violation
 fixed, or waived with an inline justification).
 """
 
+import contextlib
+import io
 import json
 from pathlib import Path
+
+import pytest
 
 from repro.cli import main as repro_main
 from repro.simlint.cli import run as lint_run
@@ -16,23 +20,36 @@ FIXTURES = Path(__file__).parent / "fixtures"
 SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
+@pytest.fixture(scope="module")
+def self_lint():
+    """``(exit code, stdout)`` of one whole-package lint, shared by the
+    self-lint tests so the package is linted once."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = lint_run([str(SRC_REPRO), "--show-waivers"])
+    return code, out.getvalue()
+
+
 class TestSelfLint:
-    def test_repro_package_lints_clean(self, capsys):
-        assert lint_run([str(SRC_REPRO)]) == EXIT_CLEAN
-        out = capsys.readouterr().out
+    def test_repro_package_lints_clean(self, self_lint):
+        code, out = self_lint
+        assert code == EXIT_CLEAN
         assert "0 findings" in out
 
     def test_lint_subcommand_is_wired_into_repro_cli(self, capsys):
-        assert repro_main(["lint", str(SRC_REPRO)]) == EXIT_CLEAN
+        clean = FIXTURES / "sl101_clean.py"
+        assert repro_main(["lint", str(clean)]) == EXIT_CLEAN
         assert "0 findings" in capsys.readouterr().out
 
-    def test_waivers_in_shipped_sources_all_carry_reasons(self, capsys):
-        lint_run([str(SRC_REPRO), "--show-waivers"])
-        out = capsys.readouterr().out
-        # Every waived line is rendered with its justification.
-        for line in out.splitlines():
-            if "waived" in line and ":" in line:
-                assert "--" not in line or line.split("--", 1)[1].strip()
+    def test_waivers_in_shipped_sources_all_carry_reasons(self, self_lint):
+        _, out = self_lint
+        # With no active finding, every line above the summary is a
+        # waived finding rendered with its justification.
+        *waived, summary = out.splitlines()
+        assert summary.startswith("simlint: 0 findings")
+        for line in waived:
+            _, reason = line.split(" waived -- ", 1)
+            assert reason.strip()
 
 
 class TestCliBehaviour:
@@ -49,56 +66,14 @@ class TestCliBehaviour:
         code = lint_run(["--format", "json", str(FIXTURES / "sl101_trigger.py")])
         assert code == EXIT_FINDINGS
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["summary"]["active"] == 1
         (finding,) = payload["findings"]
         assert finding["rule"] == "SL101"
         assert finding["path"].endswith("sl101_trigger.py")
 
-    def test_json_report_embeds_spec_constants_for_core_params(
-        self, capsys
-    ):
-        code = lint_run(["--format", "json", str(FIXTURES / "spec_clean")])
-        assert code == EXIT_CLEAN
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["spec_constants"]["mac.sifs_us"] == 10.0
-
     def test_list_rules_names_every_family(self, capsys):
         assert lint_run(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
-        for rule_id in ("SL101", "SL201", "SL301", "SL401", "SL501"):
+        for rule_id in ("SL101", "SL201", "SL301", "SL401"):
             assert rule_id in out
-
-    def test_baseline_workflow_end_to_end(self, tmp_path, capsys):
-        target = tmp_path / "legacy.py"
-        target.write_text(
-            "import random\ndraw = random.random()\n", encoding="utf-8"
-        )
-        baseline = tmp_path / "baseline.json"
-        assert (
-            lint_run([str(target), "--write-baseline", str(baseline)])
-            == EXIT_CLEAN
-        )
-        capsys.readouterr()
-        # With the baseline the legacy finding is suppressed...
-        assert lint_run([str(target), "--baseline", str(baseline)]) == EXIT_CLEAN
-        assert "baselined" in capsys.readouterr().out
-        # ...but a new violation still fails the run.
-        target.write_text(
-            "import random, time\n"
-            "draw = random.random()\n"
-            "now = time.time()\n",
-            encoding="utf-8",
-        )
-        assert (
-            lint_run([str(target), "--baseline", str(baseline)])
-            == EXIT_FINDINGS
-        )
-        assert "SL103" in capsys.readouterr().out
-
-    def test_unreadable_baseline_is_an_error(self, tmp_path, capsys):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{not json", encoding="utf-8")
-        code = lint_run([str(FIXTURES / "sl101_clean.py"), "--baseline", str(bad)])
-        assert code == EXIT_ERROR
-        assert "cannot read baseline" in capsys.readouterr().err

@@ -170,7 +170,30 @@ class TestCrossModuleRules:
         (finding,) = findings
         assert finding.path == "caller.py"
 
-    def test_project_findings_honour_waivers(self, tmp_path):
+    @pytest.mark.parametrize(
+        "caller",
+        [
+            """\
+            from sched import schedule
+
+
+            def arm(timeout_us: float) -> int:
+                return schedule(timeout_us)  # simlint: waive[SL704] -- legacy µs API
+            """,
+            """\
+            from sched import schedule
+
+
+            def arm(timeout_us: float) -> int:
+                # simlint: waive[SL704] -- legacy µs API
+
+                # A standalone waiver reaches past blank and comment lines.
+                return schedule(timeout_us)
+            """,
+        ],
+        ids=["same-line", "standalone-above"],
+    )
+    def test_project_findings_honour_waivers(self, tmp_path, caller):
         parse_tree(
             tmp_path,
             {
@@ -178,19 +201,15 @@ class TestCrossModuleRules:
                     def schedule(delay_ns: int) -> int:
                         return delay_ns
                     """,
-                "caller.py": """\
-                    from sched import schedule
-
-
-                    def arm(timeout_us: float) -> int:
-                        return schedule(timeout_us)  # simlint: waive[SL704] -- legacy µs API
-                    """,
+                "caller.py": caller,
             },
         )
         findings = Checker().check_paths([tmp_path], root=tmp_path)
         (finding,) = [f for f in findings if f.rule_id == "SL704"]
         assert finding.waived
         assert finding.waiver_reason == "legacy µs API"
+        # The project pass used the waiver, so SL003 does not call it stale.
+        assert [f.rule_id for f in findings] == ["SL704"]
 
 
 # -- unit inference is a function of the code, not of import order ---------
