@@ -121,6 +121,10 @@ class MediumDevice(Protocol):
     cell.  The :class:`~repro.phy.transceiver.Transceiver` position
     setter reports every assignment, and it is the only way anything in
     :mod:`repro` moves a station.
+
+    Both signal handlers are read once, at :meth:`Medium.attach`; every
+    frame schedules those bound methods, so rebinding a handler on an
+    attached device has no effect.
     """
 
     position_m: Position
@@ -236,6 +240,10 @@ class Medium:
         # keyed on them (the pair cache, static shadowing draws) is
         # reproducible by construction.
         self._device_indices: dict[MediumDevice, int] = {}
+        #: Per device index: its bound (on_signal_start, on_signal_end).
+        self._handlers: list[
+            tuple[Callable[[Signal, float], None], Callable[[Signal], None]]
+        ] = []
         self._loss_hooks: list[LossHook] = []
         # Per-medium id stream: signal ids restart at 1 for every medium,
         # so runs of the same scenario produce bit-identical traces even
@@ -284,6 +292,7 @@ class Medium:
         index = len(self._devices)
         self._device_indices[device] = index
         self._devices.append(device)
+        self._handlers.append((device.on_signal_start, device.on_signal_end))
         if self._grid is not None:
             self._grid.add(index, device.position_m)
 
@@ -470,6 +479,7 @@ class Medium:
                 # Otherwise the term is a gain larger than the guard:
                 # the radius cannot be trusted this frame.
         hooks = self._loss_hooks
+        handlers = self._handlers
         pair_cache = self._pair_cache
         pair_partners = self._pair_partners
         # Arrival events are fire-and-forget (the medium never cancels
@@ -514,6 +524,7 @@ class Medium:
             if rx_power_dbm < floor_dbm:
                 continue
             delay_ns = entry[3]
-            schedule(delay_ns, device.on_signal_start, signal, rx_power_dbm)
-            schedule(delay_ns + duration_ns, device.on_signal_end, signal)
+            on_start, on_end = handlers[device_index]
+            schedule(delay_ns, on_start, signal, rx_power_dbm)
+            schedule(delay_ns + duration_ns, on_end, signal)
         return signal

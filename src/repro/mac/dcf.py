@@ -233,6 +233,23 @@ class MacStation(PhyListener):
         plcp_ns = us_to_ns(config.dot11.plcp.duration_us)
         self._await_timeout_ns = self._sifs_ns + plcp_ns + 2 * self._slot_ns
 
+        # Per-station frame constants.  Keep each expression's operand
+        # order: the duration fields and NAVs built from them must equal
+        # the airtime calculator's expressions bit for bit.
+        self._ack_us = self._airtime.ack_us()
+        self._cts_us = self._airtime.cts_us()
+        #: Duration field of a last (or only) fragment: SIFS + ACK.
+        self._last_fragment_nav_us = self._mac.sifs_us + self._ack_us
+        #: RTS duration field up to the data frame: 3 SIFS + CTS.
+        self._rts_nav_head_us = 3 * self._mac.sifs_us + self._cts_us
+        #: How long an RTS-set NAV waits for the protected exchange.
+        self._nav_reset_grace_ns = (
+            2 * self._sifs_ns + us_to_ns(self._cts_us) + 2 * self._slot_ns
+        )
+        self._ack_plan = control_frame_plan("ack", self._mac.ack_bits, self._airtime)
+        self._cts_plan = control_frame_plan("cts", self._mac.cts_bits, self._airtime)
+        self._rts_plan = control_frame_plan("rts", self._mac.rts_bits, self._airtime)
+
         # Contention state.
         self._down = False
         self._queue: deque[tuple[Any, int, int]] = deque()
@@ -409,13 +426,14 @@ class MacStation(PhyListener):
     def _on_medium_state_change(self) -> None:
         if self._down:
             return
-        busy = self._medium_busy()
         now = self._sim.now_ns
-        if busy and self._idle_since_ns is not None:
-            self._idle_since_ns = None
-            self._backoff.countdown_stopped(now)
-            self._access_timer.cancel()
-        elif not busy and self._idle_since_ns is None:
+        # :meth:`_medium_busy` with one clock read.
+        if self._phy.cs_busy or self._nav.until_ns > now:
+            if self._idle_since_ns is not None:
+                self._idle_since_ns = None
+                self._backoff.countdown_stopped(now)
+                self._access_timer.cancel()
+        elif self._idle_since_ns is None:
             self._idle_since_ns = now
             self._maybe_start_countdown()
 
@@ -462,16 +480,16 @@ class MacStation(PhyListener):
         )
         self._seq_counter = (self._seq_counter + 1) % 4096
 
-    def _current_ifs_ns(self) -> int:
-        return self._eifs_ns if self._needs_eifs else self._difs_ns
-
     def _maybe_start_countdown(self) -> None:
-        if self._access_timer.running or self._idle_since_ns is None:
+        idle_since_ns = self._idle_since_ns
+        if idle_since_ns is None or self._access_timer.running:
             return
         if self._tx_context or self._pending_response or self._awaiting:
             return
         now = self._sim.now_ns
-        ifs_end_ns = self._idle_since_ns + self._current_ifs_ns()
+        ifs_end_ns = idle_since_ns + (
+            self._eifs_ns if self._needs_eifs else self._difs_ns
+        )
         if self._backoff.pending:
             fire_at = ifs_end_ns + self._backoff.remaining_slots * self._slot_ns
             self._backoff.countdown_started(ifs_end_ns)
@@ -504,55 +522,57 @@ class MacStation(PhyListener):
 
     def _transmit_data(self) -> None:
         work = self._work
-        if work.dst == BROADCAST:
+        dst = work.dst
+        frag_index = work.frag_index
+        sizes = work.fragment_sizes
+        fragment_bytes = sizes[frag_index]
+        more = frag_index != len(sizes) - 1
+        if dst == BROADCAST:
             # Broadcast frames must use a basic-set rate (paper §2).
             rate = self._config.dot11.control_rate_for(self._config.data_rate)
-        else:
-            rate = self._rate_controller.data_rate(work.dst)
-        fragment_bytes = work.current_fragment_bytes
-        more = not work.on_last_fragment
-        if work.dst == BROADCAST:
             duration_us = 0.0
-        elif more:
-            # NAV chaining: reserve up to the end of the *next*
-            # fragment's ACK (SIFS + ACK + SIFS + frag + SIFS + ACK).
-            next_bytes = work.fragment_sizes[work.frag_index + 1]
-            duration_us = (
-                3 * self._mac.sifs_us
-                + 2 * self._airtime.ack_us()
-                + self._airtime.data_frame_us(next_bytes, rate)
-            )
         else:
-            duration_us = self._mac.sifs_us + self._airtime.ack_us()
+            rate = self._rate_controller.data_rate(dst)
+            if more:
+                # NAV chaining: reserve up to the end of the *next*
+                # fragment's ACK (SIFS + ACK + SIFS + frag + SIFS + ACK).
+                duration_us = (
+                    3 * self._mac.sifs_us
+                    + 2 * self._ack_us
+                    + self._airtime.data_frame_us(sizes[frag_index + 1], rate)
+                )
+            else:
+                duration_us = self._last_fragment_nav_us
         frame = DataFrame(
             src=self.address,
-            dst=work.dst,
+            dst=dst,
             duration_us=duration_us,
             seq=work.seq,
             # The reassembled payload object rides on the last fragment.
             msdu=work.msdu if not more else None,
             msdu_bytes=fragment_bytes,
             retry=work.retries > 0,
-            frag=work.frag_index,
+            frag=frag_index,
             more_fragments=more,
         )
         plan = data_frame_plan(fragment_bytes, rate, self._airtime)
         self._tx_context = "data"
         self.counters.data_tx += 1
-        self._trace(
-            "tx_data", dst=work.dst, seq=work.seq, frag=work.frag_index,
-            retry=work.retries, rate=rate.mbps,
-        )
+        self._trace_counts["tx_data"] += 1
+        if self._tracer.active:
+            self._tracer.fanout(self._sim.now_ns, self._category, "tx_data", {
+                "dst": dst, "seq": work.seq, "frag": frag_index,
+                "retry": work.retries, "rate": rate.mbps,
+            })
         self._phy.transmit(plan, frame)
 
     def _transmit_rts(self) -> None:
         work = self._work
         rate = self._rate_controller.data_rate(work.dst)
         duration_us = (
-            3 * self._mac.sifs_us
-            + self._airtime.cts_us()
+            self._rts_nav_head_us
             + self._airtime.data_frame_us(work.current_fragment_bytes, rate)
-            + self._airtime.ack_us()
+            + self._ack_us
         )
         frame = RtsFrame(
             src=self.address,
@@ -560,11 +580,14 @@ class MacStation(PhyListener):
             duration_us=duration_us,
             msdu_bytes=work.msdu_bytes,
         )
-        plan = control_frame_plan("rts", self._mac.rts_bits, self._airtime)
         self._tx_context = "rts"
         self.counters.rts_tx += 1
-        self._trace("tx_rts", dst=work.dst)
-        self._phy.transmit(plan, frame)
+        self._trace_counts["tx_rts"] += 1
+        if self._tracer.active:
+            self._tracer.fanout(
+                self._sim.now_ns, self._category, "tx_rts", {"dst": work.dst}
+            )
+        self._phy.transmit(self._rts_plan, frame)
 
     def on_tx_end(self) -> None:
         context = self._tx_context
@@ -609,7 +632,12 @@ class MacStation(PhyListener):
             if work.use_rts
             else self._mac.short_retry_limit
         )
-        self._trace("timeout", kind=kind, retries=work.retries)
+        self._trace_counts["timeout"] += 1
+        if self._tracer.active:
+            self._tracer.fanout(
+                self._sim.now_ns, self._category, "timeout",
+                {"kind": kind, "retries": work.retries},
+            )
         if work.retries > limit:
             self.counters.tx_drops += 1
             self._cw.reset()
@@ -732,12 +760,7 @@ class MacStation(PhyListener):
         if frame.dst != self.address:
             if self._update_nav(frame.duration_us, from_rts=True):
                 if self._config.nav_reset_on_missing_cts:
-                    grace_ns = (
-                        2 * self._sifs_ns
-                        + us_to_ns(self._airtime.cts_us())
-                        + 2 * self._slot_ns
-                    )
-                    self._nav_reset_timer.start(grace_ns)
+                    self._nav_reset_timer.start(self._nav_reset_grace_ns)
             return
         if self._nav.busy:
             self.counters.cts_suppressed_nav += 1
@@ -765,12 +788,19 @@ class MacStation(PhyListener):
     def _update_nav(self, duration_us: float, from_rts: bool) -> bool:
         if duration_us <= 0:
             return False
-        moved = self._nav.update(self._sim.now_ns + us_to_ns(duration_us))
+        now = self._sim.now_ns
+        moved = self._nav.update(now + us_to_ns(duration_us))
         if moved:
-            self._trace("nav_set", until_us=round(self._nav.until_ns / 1000))
-            if self._tracer.audit:
-                self._tracer.emit_audit(
-                    self._sim.now_ns,
+            self._trace_counts["nav_set"] += 1
+            tracer = self._tracer
+            if tracer.active:
+                tracer.fanout(
+                    now, self._category, "nav_set",
+                    {"until_us": round(self._nav.until_ns / 1000)},
+                )
+            if tracer.audit:
+                tracer.emit_audit(
+                    now,
                     self._category,
                     "nav",
                     until_ns=self._nav.until_ns,
@@ -821,11 +851,14 @@ class MacStation(PhyListener):
             self._trace("ack_suppressed", dst=data_frame.src)
             return
         ack = AckFrame(src=self.address, dst=data_frame.src, duration_us=0.0)
-        plan = control_frame_plan("ack", self._mac.ack_bits, self._airtime)
         self._tx_context = "ack"
         self.counters.ack_tx += 1
-        self._trace("tx_ack", dst=data_frame.src)
-        self._phy.transmit(plan, ack)
+        self._trace_counts["tx_ack"] += 1
+        if self._tracer.active:
+            self._tracer.fanout(
+                self._sim.now_ns, self._category, "tx_ack", {"dst": data_frame.src}
+            )
+        self._phy.transmit(self._ack_plan, ack)
 
     def _respond_cts(self, rts: RtsFrame) -> None:
         if self._nav.busy:
@@ -836,15 +869,16 @@ class MacStation(PhyListener):
             self.counters.cts_suppressed_cs += 1
             self._trace("cts_suppressed", reason="cs")
             return
-        duration_us = max(
-            0.0, rts.duration_us - self._mac.sifs_us - self._airtime.cts_us()
-        )
+        duration_us = max(0.0, rts.duration_us - self._mac.sifs_us - self._cts_us)
         cts = CtsFrame(src=self.address, dst=rts.src, duration_us=duration_us)
-        plan = control_frame_plan("cts", self._mac.cts_bits, self._airtime)
         self._tx_context = "cts"
         self.counters.cts_tx += 1
-        self._trace("tx_cts", dst=rts.src)
-        self._phy.transmit(plan, cts)
+        self._trace_counts["tx_cts"] += 1
+        if self._tracer.active:
+            self._tracer.fanout(
+                self._sim.now_ns, self._category, "tx_cts", {"dst": rts.src}
+            )
+        self._phy.transmit(self._cts_plan, cts)
 
     def _respond_data(self) -> None:
         if self._work is None:

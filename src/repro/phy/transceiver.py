@@ -18,6 +18,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from math import log10
 from typing import Any
 
 from repro.channel.medium import Medium, Signal
@@ -33,7 +34,7 @@ from repro.phy.reception import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.tracing import Tracer
-from repro.units import dbm_to_mw, linear_to_db
+from repro.units import dbm_to_mw
 
 
 class PhyState(Enum):
@@ -42,6 +43,13 @@ class PhyState(Enum):
     IDLE = "idle"
     RX = "rx"
     TX = "tx"
+
+
+# Module-level aliases: the per-signal paths compare states by identity
+# without an attribute lookup on the enum class.
+_IDLE = PhyState.IDLE
+_RX = PhyState.RX
+_TX = PhyState.TX
 
 
 @dataclass(frozen=True)
@@ -100,7 +108,7 @@ class Transceiver:
         self._counts: dict[str, int] = defaultdict(int)
         self._tracer.register_counters(self._category, self._counts)
         self._listener = PhyListener()
-        self._state = PhyState.IDLE
+        self._state = _IDLE
         self._signals: dict[int, float] = {}  # signal_id -> rx power, mW
         self._locked_signal: Signal | None = None
         self._locked_power_dbm = 0.0
@@ -201,7 +209,7 @@ class Transceiver:
         self._locked_signal = None
         self._interference_log = []
         self._signals.clear()
-        self._state = PhyState.IDLE
+        self._state = _IDLE
         self._cs_busy = False
         self._trace("power_off")
 
@@ -224,11 +232,12 @@ class Transceiver:
         """
         if not self._powered:
             raise MacError(f"{self.name}: transmit while powered off")
-        if self._state is PhyState.TX:
+        state = self._state
+        if state is _TX:
             raise MacError(f"{self.name}: transmit while already transmitting")
-        if self._state is PhyState.RX:
+        if state is _RX:
             self._abort_reception()
-        self._state = PhyState.TX
+        self._state = _TX
         signal = self._medium.transmit(
             self, PhyFrame(mac_frame, plan), plan.duration_ns, self._radio.tx_power_dbm
         )
@@ -243,13 +252,18 @@ class Transceiver:
         self._tx_slot, self._tx_seq = self._sim.schedule_slot(
             plan.duration_ns, self._finish_tx
         )
-        self._update_cs()
+        # Transmitting always senses busy.
+        if not self._cs_busy:
+            self._cs_busy = True
+            self._listener.on_cs_busy()
         return plan.duration_ns
 
     def _finish_tx(self) -> None:
         self._tx_seq = 0
-        self._state = PhyState.IDLE
-        self._trace("tx_end")
+        self._state = _IDLE
+        self._counts["tx_end"] += 1
+        if self._tracer.active:
+            self._tracer.fanout(self._sim.now_ns, self._category, "tx_end", {})
         self._update_cs()
         self._listener.on_tx_end()
 
@@ -259,72 +273,82 @@ class Transceiver:
         """Medium callback: a signal's energy reaches us.
 
         The audible-power sum is computed once here and threaded through
-        the state updates — it was the single hottest expression in
-        saturated profiles when each of lock/interference/carrier-sense
-        re-derived it.  Reusing one value is bit-identical: the signal
-        dict does not change between those reads.
+        lock, capture, interference and the carrier-sense edge — it was
+        the single hottest expression in saturated profiles when each of
+        them re-derived it.  Reusing one value is bit-identical: the
+        signal dict does not change between those reads.
         """
         if not self._powered:
             return
-        self._signals[signal.signal_id] = dbm_to_mw(rx_power_dbm)
-        total_mw = sum(self._signals.values())
-        if self._state is PhyState.RX:
+        signals = self._signals
+        # ``units.dbm_to_mw``, stored once: the lock test reuses it.
+        signals[signal.signal_id] = 10.0 ** (rx_power_dbm / 10.0)
+        total_mw = sum(signals.values())
+        state = self._state
+        if state is _RX:
             self._note_interference_change(total_mw)
             self._maybe_capture(signal, rx_power_dbm, total_mw)
-        elif self._state is PhyState.IDLE:
+        elif state is _IDLE:
             self._maybe_lock(signal, rx_power_dbm, total_mw)
-        self._update_cs(total_mw)
+        # Carrier-sense edge, on the state a lock or capture left.
+        busy = self._state is _TX or total_mw >= self._cs_threshold_mw
+        if busy != self._cs_busy:
+            self._cs_busy = busy
+            if busy:
+                self._listener.on_cs_busy()
+            else:
+                self._listener.on_cs_idle()
 
     def on_signal_end(self, signal: Signal) -> None:
         """Medium callback: a signal fades out at our position."""
         if not self._powered:
             return
-        self._signals.pop(signal.signal_id, None)
-        total_mw = sum(self._signals.values())
+        signals = self._signals
+        signals.pop(signal.signal_id, None)
+        total_mw = sum(signals.values())
         if self._locked_signal is signal:
             self._finish_reception(signal)
-        elif self._state is PhyState.RX:
+        elif self._state is _RX:
             self._note_interference_change(total_mw)
-        self._update_cs(total_mw)
+        # Carrier-sense edge, on the state the reception left.
+        busy = self._state is _TX or total_mw >= self._cs_threshold_mw
+        if busy != self._cs_busy:
+            self._cs_busy = busy
+            if busy:
+                self._listener.on_cs_busy()
+            else:
+                self._listener.on_cs_idle()
 
     # --------------------------------------------------------- internals
 
-    def _other_power_mw(self, total_mw: float | None = None) -> float:
-        total = self.total_power_mw if total_mw is None else total_mw
-        if self._locked_signal is not None:
-            total -= self._signals.get(self._locked_signal.signal_id, 0.0)
-        return max(total, 0.0)
-
-    def _maybe_lock(
-        self, signal: Signal, rx_power_dbm: float, total_mw: float | None = None
-    ) -> None:
-        if rx_power_dbm < self._radio.preamble_lock_dbm:
+    def _maybe_lock(self, signal: Signal, rx_power_dbm: float, total_mw: float) -> None:
+        radio = self._radio
+        if rx_power_dbm < radio.preamble_lock_dbm:
             return
-        if total_mw is None:
-            total_mw = self.total_power_mw
-        interference_mw = total_mw - self._signals[signal.signal_id]
-        sinr = dbm_to_mw(rx_power_dbm) / (self._noise_mw + interference_mw)
+        signal_mw = self._signals[signal.signal_id]
+        interference_mw = total_mw - signal_mw
+        sinr = signal_mw / (self._noise_mw + interference_mw)
         plcp_rate = signal.frame.plan.segments[0].rate
-        if linear_to_db(sinr) < self._radio.sinr_threshold_db[plcp_rate]:
+        # ``10.0 * log10`` is units.linear_to_db inlined (SINR > 0 here).
+        if 10.0 * log10(sinr) < radio.sinr_threshold_db[plcp_rate]:
             return
-        self._state = PhyState.RX
+        now = self._sim.now_ns
+        self._state = _RX
         self._locked_signal = signal
         self._locked_power_dbm = rx_power_dbm
-        self._locked_start_ns = self._sim.now_ns
+        self._locked_start_ns = now
         self._interference_log = [(0, interference_mw)]
         self._counts["rx_lock"] += 1
         if self._tracer.active:
             self._tracer.fanout(
-                self._sim.now_ns,
+                now,
                 self._category,
                 "rx_lock",
                 {"signal": signal.signal_id, "rx_dbm": round(rx_power_dbm, 1)},
             )
         self._listener.on_rx_start()
 
-    def _maybe_capture(
-        self, signal: Signal, rx_power_dbm: float, total_mw: float | None = None
-    ) -> None:
+    def _maybe_capture(self, signal: Signal, rx_power_dbm: float, total_mw: float) -> None:
         if not self._radio.capture_enabled or self._locked_signal is None:
             return
         in_preamble = (
@@ -341,12 +365,17 @@ class Transceiver:
             )
             # The previously locked frame degrades into interference.
             self._locked_signal = None
-            self._state = PhyState.IDLE
+            self._state = _IDLE
             self._maybe_lock(signal, rx_power_dbm, total_mw)
 
-    def _note_interference_change(self, total_mw: float | None = None) -> None:
-        offset = self._sim.now_ns - self._locked_start_ns
-        self._interference_log.append((offset, self._other_power_mw(total_mw)))
+    def _note_interference_change(self, total_mw: float) -> None:
+        """Log, from now on, the summed power of all but the locked signal."""
+        locked = self._locked_signal
+        if locked is not None:
+            total_mw -= self._signals.get(locked.signal_id, 0.0)
+        self._interference_log.append(
+            (self._sim.now_ns - self._locked_start_ns, max(total_mw, 0.0))
+        )
 
     def _finish_reception(self, signal: Signal) -> None:
         phy_frame: PhyFrame = signal.frame
@@ -359,30 +388,39 @@ class Transceiver:
         outcome = self._reception.evaluate(context, self._radio, self._rng)
         self._locked_signal = None
         self._interference_log = []
-        self._state = PhyState.IDLE
-        self._trace("rx_end", signal=signal.signal_id, outcome=outcome.value)
-        mac_frame = phy_frame.mac_frame if outcome.success else None
-        if not outcome.success and self._tracer.audit:
-            self._audit_rx_fail(phy_frame, outcome.value)
+        self._state = _IDLE
+        self._counts["rx_end"] += 1
+        tracer = self._tracer
+        if tracer.active:
+            tracer.fanout(
+                self._sim.now_ns,
+                self._category,
+                "rx_end",
+                {"signal": signal.signal_id, "outcome": outcome.value},
+            )
+        if outcome.success:
+            mac_frame = phy_frame.mac_frame
+        else:
+            mac_frame = None
+            if tracer.audit:
+                self._audit_rx_fail(phy_frame, outcome.value)
         self._listener.on_rx_end(mac_frame, outcome)
 
     def _abort_reception(self) -> None:
         signal = self._locked_signal
         self._locked_signal = None
         self._interference_log = []
-        self._state = PhyState.IDLE
+        self._state = _IDLE
         if signal is not None:
             self._trace("rx_abort", signal=signal.signal_id)
             if self._tracer.audit:
                 self._audit_rx_fail(signal.frame, ReceptionOutcome.ABORTED.value)
             self._listener.on_rx_end(None, ReceptionOutcome.ABORTED)
 
-    def _update_cs(self, total_mw: float | None = None) -> None:
-        if total_mw is None:
-            total_mw = sum(self._signals.values())
+    def _update_cs(self) -> None:
         busy = (
-            self._state is PhyState.TX
-            or total_mw >= self._cs_threshold_mw
+            self._state is _TX
+            or sum(self._signals.values()) >= self._cs_threshold_mw
         )
         if busy == self._cs_busy:
             return

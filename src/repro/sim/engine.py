@@ -118,7 +118,6 @@ class Simulator:
         self._stopped = False
         self._closed = False
         self._events_processed = 0
-        self._live_events = 0
         self._shutdown_hooks: list[Callable[[], None]] = []
         self.watchdog = watchdog
 
@@ -141,11 +140,11 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events in the queue.
 
-        Maintained as a counter (incremented on schedule, decremented on
-        cancel/fire) rather than a heap scan, so watchdog invariant
-        hooks can poll it every few hundred events for free.
+        Every live event holds exactly one slot and every other slot is
+        on the free-list, so the count is a subtraction rather than a
+        heap scan and watchdog invariant hooks can poll it for free.
         """
-        return self._live_events
+        return len(self._slot_token) - len(self._free_slots)
 
     # ------------------------------------------------------- slot API
 
@@ -179,7 +178,6 @@ class Simulator:
             self._slot_token.append(seq)
             self._slot_callback.append(callback)
             self._slot_args.append(args)
-        self._live_events += 1
         heapq.heappush(self._heap, (time_ns, seq, slot))
         return slot, seq
 
@@ -209,7 +207,6 @@ class Simulator:
             self._slot_token.append(seq)
             self._slot_callback.append(callback)
             self._slot_args.append(args)
-        self._live_events += 1
         heapq.heappush(self._heap, (self._now_ns + delay_ns, seq, slot))
         return slot, seq
 
@@ -228,7 +225,6 @@ class Simulator:
         self._slot_callback[slot] = None
         self._slot_args[slot] = ()
         self._free_slots.append(slot)
-        self._live_events -= 1
         return True
 
     def slot_active(self, slot: int, seq: int) -> bool:
@@ -303,13 +299,11 @@ class Simulator:
         free = self._free_slots
         try:
             while heap and not self._stopped:
-                entry = heap[0]
-                time_ns = entry[0]
+                time_ns, seq, slot = heap[0]
                 if until_ns is not None and time_ns > until_ns:
                     break
                 heappop(heap)
-                slot = entry[2]
-                if tokens[slot] != entry[1]:
+                if tokens[slot] != seq:
                     continue  # tombstone of a cancelled event
                 callback = callbacks[slot]
                 args = arglists[slot]
@@ -321,7 +315,6 @@ class Simulator:
                 arglists[slot] = ()
                 free.append(slot)
                 self._now_ns = time_ns
-                self._live_events -= 1
                 callback(*args)  # type: ignore[misc]
                 self._events_processed += 1
                 fired += 1
@@ -409,4 +402,3 @@ class Simulator:
                 self._slot_args[slot] = ()
                 self._free_slots.append(slot)
         self._heap.clear()
-        self._live_events = 0

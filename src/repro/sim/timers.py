@@ -4,7 +4,7 @@ MAC protocols are full of "start a timeout, cancel it if the reply
 arrives, restart it on retransmission" logic; :class:`Timer` packages that
 pattern so state machines never touch raw event handles.
 
-Timers ride the simulator's slot API (`schedule_slot` / `cancel_slot`)
+Timers ride the simulator's slot API (`schedule_slot_at` / `cancel_slot`)
 rather than :class:`~repro.sim.engine.EventHandle`, so the restart-heavy
 MAC paths (NAV, backoff, response timeouts) allocate nothing per cycle:
 a (re)start is one heap push plus two int writes, a cancel is an O(1)
@@ -27,7 +27,7 @@ class Timer:
     """
 
     __slots__ = ("_sim", "_callback", "_name", "_slot", "_seq",
-                 "_expiry_ns", "_jitter")
+                 "_expiry_ns", "_jitter", "_fire_bound")
 
     def __init__(
         self, sim: Simulator, callback: Callable[..., None], name: str = ""
@@ -41,6 +41,8 @@ class Timer:
         self._seq = 0
         self._expiry_ns = 0
         self._jitter: Callable[[int], int] | None = None
+        # Bound once: every (re)start schedules this same method object.
+        self._fire_bound: Callable[..., None] = self._fire
 
     @property
     def name(self) -> str:
@@ -76,8 +78,11 @@ class Timer:
             sim.cancel_slot(self._slot, self._seq)
         if self._jitter is not None:
             delay_ns = max(0, self._jitter(delay_ns))
-        self._slot, self._seq = sim.schedule_slot(delay_ns, self._fire, *args)
-        self._expiry_ns = sim.now_ns + delay_ns
+        expiry_ns = sim.now_ns + delay_ns
+        self._slot, self._seq = sim.schedule_slot_at(
+            expiry_ns, self._fire_bound, *args
+        )
+        self._expiry_ns = expiry_ns
 
     def start_s(self, delay_s: float, *args: Any) -> None:
         """(Re)arm the timer to fire after ``delay_s`` seconds."""

@@ -244,12 +244,10 @@ class Checker:
     parsed modules.
     """
 
-    def __init__(self, rules: Sequence[object] | None = None):
-        self._default_rules = rules is None
-        if rules is None:
-            from repro.simlint.rules import all_rules
+    def __init__(self) -> None:
+        from repro.simlint.rules import all_rules
 
-            rules = all_rules()
+        rules = all_rules()
         self._module_rules = [rule for rule in rules if hasattr(rule, "check")]
         self._project_rules = [
             rule for rule in rules if hasattr(rule, "check_project")
@@ -283,9 +281,8 @@ class Checker:
         Each file is parsed once and kept in memory: the module rules
         run on it, then the same modules build the project graph the
         project rules query.  A file that does not parse yields one
-        SL002 and takes no part in the project pass.  Under the default
-        rule set, SL003 finally reports the justified waivers that
-        suppressed nothing anywhere.
+        SL002 and takes no part in the project pass.  SL003 finally
+        reports the justified waivers that suppressed nothing anywhere.
         """
         from repro.simlint.project import ProjectGraph
 
@@ -317,8 +314,7 @@ class Checker:
                 findings.append(
                     _waive(by_relpath[finding.path], finding, used[finding.path])
                 )
-        if self._default_rules:
-            findings.extend(self._stale_waivers(modules, used))
+        findings.extend(self._stale_waivers(modules, used))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
         return findings
 
@@ -327,12 +323,7 @@ class Checker:
         modules: Sequence[ParsedModule],
         used: dict[str, set[int]],
     ) -> Iterator[Finding]:
-        """SL003: justified waivers that suppressed nothing this run.
-
-        Only meaningful under the full rule set — a partial run (tests
-        exercising one rule) would otherwise report every other family's
-        waivers as stale.
-        """
+        """SL003: justified waivers that suppressed nothing this run."""
         for module in modules:
             for waiver in module.waivers:
                 if waiver.reason is None or waiver.line in used[module.relpath]:

@@ -8,6 +8,7 @@ the linter.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -71,11 +72,23 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
+def _print(text: str) -> None:
+    """Print ``text``; a reader that has gone away (``| head``) is no error."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Point stdout at /dev/null so the flush at interpreter exit does
+        # not raise the same error again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Entry point for ``repro lint``; returns a process exit code."""
     args = _build_parser().parse_args(argv)
     if args.list_rules:
-        print(_list_rules())
+        _print(_list_rules())
         return EXIT_CLEAN
     if args.paths:
         paths = [path.resolve() for path in args.paths]
@@ -98,8 +111,5 @@ def run(argv: Sequence[str] | None = None) -> int:
         rendered = render_text(
             active, waived, files_checked, verbose_waivers=args.show_waivers
         )
-    try:
-        print(rendered)
-    except BrokenPipeError:  # pragma: no cover - `repro lint | head`
-        pass
+    _print(rendered)
     return exit_code(active)

@@ -39,6 +39,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from repro.simlint.checker import ParsedModule
@@ -219,8 +220,25 @@ class ModuleSummary:
     calls: tuple[CallSite, ...]
 
 
+def package_relpath(path: Path) -> str:
+    """``path`` below the directory that holds its outermost package.
+
+    Walks up from the file while each directory holds an
+    ``__init__.py``, so ``src/repro/phy/plans.py`` gives
+    ``repro/phy/plans.py`` whatever directory the linter runs from.  A
+    file outside any package is named by itself.
+    """
+    path = path.resolve()
+    parts = [path.name]
+    directory = path.parent
+    while directory != directory.parent and (directory / "__init__.py").is_file():
+        parts.append(directory.name)
+        directory = directory.parent
+    return "/".join(reversed(parts))
+
+
 def module_name_for(relpath: str) -> tuple[str, bool]:
-    """``(dotted module name, is_package)`` for a root-relative path."""
+    """``(dotted module name, is_package)`` for a package-relative path."""
     parts = relpath.replace("\\", "/").split("/")
     if parts[-1].endswith(".py"):
         parts[-1] = parts[-1][: -len(".py")]
@@ -682,15 +700,19 @@ def _inference_for(module: ParsedModule) -> InferenceResult:
     """
     cached = module.__dict__.get("_unit_inference")
     if cached is None:
-        name, _ = module_name_for(module.relpath)
+        name, _ = module_name_for(package_relpath(module.path))
         cached = UnitInferencer(module.tree, name).run()
         module.__dict__["_unit_inference"] = cached
     return cached
 
 
 def summarize_module(module: ParsedModule) -> ModuleSummary:
-    """Distil one parsed module into its project summary."""
-    name, is_package = module_name_for(module.relpath)
+    """Distil one parsed module into its project summary.
+
+    The dotted name comes from the package tree (:func:`package_relpath`);
+    ``relpath``, which reports print, stays relative to the lint root.
+    """
+    name, is_package = module_name_for(package_relpath(module.path))
     inference = _inference_for(module)
     return ModuleSummary(
         module=name,

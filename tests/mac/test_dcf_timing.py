@@ -8,7 +8,11 @@ after an erroneous reception.
 
 import pytest
 
-from repro.core.params import MacParameters, Rate
+from repro.core.airtime import AirtimeCalculator
+from repro.core.params import BASIC_RATE_SET, Dot11bConfig, MacParameters, PlcpParameters, Rate
+from repro.mac.frames import AckFrame, CtsFrame, DataFrame, RtsFrame
+from repro.phy.plans import control_frame_plan, data_frame_plan
+from repro.units import us_to_ns
 from tests.util import build_mac_network
 
 
@@ -125,3 +129,88 @@ class TestDcfTiming:
         slots = (wait_ns - eifs_ns) / slot_ns
         assert abs(slots - round(slots)) < 0.05
         assert 0 <= round(slots) < MacParameters().cw_min_slots
+
+
+@pytest.mark.parametrize("control_rate", BASIC_RATE_SET, ids=str)
+@pytest.mark.parametrize("plcp", ["long", "short"])
+class TestFrameDurationFields:
+    """Duration fields, NAV reset and control plans equal the calculator's.
+
+    Compared with ``==``: each must be bit-identical to the airtime
+    expression the standard gives, for both PLCP formats and each
+    control rate.
+    """
+
+    RATE = Rate.MBPS_11
+
+    def network(self, plcp, control_rate, **kwargs):
+        plcp_params = PlcpParameters.long() if plcp == "long" else PlcpParameters.short()
+        dot11 = Dot11bConfig(plcp=plcp_params, control_rate=control_rate)
+        net = build_mac_network([0, 20], data_rate=self.RATE, dot11=dot11, **kwargs)
+        sent = []
+        for station in net.stations:
+            phy = station.phy
+
+            def transmit(plan, frame, _transmit=phy.transmit):
+                sent.append((plan, frame))
+                return _transmit(plan, frame)
+
+            phy.transmit = transmit
+        return net, AirtimeCalculator(dot11), dot11.mac, sent
+
+    def test_rts_cts_data_ack(self, plcp, control_rate):
+        net, airtime, mac, sent = self.network(plcp, control_rate, rts_enabled=True)
+        net[0].mac.enqueue("x", dst=2, msdu_bytes=540)
+        net.sim.run(until_s=0.1)
+        (rts_plan, rts), (cts_plan, cts), (data_plan, data), (ack_plan, ack) = sent
+        assert [type(frame) for frame in (rts, cts, data, ack)] == [
+            RtsFrame, CtsFrame, DataFrame, AckFrame,
+        ]
+        assert rts.duration_us == (
+            3 * mac.sifs_us
+            + airtime.cts_us()
+            + airtime.data_frame_us(540, self.RATE)
+            + airtime.ack_us()
+        )
+        assert cts.duration_us == max(
+            0.0, rts.duration_us - mac.sifs_us - airtime.cts_us()
+        )
+        assert data.duration_us == mac.sifs_us + airtime.ack_us()
+        assert ack.duration_us == 0.0
+        assert rts_plan == control_frame_plan("rts", mac.rts_bits, airtime)
+        assert cts_plan == control_frame_plan("cts", mac.cts_bits, airtime)
+        assert ack_plan == control_frame_plan("ack", mac.ack_bits, airtime)
+        assert data_plan == data_frame_plan(540, self.RATE, airtime)
+
+    def test_fragment_nav_chain(self, plcp, control_rate):
+        net, airtime, mac, sent = self.network(
+            plcp, control_rate, fragmentation_threshold_bytes=256
+        )
+        net[0].mac.enqueue("x", dst=2, msdu_bytes=540)
+        net.sim.run(until_s=0.1)
+        fragments = [frame for _, frame in sent if isinstance(frame, DataFrame)]
+        assert [frame.msdu_bytes for frame in fragments] == [256, 256, 28]
+        chained = [
+            3 * mac.sifs_us + 2 * airtime.ack_us() + airtime.data_frame_us(size, self.RATE)
+            for size in (256, 28)
+        ]
+        assert [frame.duration_us for frame in fragments] == [
+            *chained,
+            mac.sifs_us + airtime.ack_us(),
+        ]
+
+    def test_nav_reset_after_missing_cts(self, plcp, control_rate):
+        net, airtime, mac, _ = self.network(plcp, control_rate)
+        recorder = Recorder(net)
+        # A bare RTS to an absent station: station 2 sets its NAV, sees
+        # no CTS follow and resets the NAV after the grace period.
+        rts = RtsFrame(src=1, dst=9, duration_us=2000.0, msdu_bytes=540)
+        net[0].phy.transmit(control_frame_plan("rts", mac.rts_bits, airtime), rts)
+        net.sim.run(until_s=0.1)
+        (rts_end,) = recorder.times("phy.s2.rx_end")
+        (reset,) = recorder.times("mac.2.nav_reset")
+        assert reset - rts_end == (
+            2 * us_to_ns(mac.sifs_us)
+            + us_to_ns(airtime.cts_us())
+            + 2 * us_to_ns(mac.slot_time_us)
+        )

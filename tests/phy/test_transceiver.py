@@ -1,10 +1,11 @@
 """Integration tests of the transceiver over a real medium."""
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.channel.medium import Medium
+from repro.channel.medium import Medium, Signal
 from repro.channel.shadowing import ChannelModel
 from repro.core.airtime import AirtimeCalculator
 from repro.core.params import Rate
@@ -12,7 +13,7 @@ from repro.errors import MacError
 from repro.phy.plans import control_frame_plan, data_frame_plan
 from repro.phy.radio import RadioParameters
 from repro.phy.reception import ReceptionOutcome
-from repro.phy.transceiver import PhyListener, PhyState, Transceiver
+from repro.phy.transceiver import PhyFrame, PhyListener, PhyState, Transceiver
 from repro.sim.engine import Simulator
 
 
@@ -232,3 +233,147 @@ class TestCapture:
         # The weak frame is obliterated by the strong one and no capture
         # rescue is allowed: nothing decodes.
         assert decoded == []
+
+
+OK = ReceptionOutcome.OK
+SINR_FAILURE = ReceptionOutcome.SINR_FAILURE
+ABORTED = ReceptionOutcome.ABORTED
+
+
+class TestListenerEdgeSequences:
+    """The exact listener call sequence for hand-built overlapping signals.
+
+    Each signal is delivered straight to one transceiver at a chosen
+    power, so the carrier-sense, lock, capture and reception edges
+    follow from the thresholds alone: carrier sense at about -94.1 dBm,
+    preamble lock at about -97.1 dBm, noise at -104 dBm.  Frames: 540 B
+    at 2 Mbps (2488 us), 100 B at 1 Mbps (1264 us), an ACK (248 us).
+    """
+
+    AIRTIME = AirtimeCalculator()
+    DATA_2M = data_frame_plan(540, Rate.MBPS_2, AIRTIME)
+    DATA_1M = data_frame_plan(100, Rate.MBPS_1, AIRTIME)
+    ACK = control_frame_plan("ack", 112, AIRTIME)
+
+    def station(self, capture=False):
+        sim = Simulator()
+        medium = Medium(sim, ChannelModel(fast_sigma_db=0.0, rng=random.Random(1)))
+        radio = dataclasses.replace(RadioParameters.calibrated(), capture_enabled=capture)
+        phy = Transceiver(sim, medium, radio, name="rx", rng=random.Random(2))
+        probe = Probe(sim)
+        phy.set_listener(probe)
+        return sim, phy, probe
+
+    def arrive(self, sim, phy, start_us, rx_dbm, plan, mac_frame):
+        """Schedule one signal's start and end at the receiver."""
+        start_ns = start_us * 1000
+        end_ns = start_ns + plan.duration_ns
+        signal = Signal(
+            source=None,
+            frame=PhyFrame(mac_frame, plan),
+            tx_power_dbm=15.0,
+            start_ns=start_ns,
+            end_ns=end_ns,
+        )
+        sim.schedule_at(start_ns, phy.on_signal_start, signal, rx_dbm)
+        sim.schedule_at(end_ns, phy.on_signal_end, signal)
+
+    def test_weak_signals_below_carrier_sense(self):
+        sim, phy, probe = self.station()
+        # Lockable but below carrier sense: the PHY follows it silently.
+        self.arrive(sim, phy, 0, -96.0, self.DATA_1M, "first")
+        # A second weak signal: neither alone trips carrier sense, their
+        # sum does; it also ruins the locked frame.
+        self.arrive(sim, phy, 300, -96.0, self.DATA_1M, "second")
+        # Below preamble lock and carrier sense: no call at all.
+        self.arrive(sim, phy, 2000, -99.0, self.DATA_1M, "third")
+        sim.run()
+        assert probe.events == [
+            (0, "rx_start"),
+            (300_000, "cs_busy"),
+            (1_264_000, "rx_end", None, SINR_FAILURE),
+            (1_264_000, "cs_idle"),
+        ]
+
+    def test_lockable_signal_with_interferers(self):
+        sim, phy, probe = self.station()
+        self.arrive(sim, phy, 0, -60.0, self.DATA_2M, "data")
+        self.arrive(sim, phy, 1000, -85.0, self.ACK, "under-data")
+        # Outlives the locked frame: carrier sense stays busy past its end.
+        self.arrive(sim, phy, 2400, -80.0, self.ACK, "straddler")
+        self.arrive(sim, phy, 3000, -70.0, self.ACK, "ack")
+        sim.run()
+        assert probe.events == [
+            (0, "rx_start"),
+            (0, "cs_busy"),
+            (2_488_000, "rx_end", "data", OK),
+            (2_648_000, "cs_idle"),
+            (3_000_000, "rx_start"),
+            (3_000_000, "cs_busy"),
+            (3_248_000, "rx_end", "ack", OK),
+            (3_248_000, "cs_idle"),
+        ]
+
+    def test_capture_during_preamble_only(self):
+        sim, phy, probe = self.station(capture=True)
+        self.arrive(sim, phy, 0, -80.0, self.DATA_2M, "weak")
+        # 15 dB stronger inside the 192 us preamble: captures the receiver.
+        self.arrive(sim, phy, 100, -65.0, self.DATA_2M, "strong")
+        # Stronger again but after the preamble: no capture, only
+        # interference that ruins the captured frame.
+        self.arrive(sim, phy, 400, -50.0, self.DATA_2M, "late")
+        sim.run()
+        assert probe.events == [
+            (0, "rx_start"),
+            (0, "cs_busy"),
+            (100_000, "rx_start"),
+            (2_588_000, "rx_end", None, SINR_FAILURE),
+            (2_888_000, "cs_idle"),
+        ]
+
+    def test_own_transmission_during_reception(self):
+        sim, phy, probe = self.station()
+        # Locked below carrier sense: our own TX both aborts the
+        # reception and raises carrier sense.
+        self.arrive(sim, phy, 0, -96.0, self.DATA_1M, "weak")
+        sim.schedule_at(500_000, phy.transmit, self.ACK, "ack-1")
+        # Locked above carrier sense: the abort raises no edge, and the
+        # signal ends while we still transmit.
+        self.arrive(sim, phy, 2000, -60.0, self.ACK, "strong")
+        sim.schedule_at(2_100_000, phy.transmit, self.ACK, "ack-2")
+        sim.run()
+        assert probe.events == [
+            (0, "rx_start"),
+            (500_000, "rx_end", None, ABORTED),
+            (500_000, "cs_busy"),
+            (748_000, "cs_idle"),
+            (748_000, "tx_end"),
+            (2_000_000, "rx_start"),
+            (2_000_000, "cs_busy"),
+            (2_100_000, "rx_end", None, ABORTED),
+            (2_348_000, "cs_idle"),
+            (2_348_000, "tx_end"),
+        ]
+
+    def test_power_off_mid_signal_then_power_on(self):
+        sim, phy, probe = self.station()
+        self.arrive(sim, phy, 0, -60.0, self.DATA_2M, "cut")
+        sim.schedule_at(1_000_000, phy.power_off)
+        # Starts and ends while the radio is off.
+        self.arrive(sim, phy, 1500, -60.0, self.ACK, "unheard")
+        # Starts while off, ends after power-on: stays unheard.
+        self.arrive(sim, phy, 1900, -96.0, self.DATA_1M, "straddler")
+        sim.schedule_at(2_000_000, phy.power_on)
+        self.arrive(sim, phy, 3500, -60.0, self.ACK, "after")
+        sim.run()
+        # power_off clears carrier sense without a call, so power_on
+        # finds nothing to report.
+        assert probe.events == [
+            (0, "rx_start"),
+            (0, "cs_busy"),
+            (3_500_000, "rx_start"),
+            (3_500_000, "cs_busy"),
+            (3_748_000, "rx_end", "after", OK),
+            (3_748_000, "cs_idle"),
+        ]
+        assert not phy.cs_busy

@@ -1,7 +1,10 @@
 """Tests for the discrete-event kernel."""
 
+import functools
+from typing import Callable
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchedulingError
 from repro.sim.engine import Simulator
@@ -310,3 +313,72 @@ class TestSlotRecycling:
         assert len(sim._slot_token) < 64
         sim.run()
         assert sim.pending_events == 0
+
+
+#: One scheduler operation: ``(kind, a, b)``; what ``a`` and ``b`` mean
+#: depends on the kind (a delay, a handle index, an event budget ...).
+_OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["schedule", "schedule_at", "schedule_slot", "cancel", "cancel_twice",
+             "run", "clear"]
+        ),
+        st.integers(min_value=0, max_value=400),
+        st.integers(min_value=0, max_value=3),
+    ),
+    max_size=60,
+)
+
+
+class TestPendingEventsProperty:
+    """``pending_events`` equals a reference count of live events at every step."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(operations=_OPERATIONS)
+    def test_pending_events_matches_reference_count(self, operations):
+        sim = Simulator()
+        live: set[int] = set()
+        #: (event id, its cancel) for every event ever scheduled.
+        scheduled: list[tuple[int, Callable[[], object]]] = []
+
+        def schedule(kind, delay_ns, spawn):
+            event_id = len(scheduled) + 1
+            live.add(event_id)
+            if kind == "schedule_slot":
+                slot, seq = sim.schedule_slot(delay_ns, fire, event_id, spawn)
+                cancel = functools.partial(sim.cancel_slot, slot, seq)
+            elif kind == "schedule_at":
+                cancel = sim.schedule_at(
+                    sim.now_ns + delay_ns, fire, event_id, spawn
+                ).cancel
+            else:
+                cancel = sim.schedule(delay_ns, fire, event_id, spawn).cancel
+            scheduled.append((event_id, cancel))
+
+        def fire(event_id, spawn):
+            assert event_id in live
+            live.discard(event_id)
+            # The firing event's slot is already free.
+            assert sim.pending_events == len(live)
+            if spawn:
+                # Scheduled from inside a callback: reuses the slot this
+                # firing just released.
+                schedule("schedule", spawn * 50, spawn - 1)
+
+        for kind, a, b in operations:
+            if kind.startswith("schedule"):
+                schedule(kind, a, b)
+            elif kind.startswith("cancel"):
+                if scheduled:
+                    event_id, cancel = scheduled[a % len(scheduled)]
+                    for _ in range(2 if kind == "cancel_twice" else 1):
+                        cancel()
+                    live.discard(event_id)
+            elif kind == "run":
+                sim.run(max_events=b + 1)
+            else:
+                sim.clear()
+                live.clear()
+            assert sim.pending_events == len(live)
+        sim.run()
+        assert sim.pending_events == len(live) == 0

@@ -3,6 +3,8 @@
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.simlint.checker import (
     Checker,
     ParsedModule,
@@ -105,6 +107,21 @@ class TestWaivers:
         )
         (finding,) = [f for f in findings if f.rule_id == "SL101"]
         assert not finding.waived
+
+
+class TestRuleSet:
+    def test_checker_always_runs_every_rule(self, tmp_path):
+        # There is no partial rule set, so SL003 always runs: a justified
+        # waiver that suppresses nothing is reported.
+        with pytest.raises(TypeError):
+            Checker(rules=[])
+        findings = lint_source(
+            tmp_path,
+            """\
+            x = 1  # simlint: waive[SL101] -- nothing here to waive
+            """,
+        )
+        assert [f.rule_id for f in findings] == ["SL003"]
 
 
 class TestParseFailures:

@@ -8,6 +8,9 @@ fixed, or waived with an inline justification).
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,14 +23,21 @@ FIXTURES = Path(__file__).parent / "fixtures"
 SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
-@pytest.fixture(scope="module")
-def self_lint():
-    """``(exit code, stdout)`` of one whole-package lint, shared by the
-    self-lint tests so the package is linted once."""
+def _lint_stdout(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = lint_run([str(SRC_REPRO), "--show-waivers"])
+        code = lint_run(argv)
     return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def self_lint():
+    """``(exit code, stdout)`` of ``repro lint src/repro --show-waivers``
+    run from the repository root, shared by the self-lint tests so the
+    package is linted once this way."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(SRC_REPRO.parents[1])
+        return _lint_stdout(["src/repro", "--show-waivers"])
 
 
 class TestSelfLint:
@@ -51,6 +61,14 @@ class TestSelfLint:
             _, reason = line.split(" waived -- ", 1)
             assert reason.strip()
 
+    def test_explicit_path_reports_what_the_default_scope_does(self, self_lint):
+        # The explicit path names modules from the package tree, as the
+        # default scope does, so the cross-module rules see the same
+        # project; only the reported paths keep their src/ prefix.
+        code, out = _lint_stdout(["--show-waivers"])
+        explicit = [line.removeprefix("src/") for line in self_lint[1].splitlines()]
+        assert (code, out.splitlines()) == (self_lint[0], explicit)
+
 
 class TestCliBehaviour:
     def test_findings_exit_nonzero(self, capsys):
@@ -71,6 +89,30 @@ class TestCliBehaviour:
         (finding,) = payload["findings"]
         assert finding["rule"] == "SL101"
         assert finding["path"].endswith("sl101_trigger.py")
+
+    @pytest.mark.parametrize("reader", ["gone-before-writing", "three-lines"])
+    def test_list_rules_into_a_closed_pipe_exits_quietly(self, reader):
+        # ``repro lint --list-rules | head -3``.  Whether the linter is
+        # still writing when head exits depends on scheduling, so one
+        # reader is gone before the first write: the case that used to
+        # end in a BrokenPipeError traceback.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_REPRO.parent)
+        command = [sys.executable, "-m", "repro.cli", "lint", "--list-rules"]
+        read_end, write_end = os.pipe()
+        if reader == "gone-before-writing":
+            os.close(read_end)
+        process = subprocess.Popen(
+            command, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True
+        )
+        os.close(write_end)
+        if reader == "three-lines":
+            with os.fdopen(read_end) as pipe:
+                lines = [pipe.readline() for _ in range(3)]
+            assert lines[0] == "simlint rules:\n"
+        _, stderr = process.communicate(timeout=120)
+        assert process.returncode == EXIT_CLEAN
+        assert stderr == ""
 
     def test_list_rules_names_every_family(self, capsys):
         assert lint_run(["--list-rules"]) == EXIT_CLEAN

@@ -1,5 +1,6 @@
 """The whole-program layer: naming, imports, unit inference, call bindings."""
 
+import json
 import tempfile
 import textwrap
 from pathlib import Path
@@ -9,15 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simlint.checker import Checker, ParsedModule
+from repro.simlint.cli import run as lint_run
 from repro.simlint.project import (
     ProjectGraph,
     converter_units,
     local_unit_violations,
     mixing_violation,
     module_name_for,
+    package_relpath,
     summarize_module,
     unit_from_name,
 )
+from repro.simlint.report import EXIT_FINDINGS
 
 
 def parse_tree(root: Path, files: dict[str, str]) -> list[ParsedModule]:
@@ -80,6 +84,16 @@ class TestModuleNaming:
 
     def test_top_level_file(self):
         assert module_name_for("snippet.py") == ("snippet", False)
+
+    def test_package_relpath_walks_up_the_package_tree(self, tmp_path):
+        parse_tree(
+            tmp_path,
+            {"src/pkg/__init__.py": "", "src/pkg/sub/__init__.py": "", "src/pkg/sub/mod.py": ""},
+        )
+        (tmp_path / "loose.py").write_text("", encoding="utf-8")
+        assert package_relpath(tmp_path / "src/pkg/sub/mod.py") == "pkg/sub/mod.py"
+        assert package_relpath(tmp_path / "src/pkg/__init__.py") == "pkg/__init__.py"
+        assert package_relpath(tmp_path / "loose.py") == "loose.py"
 
 
 SCHED_TREE = {
@@ -147,6 +161,41 @@ class TestCrossModuleRules:
         assert {f.path for f in sl704} == {"pkg/timer.py", "app.py", "reexp.py"}
         assert all("timeout_us" not in f.path for f in sl704)
         assert {f.rule_id for f in findings} == {"SL704"}
+
+    def test_sl704_is_the_same_by_default_root_and_by_explicit_path(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        parse_tree(
+            tmp_path / "src",
+            {
+                "mypkg/__init__.py": "",
+                "mypkg/sched.py": """\
+                    def schedule(delay_ns: int) -> int:
+                        return delay_ns
+                    """,
+                "mypkg/timer.py": """\
+                    from mypkg.sched import schedule
+
+
+                    def arm(timeout_us: float) -> int:
+                        return schedule(timeout_us)
+                    """,
+            },
+        )
+        package = tmp_path / "src" / "mypkg"
+        # The default scope lints a package from the directory above it.
+        by_root = Checker().check_paths([package], root=package.parent)
+        # ``repro lint src/mypkg`` from another working directory.
+        monkeypatch.chdir(tmp_path)
+        assert lint_run(["--format", "json", "src/mypkg"]) == EXIT_FINDINGS
+        by_path = json.loads(capsys.readouterr().out)["findings"]
+        assert [f.rule_id for f in by_root] == ["SL704"]
+        assert [
+            (f["rule"], f["path"], f["line"], f["col"], f["message"]) for f in by_path
+        ] == [
+            (f.rule_id, f"src/{f.path}", f.line, f.col, f.message) for f in by_root
+        ]
+        assert by_root[0].path == "mypkg/timer.py"
 
     def test_sl705_fires_on_float_literal_crossing_modules(self, tmp_path):
         parse_tree(
