@@ -15,7 +15,10 @@ strongest possible arrival falls below the delivery floor, solved from
 the tx power, the floor and the propagation model), and devices
 provably below the floor are culled without touching their pair-cache
 entries or the scheduler, so per-frame work and cache growth track the
-*neighbour* count instead of N.
+*neighbour* count instead of N.  A source's grid window (its candidate
+receivers) depends only on the grid layout, so it is computed once per
+layout: the medium keeps each window until a device joins the grid or
+changes cell.
 
 Both passes emit the same events by construction:
 
@@ -117,8 +120,9 @@ class MediumDevice(Protocol):
     Every position change must be reported via
     :meth:`Medium.notify_moved`, which evicts the device's pair-cache
     rows and re-buckets it in the spatial index; the grid pass trusts
-    the index, so an unreported move can leave a device in the wrong
-    cell.  The :class:`~repro.phy.transceiver.Transceiver` position
+    the index and the windows it keeps from it, so an unreported move
+    can leave a device in the wrong cell or a source with a stale
+    window.  The :class:`~repro.phy.transceiver.Transceiver` position
     setter reports every assignment, and it is the only way anything in
     :mod:`repro` moves a station.
 
@@ -139,6 +143,12 @@ class MediumDevice(Protocol):
 #: Extra loss (dB) injected on one directed (source, receiver) pair at a
 #: given time — the fault layer's hook into the medium.
 LossHook = Callable[["MediumDevice", "MediumDevice", int], float]
+
+#: One attached device as the delivery loop reads it:
+#: ``(index, device, on_signal_start, on_signal_end)``.
+Receiver = tuple[
+    int, MediumDevice, Callable[[Signal, float], None], Callable[[Signal], None]
+]
 
 
 class GridIndex:
@@ -177,18 +187,23 @@ class GridIndex:
         insort(self._buckets.setdefault(cell, []), index)
         self._cells.append(cell)
 
-    def move(self, index: int, position: Position) -> None:
-        """Re-bucket one device after a position change."""
+    def move(self, index: int, position: Position) -> bool:
+        """Re-bucket one device after a position change.
+
+        Returns whether the device changed cell: only then can a
+        :meth:`near` query answer differently than before the move.
+        """
         cell = self._cell_of(position)
         old = self._cells[index]
         if cell == old:
-            return
+            return False
         bucket = self._buckets[old]
         bucket.remove(index)
         if not bucket:
             del self._buckets[old]
         insort(self._buckets.setdefault(cell, []), index)
         self._cells[index] = cell
+        return True
 
     def near(self, position: Position, radius_m: float) -> list[int]:
         """Device indices possibly within ``radius_m``, ascending.
@@ -229,9 +244,8 @@ class Medium:
         self._sim = sim
         self._channel = channel
         self._delivery_floor_dbm = delivery_floor_dbm
-        self._devices: list[MediumDevice] = []
         # Device identity is a per-medium, monotonically assigned index
-        # (the device's position in ``_devices``).  The dict holds a
+        # (the device's position in ``_receivers``).  The dict holds a
         # strong reference to every attached device and hashes it by
         # object identity, so — unlike the ``id()`` keys this replaces —
         # a detached-and-collected device can never alias a newly
@@ -240,10 +254,9 @@ class Medium:
         # keyed on them (the pair cache, static shadowing draws) is
         # reproducible by construction.
         self._device_indices: dict[MediumDevice, int] = {}
-        #: Per device index: its bound (on_signal_start, on_signal_end).
-        self._handlers: list[
-            tuple[Callable[[Signal, float], None], Callable[[Signal], None]]
-        ] = []
+        #: Per device index, its :data:`Receiver` record; the handlers in
+        #: it are bound once, at :meth:`attach`.
+        self._receivers: list[Receiver] = []
         self._loss_hooks: list[LossHook] = []
         # Per-medium id stream: signal ids restart at 1 for every medium,
         # so runs of the same scenario produce bit-identical traces even
@@ -266,6 +279,11 @@ class Medium:
         #: direction) — the reverse map that makes eviction O(degree).
         self._pair_partners: dict[int, set[int]] = {}
         self._grid: GridIndex | None = None
+        #: (source index, tx power) -> the receiver records of the
+        #: source's grid window, ascending by index.  Valid while the
+        #: grid layout holds: cleared when a device joins the grid or
+        #: changes cell.
+        self._windows: dict[tuple[int, float], list[Receiver]] = {}
         #: tx power -> (cull radius, strongest possible arrival at that
         #: radius before variable loss), or None when no useful radius
         #: exists for that power.
@@ -279,7 +297,7 @@ class Medium:
     @property
     def devices(self) -> tuple[MediumDevice, ...]:
         """All attached devices."""
-        return tuple(self._devices)
+        return tuple(record[1] for record in self._receivers)
 
     def attach(self, device: MediumDevice) -> None:
         """Connect a transceiver to this medium.
@@ -289,12 +307,14 @@ class Medium:
         """
         if device in self._device_indices:
             raise MediumError(f"device {device!r} is already attached")
-        index = len(self._devices)
+        index = len(self._receivers)
         self._device_indices[device] = index
-        self._devices.append(device)
-        self._handlers.append((device.on_signal_start, device.on_signal_end))
+        self._receivers.append(
+            (index, device, device.on_signal_start, device.on_signal_end)
+        )
         if self._grid is not None:
             self._grid.add(index, device.position_m)
+            self._windows.clear()
 
     def notify_moved(self, device: MediumDevice) -> None:
         """Report a position change: evict stale pairs, re-bucket.
@@ -306,8 +326,9 @@ class Medium:
         if index is None:
             return
         self._evict_pairs(index)
-        if self._grid is not None:
-            self._grid.move(index, device.position_m)
+        grid = self._grid
+        if grid is not None and grid.move(index, device.position_m):
+            self._windows.clear()
 
     def _evict_pairs(self, index: int) -> None:
         """Drop every pair-cache row touching ``index`` (O(degree))."""
@@ -394,7 +415,7 @@ class Medium:
         skipping pairs would change RNG draw order / hook observations,
         so either one forces the full pass.
         """
-        if len(self._devices) < AUTO_SPATIAL_CUTOFF:
+        if len(self._receivers) < AUTO_SPATIAL_CUTOFF:
             return None
         if self._loss_hooks or self._channel.static_sigma_db != 0.0:
             return None
@@ -411,10 +432,26 @@ class Medium:
         grid = self._grid
         if grid is None:
             grid = GridIndex(max(radius_m / 2.0, 1.0))
-            for index, device in enumerate(self._devices):
+            for index, device, _, _ in self._receivers:
                 grid.add(index, device.position_m)
             self._grid = grid
         return grid
+
+    def _build_window(
+        self,
+        source_index: int,
+        source_pos: Position,
+        tx_power_dbm: float,
+        radius_m: float,
+    ) -> list[Receiver]:
+        """Compute and keep a source's grid window (see ``_windows``)."""
+        receivers = self._receivers
+        window = [
+            receivers[index]
+            for index in self._grid_for(radius_m).near(source_pos, radius_m)
+        ]
+        self._windows[(source_index, tx_power_dbm)] = window
+        return window
 
     # ----------------------------------------------------------- transmit
 
@@ -447,46 +484,49 @@ class Medium:
             now + duration_ns,
             signal_id=next(self._signal_ids),
         )
-        devices = self._devices
-        if len(devices) <= 1:
+        receivers = self._receivers
+        if len(receivers) <= 1:
             return signal
         channel = self._channel
         floor_dbm = self._delivery_floor_dbm
         source_pos = source.position_m
-        candidates: range | list[int] = range(len(devices))
+        candidates = receivers
         near_flags: bytearray | None = None
         variable_db = cull_power_dbm = 0.0
         cull = self._spatial_entry(tx_power_dbm)
         full_pass = cull is None
         if cull is not None:
             radius_m, cull_power_dbm = cull
-            grid = self._grid_for(radius_m)
+            window = self._windows.get((source_index, tx_power_dbm))
+            if window is None:
+                window = self._build_window(
+                    source_index, source_pos, tx_power_dbm, radius_m
+                )
             if channel.fast_sigma_db > 0.0:
                 # Fast shadowing is one draw per receiver: visit every
                 # device so the draws stay in index order; the flags
                 # only skip the per-pair work for devices the draw
                 # cannot lift above the floor.
-                near_flags = bytearray(len(devices))
-                for index in grid.near(source_pos, radius_m):
-                    near_flags[index] = 1
+                near_flags = bytearray(len(receivers))
+                for record in window:
+                    near_flags[record[0]] = 1
             else:
                 # The variable term is frame-wide (weather only: the
                 # first variable_loss_db call per frame performs any
                 # weather update, repeats return held state).
                 variable_db = channel.variable_loss_db(now)
                 if cull_power_dbm - variable_db < floor_dbm:
-                    candidates = grid.near(source_pos, radius_m)
+                    candidates = window
                 # Otherwise the term is a gain larger than the guard:
                 # the radius cannot be trusted this frame.
         hooks = self._loss_hooks
-        handlers = self._handlers
         pair_cache = self._pair_cache
         pair_partners = self._pair_partners
+        base_loss_at_db = channel.base_loss_at_db
         # Arrival events are fire-and-forget (the medium never cancels
         # them), so the slot API skips the per-event handle allocation.
         schedule = self._sim.schedule_slot
-        for device_index in candidates:
-            device = devices[device_index]
+        for device_index, device, on_start, on_end in candidates:
             if device is source:
                 continue
             if near_flags is not None:
@@ -504,11 +544,15 @@ class Medium:
                 or entry[0] is not source_pos
                 or entry[1] is not device_pos
             ):
-                base_db = channel.base_loss_db(
-                    source_pos, device_pos, source_index, device_index
+                # One distance serves both terms; the delay is
+                # propagation_delay_ns's expression.
+                link_m = distance_m(source_pos, device_pos)
+                entry = (
+                    source_pos,
+                    device_pos,
+                    base_loss_at_db(link_m, source_index, device_index),
+                    max(1, round(link_m / SPEED_OF_LIGHT_M_S * NS_PER_S)),
                 )
-                delay_ns = self.propagation_delay_ns(source_pos, device_pos)
-                entry = (source_pos, device_pos, base_db, delay_ns)
                 pair_cache[pair_key] = entry
                 pair_partners.setdefault(source_index, set()).add(device_index)
                 pair_partners.setdefault(device_index, set()).add(source_index)
@@ -524,7 +568,6 @@ class Medium:
             if rx_power_dbm < floor_dbm:
                 continue
             delay_ns = entry[3]
-            on_start, on_end = handlers[device_index]
             schedule(delay_ns, on_start, signal, rx_power_dbm)
             schedule(delay_ns + duration_ns, on_end, signal)
         return signal

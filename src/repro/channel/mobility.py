@@ -6,7 +6,8 @@ network stations are mobile."  These models move stations so that claim
 can be quantified (see ``repro.experiments.mobility``).
 
 The medium samples positions at transmission time, so mobility is just
-a scheduled sequence of position updates on the transceiver.
+a scheduled sequence of position updates on the transceiver.  Each
+update is one simulator event, scheduled by the mobility model itself.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
-from repro.sim.timers import Timer
 from repro.units import ns_to_s, s_to_ns
 
 
@@ -29,16 +29,20 @@ class LinearMobility:
         velocity_m_s: tuple[float, float],
         update_interval_s: float = 0.1,
     ):
-        if update_interval_s <= 0:
+        # Checked in whole nanoseconds: an interval that rounds to 0 ns
+        # would re-arm its tick at one instant forever.
+        interval_ns = s_to_ns(update_interval_s)
+        if interval_ns <= 0:
             raise ConfigurationError(
-                f"update interval must be > 0 s, got {update_interval_s}"
+                f"update interval must be >= 1 ns, got {update_interval_s} s"
             )
         self._sim = sim
         self._device = device
         self._velocity = velocity_m_s
-        self._interval_ns = s_to_ns(update_interval_s)
+        self._interval_ns = interval_ns
         self._last_update_ns = sim.now_ns
-        self._timer = Timer(sim, self._tick, name="mobility")
+        #: (slot, seq) of the pending tick while running.
+        self._tick_event = (-1, 0)
         self._running = False
 
     @property
@@ -51,14 +55,14 @@ class LinearMobility:
         if not self._running:
             self._running = True
             self._last_update_ns = self._sim.now_ns
-            self._timer.start(self._interval_ns)
+            self._tick_event = self._sim.schedule_slot(self._interval_ns, self._tick)
 
     def stop(self) -> None:
         """Freeze at the current position."""
         if self._running:
             self._apply_motion()
             self._running = False
-            self._timer.cancel()
+            self._sim.cancel_slot(*self._tick_event)
 
     def set_velocity(self, velocity_m_s: tuple[float, float]) -> None:
         """Change direction/speed, applying motion accumulated so far."""
@@ -66,19 +70,19 @@ class LinearMobility:
         self._velocity = velocity_m_s
 
     def _apply_motion(self) -> None:
-        elapsed_s = ns_to_s(self._sim.now_ns - self._last_update_ns)
+        now = self._sim.now_ns
+        elapsed_s = ns_to_s(now - self._last_update_ns)
         x, y = self._device.position_m
         self._device.position_m = (
             x + self._velocity[0] * elapsed_s,
             y + self._velocity[1] * elapsed_s,
         )
-        self._last_update_ns = self._sim.now_ns
+        self._last_update_ns = now
 
     def _tick(self) -> None:
-        if not self._running:
-            return
+        # Only a running model has a tick pending: stop() cancels it.
         self._apply_motion()
-        self._timer.start(self._interval_ns)
+        self._tick_event = self._sim.schedule_slot(self._interval_ns, self._tick)
 
 
 def walk_away(

@@ -102,7 +102,15 @@ class ChannelModel:
         (source, receiver) pair and recomputes it only when a position
         tuple is replaced (mobility tick, placement change).
         """
-        loss = self.propagation.path_loss_db(distance_m(tx_position, rx_position))
+        return self.base_loss_at_db(
+            distance_m(tx_position, rx_position), tx_key, rx_key
+        )
+
+    def base_loss_at_db(
+        self, link_distance_m: float, tx_key: Hashable, rx_key: Hashable
+    ) -> float:
+        """:meth:`base_loss_db` for a link whose length is already known."""
+        loss = self.propagation.path_loss_db(link_distance_m)
         return loss + self._static_link_db(tx_key, rx_key)
 
     def variable_loss_db(self, time_ns: int) -> float:

@@ -17,6 +17,7 @@ The decomposition follows the paper:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.core.params import Dot11bConfig, Rate
@@ -109,3 +110,25 @@ class AirtimeCalculator:
                 f"application payload must be >= 0 bytes, got {app_payload_bytes}"
             )
         return app_payload_bytes * 8 / data_rate.mbps
+
+
+#: Dot11bConfig -> the calculator its MAC stations share.  Weak values:
+#: a calculator, with its interned plans and the reception tables they
+#: carry, lives only as long as some station still uses it.
+_SHARED: weakref.WeakValueDictionary[Dot11bConfig, AirtimeCalculator] = (
+    weakref.WeakValueDictionary()
+)
+
+
+def shared_calculator(config: Dot11bConfig) -> AirtimeCalculator:
+    """The one calculator for ``config`` that MAC stations share.
+
+    Every station of a configuration then interns the same frame plans.
+    Plans and durations are values of the configuration alone, so
+    sharing changes no duration.
+    """
+    calculator = _SHARED.get(config)
+    if calculator is None:
+        calculator = AirtimeCalculator(config)
+        _SHARED[config] = calculator
+    return calculator

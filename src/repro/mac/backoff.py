@@ -48,7 +48,7 @@ class Backoff:
     """Remaining-slot bookkeeping across interrupted countdowns."""
 
     def __init__(self, mac: MacParameters):
-        self._mac = mac
+        self._slot_ns = round(mac.slot_time_us * 1000)
         self._remaining_slots: int | None = None
         self._countdown_start_ns: int | None = None
 
@@ -92,8 +92,7 @@ class Backoff:
         if self._countdown_start_ns is None:
             return
         elapsed_ns = now_ns - self._countdown_start_ns
-        slot_ns = round(self._mac.slot_time_us * 1000)
-        consumed = max(0, elapsed_ns // slot_ns)
+        consumed = max(0, elapsed_ns // self._slot_ns)
         self._remaining_slots = max(0, self._remaining_slots - int(consumed))
         self._countdown_start_ns = None
 

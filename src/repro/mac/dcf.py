@@ -32,7 +32,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.core.airtime import AirtimeCalculator
+from repro.core.airtime import shared_calculator
 from repro.core.params import Dot11bConfig, Rate
 from repro.errors import ConfigurationError, MacError
 from repro.mac.backoff import Backoff, ContentionWindow
@@ -214,7 +214,7 @@ class MacStation(PhyListener):
             if rate_controller is not None
             else FixedRate(config.data_rate)
         )
-        self._airtime = AirtimeCalculator(config.dot11)
+        self._airtime = shared_calculator(config.dot11)
         self._mac = config.dot11.mac
         self._rng = rng if rng is not None else random.Random(config.address)
         self._tracer = tracer if tracer is not None else Tracer()
@@ -720,7 +720,7 @@ class MacStation(PhyListener):
             self._receive_callback(frame.msdu, frame.src)
             return
         if frame.dst != self.address:
-            self._update_nav(frame.duration_us, from_rts=False)
+            self._update_nav(frame.duration_us)
             return
         if self._dup_cache.get(frame.src) == (frame.seq, frame.frag):
             self.counters.rx_duplicates += 1
@@ -758,7 +758,7 @@ class MacStation(PhyListener):
 
     def _handle_rts(self, frame: RtsFrame) -> None:
         if frame.dst != self.address:
-            if self._update_nav(frame.duration_us, from_rts=True):
+            if self._update_nav(frame.duration_us):
                 if self._config.nav_reset_on_missing_cts:
                     self._nav_reset_timer.start(self._nav_reset_grace_ns)
             return
@@ -770,7 +770,7 @@ class MacStation(PhyListener):
 
     def _handle_cts(self, frame: CtsFrame) -> None:
         if frame.dst != self.address:
-            self._update_nav(frame.duration_us, from_rts=False)
+            self._update_nav(frame.duration_us)
             return
         if self._awaiting == "cts":
             self._awaiting = None
@@ -780,12 +780,12 @@ class MacStation(PhyListener):
 
     def _handle_ack(self, frame: AckFrame) -> None:
         if frame.dst != self.address:
-            self._update_nav(frame.duration_us, from_rts=False)
+            self._update_nav(frame.duration_us)
             return
         if self._awaiting == "ack":
             self._exchange_succeeded()
 
-    def _update_nav(self, duration_us: float, from_rts: bool) -> bool:
+    def _update_nav(self, duration_us: float) -> bool:
         if duration_us <= 0:
             return False
         now = self._sim.now_ns

@@ -100,11 +100,11 @@ def _sinr_rows(
     The table rides on the (interned, frozen) plan itself, written
     through ``__dict__`` like ``cached_property`` does — an attribute
     read per frame instead of hashing the plan's segment tuple.  Plans
-    are interned per station (see :mod:`repro.phy.plans`), so the tables
-    stay a handful of entries.  Tagged with the radio it was built
-    against: a plan is only ever evaluated by its transmitting station's
-    radio, but a different radio (shared plans in tests) rebuilds rather
-    than lies.
+    are interned per calculator (see :mod:`repro.phy.plans`), the
+    stations of one Dot11bConfig share a calculator, and those of one
+    built network share a radio, so the tables stay a handful of
+    entries.  Tagged with the radio it was built against: a different
+    radio (shared plans in tests) rebuilds rather than lies.
     """
     cached = plan.__dict__.get("_sinr_rows")
     if cached is not None and cached[0] is radio:

@@ -360,7 +360,7 @@ def _reference_transmit(medium, source, frame, duration_ns, tx_power_dbm):
     floor_dbm = medium._delivery_floor_dbm
     schedule = medium._sim.schedule_slot
     source_pos = source.position_m
-    for device_index, device in enumerate(medium._devices):
+    for device_index, device in enumerate(medium.devices):
         if device is source:
             continue
         device_pos = device.position_m
@@ -461,3 +461,131 @@ class TestValidation:
         sim, medium, (tx, _) = make_medium(0, 10)
         with pytest.raises(MediumError):
             medium.transmit(tx, "frame", duration_ns=0, tx_power_dbm=15.0)
+
+
+def _reference_grid_transmit(medium, source, frame, duration_ns, tx_power_dbm):
+    """The grid pass with a fresh ``GridIndex.near`` query for every frame.
+
+    The oracle for the medium's reused candidate windows, with fast and
+    static shadowing off and no hooks: the index is rebuilt from the
+    current positions each frame, so nothing in it can be stale, and
+    each link's geometry is computed afresh (which draws nothing).
+    """
+    channel = medium.channel
+    floor_dbm = medium._delivery_floor_dbm
+    radius_m = medium.cull_radius_m(tx_power_dbm)
+    now = medium._sim.now_ns
+    signal = Signal(
+        source,
+        frame,
+        tx_power_dbm,
+        now,
+        now + duration_ns,
+        signal_id=next(medium._signal_ids),
+    )
+    variable_db = channel.variable_loss_db(now)
+    # The frame-level check under which the medium trusts the radius.
+    assert tx_power_dbm - channel.mean_loss_db(radius_m) - variable_db < floor_dbm
+    devices = medium.devices
+    grid = GridIndex(radius_m / 2.0)
+    for index, device in enumerate(devices):
+        grid.add(index, device.position_m)
+    source_index = medium._device_indices[source]
+    source_pos = source.position_m
+    schedule = medium._sim.schedule_slot
+    for index in grid.near(source_pos, radius_m):
+        device = devices[index]
+        if device is source:
+            continue
+        device_pos = device.position_m
+        loss_db = (
+            channel.base_loss_db(source_pos, device_pos, source_index, index)
+            + variable_db
+        )
+        rx_power_dbm = tx_power_dbm - loss_db
+        if rx_power_dbm < floor_dbm:
+            continue
+        delay_ns = medium.propagation_delay_ns(source_pos, device_pos)
+        schedule(delay_ns, device.on_signal_start, signal, rx_power_dbm)
+        schedule(delay_ns + duration_ns, device.on_signal_end, signal)
+    return signal
+
+
+#: Per-round displacement of the mobile field's movers (device index ->
+#: metres): one crosses a cell almost every round, one now and then,
+#: one walks through a source's neighbourhood.
+_FIELD_MOVES = {3: (170.0, 0.0), 7: (0.0, -120.0), 19: (45.0, 45.0), 30: (-60.0, -25.0)}
+
+
+def _mobile_field_run(transmit):
+    """A mobile field on the true grid pass; returns the medium, events, tracks.
+
+    Forty stations (above the grid cutoff) on a jittered 150 m lattice
+    with fast shadowing off.  Every source sends twice between moves,
+    so candidate windows are reused as well as rebuilt; movers report
+    each move through ``notify_moved``; one station attaches after the
+    first frame, when the grid already exists.
+    """
+    sim = Simulator()
+    medium = Medium(sim, ChannelModel(fast_sigma_db=0.0, rng=random.Random(2)))
+    layout = random.Random(9)
+    devices = []
+    for index in range(40):
+        device = FakeDevice(
+            sim,
+            (
+                150.0 * (index % 8) + layout.uniform(-40.0, 40.0),
+                150.0 * (index // 8) + layout.uniform(-40.0, 40.0),
+            ),
+        )
+        medium.attach(device)
+        devices.append(device)
+    sources = [devices[index] for index in (0, 3, 19, 27, 39)]
+    late = FakeDevice(sim, (devices[0].position_m[0] + 60.0, devices[0].position_m[1] + 30.0))
+    tracks = {index: [devices[index].position_m] for index in _FIELD_MOVES}
+    for round_index in range(8):
+        for tx in sources:
+            for copy in range(2):
+                transmit(medium, tx, f"frame-{round_index}-{copy}", 1000, 15.0)
+                sim.run()
+                if late not in devices:
+                    # Between two frames of one source, with no move in
+                    # between: the second must reach the newcomer.
+                    medium.attach(late)
+                    devices.append(late)
+        for index, (dx, dy) in _FIELD_MOVES.items():
+            mover = devices[index]
+            x, y = mover.position_m
+            mover.position_m = (x + dx, y + dy)
+            medium.notify_moved(mover)
+            tracks[index].append(mover.position_m)
+    return medium, [device.events for device in devices], tracks
+
+
+class TestGridWindows:
+    """Reused candidate windows emit what a fresh grid query would."""
+
+    def test_mobile_field_matches_the_full_pass_and_a_fresh_query(self, monkeypatch):
+        grid_medium, grid, tracks = _mobile_field_run(Medium.transmit)
+        _, fresh, _ = _mobile_field_run(_reference_grid_transmit)
+        force_pass(monkeypatch, grid=False)
+        full_medium, full, _ = _mobile_field_run(Medium.transmit)
+        assert grid == full
+        assert grid == fresh
+        assert full_medium._grid is None
+        assert grid_medium._grid is not None
+        # Not vacuous: the late station hears frames, movers both cross
+        # cells and stay inside one, and most stations hear something.
+        assert grid[-1]
+        assert sum(bool(events) for events in grid) > 20
+        cell_m = grid_medium.cull_radius_m(15.0) / 2.0
+
+        def cell(position):
+            return (position[0] // cell_m, position[1] // cell_m)
+
+        steps = [
+            cell(before) != cell(after)
+            for track in tracks.values()
+            for before, after in zip(track, track[1:])
+        ]
+        assert any(steps) and not all(steps)

@@ -5,11 +5,46 @@ import pytest
 from repro.channel.mobility import LinearMobility, walk_away
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
+from repro.units import ns_to_s, s_to_ns
 
 
 class FakeDevice:
     def __init__(self):
         self.position_m = (0.0, 0.0)
+
+
+class RecordingDevice:
+    """Records ``(time_ns, position)`` at every position assignment."""
+
+    def __init__(self, sim, position):
+        self._sim = sim
+        self._position_m = position
+        self.updates = []
+
+    @property
+    def position_m(self):
+        return self._position_m
+
+    @position_m.setter
+    def position_m(self, position):
+        self._position_m = position
+        self.updates.append((self._sim.now_ns, position))
+
+
+def accumulate(start, steps):
+    """Positions from ``x + vx * ns_to_s(elapsed)`` applied step by step.
+
+    ``steps`` lists ``(time_ns, velocity)`` for each update: the device
+    moved at ``velocity`` since the previous update (or ``start``'s time).
+    """
+    (time_ns, (x, y)) = start
+    out = []
+    for update_ns, (vx, vy) in steps:
+        elapsed_s = ns_to_s(update_ns - time_ns)
+        x, y = x + vx * elapsed_s, y + vy * elapsed_s
+        out.append((update_ns, (x, y)))
+        time_ns = update_ns
+    return out
 
 
 class TestLinearMobility:
@@ -50,6 +85,12 @@ class TestLinearMobility:
         with pytest.raises(ConfigurationError):
             LinearMobility(Simulator(), FakeDevice(), (1.0, 0.0), 0.0)
 
+    def test_interval_rounding_to_zero_ns_rejected(self):
+        # 4e-10 s is 0 ns on the clock: the tick would re-arm at one
+        # instant forever and the simulation would never advance.
+        with pytest.raises(ConfigurationError):
+            LinearMobility(Simulator(), FakeDevice(), (1.0, 0.0), 4e-10)
+
     def test_walk_away_starts_immediately(self):
         sim = Simulator()
         device = FakeDevice()
@@ -60,6 +101,67 @@ class TestLinearMobility:
     def test_walk_away_rejects_bad_speed(self):
         with pytest.raises(ConfigurationError):
             walk_away(Simulator(), FakeDevice(), speed_m_s=0.0)
+
+
+class TestTickSchedule:
+    """Update instants and positions, compared with ``==``."""
+
+    INTERVAL_NS = s_to_ns(0.1)
+
+    def test_ticks_accumulate_the_nominal_step(self):
+        sim = Simulator()
+        device = RecordingDevice(sim, (3.0, -2.0))
+        velocity = (1.7, -0.3)
+        mobility = LinearMobility(sim, device, velocity, update_interval_s=0.1)
+        start_ns = 37_000_001
+        sim.schedule_at(start_ns, mobility.start)
+        sim.run(until_ns=start_ns + 25 * self.INTERVAL_NS)
+        steps = [(start_ns + k * self.INTERVAL_NS, velocity) for k in range(1, 26)]
+        assert device.updates == accumulate((start_ns, (3.0, -2.0)), steps)
+
+    def test_velocity_change_and_restart(self):
+        sim = Simulator()
+        device = RecordingDevice(sim, (0.0, 0.0))
+        mobility = LinearMobility(sim, device, (2.0, 0.5), update_interval_s=0.1)
+        mobility.start()
+        interval = self.INTERVAL_NS
+        turn_ns = 2 * interval + 50_000_013
+        stop_ns = 4 * interval + 20_000_007
+        restart_ns = 6 * interval
+        sim.schedule_at(turn_ns, mobility.set_velocity, (-1.0, 3.0))
+        sim.schedule_at(stop_ns, mobility.stop)
+        sim.schedule_at(restart_ns, mobility.start)
+        sim.run(until_ns=10 * interval)
+        first = accumulate(
+            (0, (0.0, 0.0)),
+            [
+                (interval, (2.0, 0.5)),
+                (2 * interval, (2.0, 0.5)),
+                (turn_ns, (2.0, 0.5)),
+                (3 * interval, (-1.0, 3.0)),
+                (4 * interval, (-1.0, 3.0)),
+                (stop_ns, (-1.0, 3.0)),
+            ],
+        )
+        # Stopped, the station stays put; a restart counts from its instant.
+        second = accumulate(
+            (restart_ns, first[-1][1]),
+            [(restart_ns + k * interval, (-1.0, 3.0)) for k in range(1, 5)],
+        )
+        assert device.updates == first + second
+
+    def test_stop_leaves_no_tick_pending(self):
+        sim = Simulator()
+        device = RecordingDevice(sim, (0.0, 0.0))
+        mobility = LinearMobility(sim, device, (1.0, 0.0), update_interval_s=0.1)
+        mobility.start()
+        assert sim.pending_events == 1
+        sim.run(until_ns=3 * self.INTERVAL_NS + 5)
+        mobility.stop()
+        assert sim.pending_events == 0
+        updates = list(device.updates)
+        sim.run(until_s=2.0)
+        assert device.updates == updates
 
 
 class TestMobileLink:

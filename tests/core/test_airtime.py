@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.airtime import AirtimeCalculator
+from repro.core.airtime import AirtimeCalculator, shared_calculator
 from repro.core.params import (
     ALL_RATES,
     Dot11bConfig,
@@ -128,3 +128,16 @@ class TestAirtimeProperties:
         combined = calc.data_frame_us(a + b, rate)
         separate = calc.data_frame_us(a, rate) + calc.data_frame_us(b, rate) - fixed
         assert combined == pytest.approx(separate)
+
+
+class TestSharedCalculator:
+    def test_equal_configs_share_one_calculator(self):
+        first = shared_calculator(Dot11bConfig())
+        assert shared_calculator(Dot11bConfig()) is first
+        assert first.config == Dot11bConfig()
+
+    def test_distinct_configs_get_distinct_calculators(self):
+        long_calc = shared_calculator(Dot11bConfig())
+        short_calc = shared_calculator(Dot11bConfig(plcp=PlcpParameters.short()))
+        assert short_calc is not long_calc
+        assert short_calc.config.plcp == PlcpParameters.short()

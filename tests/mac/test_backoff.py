@@ -105,6 +105,16 @@ class TestBackoff:
         with pytest.raises(MacError):
             Backoff(mac).countdown_started(0)
 
+    @pytest.mark.parametrize("slot_time_us", [9.0, 20.0, 12.3456])
+    def test_consumed_slots_follow_the_rounded_slot_time(self, slot_time_us):
+        slot_ns = round(slot_time_us * 1000)
+        for elapsed_ns in (0, 1, slot_ns - 1, slot_ns, 3 * slot_ns + 1, 250 * slot_ns - 1):
+            backoff = Backoff(MacParameters(slot_time_us=slot_time_us))
+            backoff.begin(1000)
+            backoff.countdown_started(7_000)
+            backoff.countdown_stopped(7_000 + elapsed_ns)
+            assert 1000 - backoff.remaining_slots == elapsed_ns // slot_ns
+
     @given(
         slots=st.integers(min_value=0, max_value=1023),
         interruptions=st.lists(

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.airtime import AirtimeCalculator
+from repro.core.params import Dot11bConfig, PlcpParameters, Rate
 from repro.errors import ConfigurationError
+from repro.phy.plans import control_frame_plan, data_frame_plan
 from repro.scenario import (
     FlowSpec,
     ScenarioSpec,
@@ -12,6 +15,7 @@ from repro.scenario import (
     TrafficSpec,
     build,
 )
+from repro.scenario.builder import build_network
 
 
 def _net():
@@ -61,3 +65,23 @@ def test_flow_lookup_is_bounds_checked():
     assert net.flow(0).label == "1->2"
     with pytest.raises(ConfigurationError):
         net.flow(1)
+
+
+@pytest.mark.parametrize(
+    "dot11", [None, Dot11bConfig(plcp=PlcpParameters.short())], ids=["default", "short-plcp"]
+)
+def test_stations_of_one_network_share_their_frame_plans(dot11):
+    net = build_network([0, 10, 20], dot11=dot11)
+    first, second = net.nodes[0].mac, net.nodes[2].mac
+    private = AirtimeCalculator(first.config.dot11)
+    mac = first.config.dot11.mac
+    for name, bits in (("ack", mac.ack_bits), ("cts", mac.cts_bits), ("rts", mac.rts_bits)):
+        plan = getattr(first, f"_{name}_plan")
+        assert getattr(second, f"_{name}_plan") is plan
+        assert plan.duration_ns == control_frame_plan(name, bits, private).duration_ns
+    for msdu_bytes, rate in ((1500, Rate.MBPS_11), (540, Rate.MBPS_2)):
+        plan = data_frame_plan(msdu_bytes, rate, first._airtime)
+        assert data_frame_plan(msdu_bytes, rate, second._airtime) is plan
+        assert plan.duration_ns == data_frame_plan(msdu_bytes, rate, private).duration_ns
+    assert first._ack_us == private.ack_us()
+    assert first._cts_us == private.cts_us()
