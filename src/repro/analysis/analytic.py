@@ -307,12 +307,11 @@ def predict_scenario(spec) -> DcfPrediction:
         raise ConfigurationError(
             "predict_scenario needs saturated CBR flows with one payload size"
         )
-    config = spec.stack.dot11_config() or Dot11bConfig()
     return saturation_throughput(
         stations=len(flows),
         app_payload_bytes=payloads.pop(),
         data_rate=Rate.from_mbps(spec.stack.data_rate_mbps),
-        config=config,
+        config=spec.stack.dot11_config(),
     )
 
 

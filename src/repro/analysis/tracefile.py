@@ -31,38 +31,46 @@ def encode_record(record: TraceRecord) -> str:
 
 
 class TraceWriter:
-    """Streams trace records to a ``.jsonl`` file.
+    """Streams every matching trace record to a ``.jsonl`` file.
 
-    Use as a context manager so the file is flushed and closed::
+    The file is opened and the writer subscribed on construction, and
+    :meth:`close` ends both.  Use it as a context manager so the file is
+    flushed and closed::
 
         with TraceWriter(net.tracer, "run.jsonl", prefix="mac.") as writer:
             net.run(10.0)
         print(writer.records_written)
+
+    or call :meth:`close` yourself, as the flight recorder does at
+    finalize.
     """
 
     def __init__(self, tracer: Tracer, path: str | Path, prefix: str = ""):
         self._tracer = tracer
-        self._path = Path(path)
-        self._prefix = prefix
-        self._handle = None
+        #: Where the trace lands.
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._handle = self.path.open("w")
         self.records_written = 0
+        tracer.subscribe(self._on_record, prefix=prefix)
 
     def __enter__(self) -> "TraceWriter":
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self._path.open("w")
-        self._tracer.subscribe(self._on_record, prefix=self._prefix)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer.unsubscribe(self._on_record)
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self.close()
 
     def _on_record(self, record: TraceRecord) -> None:
         self._handle.write(encode_record(record))
         self._handle.write("\n")
         self.records_written += 1
+
+    def close(self) -> None:
+        """Flush, close and unsubscribe.  Idempotent."""
+        if self._handle is not None:
+            self._tracer.unsubscribe(self._on_record)
+            self._handle.close()
+            self._handle = None
 
 
 def read_trace(path: str | Path) -> list[dict]:

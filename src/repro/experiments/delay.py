@@ -30,7 +30,6 @@ from repro.scenario import (
     TopologySpec,
     TrafficSpec,
     run_scenarios,
-    scenario_point,
 )
 
 _PORT = 5001
@@ -98,22 +97,6 @@ def delay_metrics(net: ScenarioNetwork) -> list[float]:
 
 
 _DELAY_METRICS = "repro.experiments.delay:delay_metrics"
-
-
-def delay_point(
-    rate_mbps: float,
-    payload_bytes: int,
-    load_fraction: float,
-    duration_s: float,
-    warmup_s: float,
-    seed: int,
-) -> list[float]:
-    """Sweep-engine point: ``[offered, delivered, mean_delay, p99]``
-    for one offered load."""
-    spec = delay_spec(
-        rate_mbps, payload_bytes, load_fraction, duration_s, warmup_s, seed
-    )
-    return list(scenario_point(spec.to_dict(), extract=_DELAY_METRICS))
 
 
 def run_delay_sweep(

@@ -45,7 +45,6 @@ from repro.scenario import (
     TrafficSpec,
     build,
     run_scenarios,
-    scenario_point,
 )
 
 _BASE_PORT = 5001
@@ -233,26 +232,6 @@ def panel_rows(net: ScenarioNetwork) -> list:
 
 
 _PANEL_ROWS = "repro.experiments.four_nodes:panel_rows"
-
-
-def panel_point(
-    placement: str,
-    rate_mbps: float,
-    transport: str,
-    rts_cts: bool,
-    sessions: list,
-    duration_s: float,
-    seed: int,
-) -> list:
-    """Sweep-engine point: one (transport, RTS/CTS) four-node panel.
-
-    Returns ``[scenario, [[label, kbps], [label, kbps]]]`` — JSON
-    primitives the caller folds back into a :class:`FourNodeResult`.
-    """
-    spec = panel_spec(
-        placement, rate_mbps, transport, rts_cts, sessions, duration_s, seed
-    )
-    return list(scenario_point(spec.to_dict(), extract=_PANEL_ROWS))
 
 
 def _run_figure(

@@ -43,7 +43,6 @@ from repro.obs.ledger import DELIVERED
 from repro.parallel import SweepCache
 from repro.scenario import (
     FlowSpec,
-    MacParamsSpec,
     ObservabilitySpec,
     ScenarioNetwork,
     ScenarioSpec,
@@ -97,13 +96,13 @@ def saturation_spec(
     seed: int = 1,
     payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
     rate_mbps: float = 11.0,
-    mac: MacParamsSpec | None = None,
 ) -> ScenarioSpec:
     """``stations`` saturated CBR contenders around one sink.
 
     Every sender runs saturated, timestamped CBR to the sink on its own
     port; the recorder's audit ledger is on so the extractor can do
-    per-flow conservation accounting.
+    per-flow conservation accounting.  The MAC runs at the Table 1
+    constants; set a knob with a ``stack.mac.*`` override.
     """
     flows = tuple(
         FlowSpec(
@@ -122,10 +121,7 @@ def saturation_spec(
         topology=TopologySpec(
             positions_m=ring_positions(stations), fast_sigma_db=0.0
         ),
-        stack=StackSpec(
-            data_rate_mbps=rate_mbps,
-            mac=mac if mac is not None else MacParamsSpec(),
-        ),
+        stack=StackSpec(data_rate_mbps=rate_mbps),
         traffic=TrafficSpec(flows=flows),
         seed=seed,
         duration_s=duration_s,

@@ -32,7 +32,6 @@ from repro.scenario import (
     TrafficSpec,
     build,
     run_scenarios,
-    scenario_point,
 )
 
 _PORT = 5001
@@ -149,14 +148,6 @@ def measure_link_lifetime(
         speed_m_s=speed_m_s,
         lifetime_s=usable_lifetime(net),
     )
-
-
-def lifetime_point(
-    rate_mbps: float, speed_m_s: float, ns2_preset: bool, seed: int
-) -> float:
-    """Sweep-engine point: one link lifetime in seconds."""
-    spec = lifetime_spec(rate_mbps, speed_m_s, ns2_preset, seed)
-    return float(scenario_point(spec.to_dict(), extract=_USABLE_LIFETIME))
 
 
 def run_link_lifetimes(

@@ -45,7 +45,6 @@ from repro.scenario import (
     TopologySpec,
     TrafficSpec,
     run_scenarios,
-    scenario_point,
 )
 
 _PORT = 5001

@@ -29,6 +29,7 @@ from repro.experiments import paper
 from repro.parallel import SweepCache, SweepPoint, run_sweep
 from repro.scenario import (
     FlowSpec,
+    MacParamsSpec,
     ScenarioNetwork,
     ScenarioSpec,
     StackSpec,
@@ -89,7 +90,8 @@ def loss_spec(
         name="loss-probe",
         topology=TopologySpec.line(0.0, float(distance_m), weather=weather),
         stack=StackSpec(
-            data_rate_mbps=rate_mbps, short_retry_limit=0, long_retry_limit=0
+            data_rate_mbps=rate_mbps,
+            mac=MacParamsSpec(short_retry_limit=0, long_retry_limit=0),
         ),
         traffic=TrafficSpec(
             flows=(
@@ -143,29 +145,6 @@ def measure_loss_at(
     net = build(spec)
     net.run(spec.duration_s)
     return probe_loss(net)
-
-
-def loss_point(
-    rate_mbps: float,
-    distance_m: float,
-    probes: int,
-    seed: int,
-    payload_bytes: int = 512,
-    weather: dict | None = None,
-) -> float:
-    """Sweep-engine point function for one (rate, distance, seed) cell.
-
-    Parameters are JSON primitives so the point is picklable under any
-    start method and content-addressable by the result cache.
-    """
-    return measure_loss_at(
-        Rate.from_mbps(rate_mbps),
-        distance_m,
-        probes=probes,
-        seed=seed,
-        payload_bytes=payload_bytes,
-        weather=DayConditions(**weather) if weather is not None else None,
-    )
 
 
 def _loss_points(

@@ -41,18 +41,6 @@ def replicate(
     return summarize(values, confidence=confidence)
 
 
-def replicate_many(
-    metrics: dict[str, MetricFn],
-    replications: int = 5,
-    base_seed: int = 1,
-) -> dict[str, Summary]:
-    """Replicate several named metrics with matched seeds."""
-    return {
-        name: replicate(metric, replications, base_seed)
-        for name, metric in metrics.items()
-    }
-
-
 def seeds_for(replications: int, base_seed: int = 1) -> Sequence[int]:
     """The seed sequence :func:`replicate` would use (for custom loops)."""
     return [base_seed * 1000 + index for index in range(replications)]

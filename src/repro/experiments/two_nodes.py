@@ -97,22 +97,6 @@ _GOODPUT_MBPS = "repro.experiments.two_nodes:goodput_mbps"
 _RX_TIMES = "repro.experiments.two_nodes:rx_times"
 
 
-def measured_point(
-    rate_mbps: float,
-    transport: str,
-    rts_cts: bool,
-    payload_bytes: int,
-    duration_s: float,
-    warmup_s: float,
-    seed: int,
-) -> float:
-    """Sweep-engine point: one measured Figure-2 panel in Mbps."""
-    spec = measured_spec(
-        rate_mbps, transport, rts_cts, payload_bytes, duration_s, warmup_s, seed
-    )
-    return float(scenario_point(spec.to_dict(), extract=_GOODPUT_MBPS))
-
-
 def udp_trace_spec(
     rate_mbps: float,
     distance_m: float,

@@ -74,6 +74,10 @@ class AckPolicy(enum.Enum):
     DEFER_IF_BUSY = "defer-if-busy"
 
 
+#: Per-station MAC queue depth, in frames, when nothing overrides it.
+DEFAULT_QUEUE_FRAMES = 200
+
+
 @dataclass(frozen=True)
 class MacConfig:
     """Per-station MAC configuration."""
@@ -88,7 +92,7 @@ class MacConfig:
     #: frame.  True adds an energy check at the SIFS boundary (ablation).
     cts_respects_physical_cs: bool = False
     nav_reset_on_missing_cts: bool = True
-    max_queue_frames: int = 200
+    max_queue_frames: int = DEFAULT_QUEUE_FRAMES
     #: MSDUs larger than this are split into fragments transmitted as a
     #: SIFS-spaced burst, each individually acknowledged, with the NAV
     #: chained fragment to fragment.  ``None`` disables fragmentation.

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.channel.medium import Medium
 from repro.channel.shadowing import Position
 from repro.core.params import Dot11bConfig, Rate
-from repro.mac.dcf import AckPolicy, MacConfig, MacStation
+from repro.mac.dcf import DEFAULT_QUEUE_FRAMES, AckPolicy, MacConfig, MacStation
 from repro.mac.ratecontrol import ArfConfig, ArfRateController, RateController
 from repro.net.ip import IpLayer
 from repro.net.routing import StaticRouting
@@ -38,7 +38,7 @@ class NodeStackConfig:
     ack_policy: AckPolicy = AckPolicy.ALWAYS
     radio: RadioParameters = field(default_factory=RadioParameters.calibrated)
     tcp: TcpConfig = field(default_factory=TcpConfig)
-    max_queue_frames: int = 200
+    max_queue_frames: int = DEFAULT_QUEUE_FRAMES
     #: Enable ARF dynamic rate switching (paper §2) instead of the fixed
     #: ``data_rate``.  Each node gets its own controller instance.
     arf: ArfConfig | None = None

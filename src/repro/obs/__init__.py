@@ -22,7 +22,7 @@ from repro.obs.auditors import (
     NavAuditor,
     TcpMonotonicAuditor,
 )
-from repro.obs.export import LedgerWriter, TraceDigest, TraceStreamWriter
+from repro.obs.export import LedgerWriter, TraceDigest
 from repro.obs.ledger import DROP_REASONS, PacketLedger, SduEntry
 from repro.obs.recorder import AuditReport, FlightRecorder
 from repro.obs.session import AuditCollector, active_collector
@@ -41,7 +41,6 @@ __all__ = [
     "SduEntry",
     "TcpMonotonicAuditor",
     "TraceDigest",
-    "TraceStreamWriter",
     "active_collector",
     "audit_experiment",
 ]

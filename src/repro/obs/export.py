@@ -21,40 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.ledger import PacketLedger
 
 
-class TraceStreamWriter:
-    """Streams every matching trace record to a ``.jsonl`` file.
-
-    Unlike :class:`~repro.analysis.tracefile.TraceWriter` this is not a
-    context manager: the flight recorder opens it at attach time and
-    closes it at finalize, which do not nest lexically.
-    """
-
-    def __init__(self, tracer: Tracer, path: str | Path, prefix: str = ""):
-        self._tracer = tracer
-        self._path = Path(path)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self._path.open("w")
-        self.records_written = 0
-        tracer.subscribe(self._on_record, prefix=prefix)
-
-    @property
-    def path(self) -> Path:
-        """Where the trace lands."""
-        return self._path
-
-    def _on_record(self, record: TraceRecord) -> None:
-        self._handle.write(encode_record(record))
-        self._handle.write("\n")
-        self.records_written += 1
-
-    def close(self) -> None:
-        """Flush, close and unsubscribe.  Idempotent."""
-        if self._handle is not None:
-            self._tracer.unsubscribe(self._on_record)
-            self._handle.close()
-            self._handle = None
-
-
 class TraceDigest:
     """SHA-256 over the canonical encoding of the event stream.
 

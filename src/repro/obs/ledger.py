@@ -30,7 +30,7 @@ tallied as anomalies but do not break the balance; impossible ones
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.tracing import TraceRecord
 

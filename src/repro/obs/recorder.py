@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.tables import render_table
+from repro.analysis.tracefile import TraceWriter
 from repro.errors import AuditError
 from repro.obs.auditors import (
     AirtimeAuditor,
@@ -13,7 +14,7 @@ from repro.obs.auditors import (
     NavAuditor,
     TcpMonotonicAuditor,
 )
-from repro.obs.export import LedgerWriter, TraceDigest, TraceStreamWriter
+from repro.obs.export import LedgerWriter, TraceDigest
 from repro.obs.ledger import DROP_REASONS, PacketLedger
 from repro.sim.engine import Simulator
 from repro.sim.tracing import Tracer
@@ -89,7 +90,7 @@ class FlightRecorder:
         self.ledger: PacketLedger | None = None
         self.auditors: tuple[Auditor, ...] = ()
         self.digest: TraceDigest | None = None
-        self.writer: TraceStreamWriter | None = None
+        self.writer: TraceWriter | None = None
         self.report: AuditReport | None = None
         self._attached = False
         self._finalized = False
@@ -104,7 +105,7 @@ class FlightRecorder:
         if self._want_digest:
             self.digest = TraceDigest(self._tracer)
         if self._trace_jsonl is not None:
-            self.writer = TraceStreamWriter(self._tracer, self._trace_jsonl)
+            self.writer = TraceWriter(self._tracer, self._trace_jsonl)
         if self._audit:
             self._tracer.audit = True
             self.ledger = PacketLedger()

@@ -7,7 +7,7 @@ and merges results **in point order**, so parallel output is
 bit-identical to the serial path.
 
 Points are described, not closed over: a :class:`SweepPoint` names its
-function by dotted path (``"repro.experiments.ranges:loss_point"``) and
+function by dotted path (``"repro.scenario.points:scenario_point"``) and
 carries a JSON-serialisable parameter mapping.  That makes points
 picklable under any start method (the engine is spawn-safe) and gives
 the :class:`~repro.parallel.cache.SweepCache` a canonical content

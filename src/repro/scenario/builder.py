@@ -29,7 +29,7 @@ from repro.channel.weather import DayConditions, WeatherProcess
 from repro.core.params import Dot11bConfig, Rate
 from repro.errors import ConfigurationError
 from repro.core.range_model import solve_range_m
-from repro.mac.dcf import AckPolicy
+from repro.mac.dcf import DEFAULT_QUEUE_FRAMES, AckPolicy
 from repro.mac.ratecontrol import ArfConfig
 from repro.net.node import Node, NodeStackConfig
 from repro.net.routing import ROUTING_POLICIES, build_shortest_path_tables
@@ -61,7 +61,7 @@ def build_network(
     dot11: Dot11bConfig | None = None,
     tcp_config: TcpConfig | None = None,
     reception: ReceptionModel | None = None,
-    mac_queue_frames: int = 200,
+    mac_queue_frames: int = DEFAULT_QUEUE_FRAMES,
     arf: ArfConfig | None = None,
     routing: str | None = None,
 ) -> ScenarioNetwork:
@@ -152,17 +152,6 @@ _RADIO_FACTORIES = {
 }
 
 
-def _stack_dot11(spec: ScenarioSpec) -> Dot11bConfig | None:
-    """A Dot11bConfig only when the spec overrides MAC parameters.
-
-    Delegates to :meth:`StackSpec.dot11_config` — the one place that
-    merges retry-limit and ``stack.mac`` contention overrides, shared
-    with the analytic model so sim and prediction read identical
-    constants.
-    """
-    return spec.stack.dot11_config()
-
-
 def make_source(net: ScenarioNetwork, flow: FlowSpec, index: int) -> Any:
     """Start (or restart) the source application for one flow."""
     from repro.apps.bulk import BulkTcpSender
@@ -245,7 +234,7 @@ def build(spec: ScenarioSpec) -> ScenarioNetwork:
             else None
         ),
         ack_policy=AckPolicy(spec.stack.ack_policy),
-        dot11=_stack_dot11(spec),
+        dot11=spec.stack.dot11_config(),
         mac_queue_frames=spec.stack.effective_queue_frames,
         arf=ArfConfig() if spec.stack.arf else None,
         routing=spec.stack.routing,

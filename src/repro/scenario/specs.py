@@ -11,8 +11,9 @@ The layers compose bottom-up:
 
 * :class:`TopologySpec` — station positions, shadowing, propagation
   preset, weather and mobility;
-* :class:`StackSpec` — NIC rate, RTS/CTS, ACK policy, radio preset, MAC
-  retry limits / queue depth, ARF;
+* :class:`StackSpec` — NIC rate, RTS/CTS, ACK policy, radio preset, ARF,
+  routing, and every MAC knob under :class:`MacParamsSpec` (``stack.mac``:
+  contention window, retry limits, slot/SIFS/DIFS, queue depth);
 * :class:`TrafficSpec` — CBR / on-off / bulk-TCP flows between station
   indices;
 * :class:`FaultSpec` — a :mod:`repro.faults` impairment window, in
@@ -23,7 +24,9 @@ The layers compose bottom-up:
 
 ``from_dict`` rejects unknown keys (a typo never silently produces a
 default run) and ``apply_overrides`` takes dotted ``--set``-style paths
-with the same strictness.
+with the same strictness.  Documents are at :data:`SPEC_VERSION` 3; a
+version-2 document is migrated on load (:func:`_upgraded`) and older
+ones are rejected.
 """
 
 from __future__ import annotations
@@ -32,18 +35,38 @@ import dataclasses
 import json
 import math
 import random
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any
 
 from repro.channel.weather import DayConditions
-from repro.core.params import Dot11bConfig, MacParameters, Rate
+from repro.core.params import (
+    DEFAULT_MAC_PARAMETERS,
+    Dot11bConfig,
+    MacParameters,
+    Rate,
+)
 from repro.errors import ConfigurationError, FaultError
-from repro.mac.dcf import AckPolicy
+from repro.mac.dcf import DEFAULT_QUEUE_FRAMES, AckPolicy
 from repro.net.routing import ROUTING_POLICIES
 
 #: Serialisation format version; bump on incompatible spec changes.
-SPEC_VERSION = 2
+SPEC_VERSION = 3
+
+#: The version-2 stack keys that version 3 moved under ``stack.mac``.
+_V2_STACK_KEYS = {
+    "short_retry_limit": "short_retry_limit",
+    "long_retry_limit": "long_retry_limit",
+    "mac_queue_frames": "queue_frames",
+}
+
+#: The :class:`MacParamsSpec` fields that override a
+#: :class:`~repro.core.params.MacParameters` constant.
+_MAC_PARAMETER_FIELDS = (
+    "cw_min_slots", "cw_max_slots", "short_retry_limit", "long_retry_limit",
+    "slot_time_us", "sifs_us", "difs_us",
+)
 
 #: Default per-frame shadowing used by the dynamic experiments.  Chosen
 #: so the loss-vs-distance curves of Figure 3 spread over the distance
@@ -70,6 +93,8 @@ FAULT_KINDS = (
 
 def _check_keys(data: Mapping[str, Any], cls: type, what: str) -> None:
     """Reject keys that are not fields of ``cls`` (typo protection)."""
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(f"{what} must be an object, got {data!r}")
     allowed = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - allowed - {"version"})
     if unknown:
@@ -368,24 +393,22 @@ class TopologySpec:
 
 @dataclass(frozen=True)
 class MacParamsSpec:
-    """MAC contention-parameter overrides (the response-surface knobs).
+    """Every MAC knob of a stack: the ``stack.mac`` overrides.
 
     Every field defaults to ``None`` = "use the Table 1 constant from
-    :class:`repro.core.params.MacParameters`".  A spec with explicit
-    values builds a custom :class:`~repro.core.params.MacParameters`
-    for the whole network — the same object both the DCF stations and
-    the analytic model (:mod:`repro.analysis.analytic`) consume, so a
-    swept point and its closed-form prediction can never disagree about
-    the constants.
+    :class:`repro.core.params.MacParameters`" (or, for ``queue_frames``,
+    :data:`~repro.mac.dcf.DEFAULT_QUEUE_FRAMES`), so an all-``None``
+    spec is the paper's configuration.  Set values build a custom
+    :class:`~repro.core.params.MacParameters` for the whole network —
+    the same object both the DCF stations and the analytic model
+    (:mod:`repro.analysis.analytic`) consume, so a swept point and its
+    closed-form prediction can never disagree about the constants.
 
     ``difs_us`` left ``None`` follows the standard's identity
     ``DIFS = SIFS + 2 x slot`` whenever slot or SIFS is overridden (the
     802.11b defaults satisfy it: 10 + 2 x 20 = 50 µs).
 
-    ``queue_frames`` overrides the per-station MAC queue depth; it
-    takes precedence over the older ``StackSpec.mac_queue_frames``
-    field so sweeps can address every MAC knob under one
-    ``stack.mac.*`` prefix.
+    ``queue_frames`` is the per-station MAC queue depth.
     """
 
     cw_min_slots: int | None = None
@@ -428,53 +451,51 @@ class MacParamsSpec:
         # at build time deep inside a sweep.
         self.to_mac_parameters()
 
-    @property
-    def overrides_timing(self) -> bool:
-        """True when any :class:`MacParameters` field is overridden."""
-        return any(
-            getattr(self, name) is not None
-            for name in (
-                "cw_min_slots", "cw_max_slots", "short_retry_limit",
-                "long_retry_limit", "slot_time_us", "sifs_us", "difs_us",
-            )
-        )
+    def to_mac_parameters(self) -> MacParameters:
+        """The effective :class:`MacParameters`: Table 1 plus these overrides."""
+        overrides = {
+            name: getattr(self, name)
+            for name in _MAC_PARAMETER_FIELDS
+            if getattr(self, name) is not None
+        }
+        if self.difs_us is None and (
+            self.slot_time_us is not None or self.sifs_us is not None
+        ):
+            table1 = DEFAULT_MAC_PARAMETERS
+            sifs = table1.sifs_us if self.sifs_us is None else self.sifs_us
+            slot = table1.slot_time_us if self.slot_time_us is None else self.slot_time_us
+            overrides["difs_us"] = sifs + 2.0 * slot
+        return MacParameters(**overrides)
 
-    def to_mac_parameters(
-        self, base: MacParameters | None = None
-    ) -> MacParameters:
-        """The effective :class:`MacParameters` (``base`` + overrides)."""
-        if base is None:
-            base = MacParameters()
-        slot = base.slot_time_us if self.slot_time_us is None else self.slot_time_us
-        sifs = base.sifs_us if self.sifs_us is None else self.sifs_us
-        if self.difs_us is not None:
-            difs = self.difs_us
-        elif self.slot_time_us is None and self.sifs_us is None:
-            difs = base.difs_us
-        else:
-            difs = sifs + 2.0 * slot
-        return dataclasses.replace(
-            base,
-            slot_time_us=slot,
-            sifs_us=sifs,
-            difs_us=difs,
-            cw_min_slots=(
-                base.cw_min_slots if self.cw_min_slots is None else self.cw_min_slots
-            ),
-            cw_max_slots=(
-                base.cw_max_slots if self.cw_max_slots is None else self.cw_max_slots
-            ),
-            short_retry_limit=(
-                base.short_retry_limit
-                if self.short_retry_limit is None
-                else self.short_retry_limit
-            ),
-            long_retry_limit=(
-                base.long_retry_limit
-                if self.long_retry_limit is None
-                else self.long_retry_limit
-            ),
-        )
+    @property
+    def effective_queue_frames(self) -> int:
+        """The MAC queue depth: ``queue_frames`` or the default."""
+        if self.queue_frames is None:
+            return DEFAULT_QUEUE_FRAMES
+        return self.queue_frames
+
+    def normalised(self) -> "MacParamsSpec":
+        """These overrides with every one that changes nothing dropped.
+
+        An override is dropped when removing it leaves
+        :meth:`to_mac_parameters` and :attr:`effective_queue_frames`
+        unchanged.  An override is kept when removing it would pair the
+        rest with an inconsistent default (``cw_min_slots=8,
+        cw_max_slots=16`` keeps both: CWmin 32 would exceed CWmax 16).
+        A spec with nothing to drop is returned as is.
+        """
+        effect = (self.to_mac_parameters(), self.effective_queue_frames)
+        mac = self
+        for spec_field in dataclasses.fields(self):
+            if getattr(mac, spec_field.name) is None:
+                continue
+            try:
+                trial = dataclasses.replace(mac, **{spec_field.name: None})
+            except ConfigurationError:
+                continue
+            if (trial.to_mac_parameters(), trial.effective_queue_frames) == effect:
+                mac = trial
+        return mac
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -514,22 +535,22 @@ class MacParamsSpec:
 
 @dataclass(frozen=True)
 class StackSpec:
-    """Per-station PHY/MAC/transport configuration."""
+    """Per-station PHY/MAC/transport configuration.
+
+    Every MAC knob lives in :attr:`mac`, which is always present: its
+    one dotted path (``stack.mac.short_retry_limit``,
+    ``stack.mac.queue_frames``, ...) works on every spec.
+    """
 
     data_rate_mbps: float = 11.0
     rts_enabled: bool = False
     ack_policy: str = "always"
     #: One of :data:`RADIO_PRESETS`, or ``None`` for the calibrated default.
     radio: str | None = None
-    short_retry_limit: int | None = None
-    long_retry_limit: int | None = None
-    mac_queue_frames: int = 200
     arf: bool = False
-    #: MAC contention-parameter overrides (CWmin/CWmax, retry limits,
-    #: slot/SIFS/DIFS, queue depth), or ``None`` for the Table 1
-    #: defaults.  Mutually exclusive with the top-level
-    #: ``short_retry_limit`` / ``long_retry_limit`` fields.
-    mac: MacParamsSpec | None = None
+    #: MAC overrides (CWmin/CWmax, retry limits, slot/SIFS/DIFS, queue
+    #: depth); all ``None`` is Table 1 plus the default queue.
+    mac: MacParamsSpec = field(default_factory=MacParamsSpec)
     #: Routing policy: ``"direct"`` (single-hop, the paper's test-bed) |
     #: ``"shortest-path"`` (hop-count BFS tables built from the topology
     #: at build time, strict no-route misses), or ``None`` for direct.
@@ -548,90 +569,36 @@ class StackSpec:
                 f"unknown radio preset {self.radio!r}; "
                 f"accepted: {list(RADIO_PRESETS)} (or null for calibrated)"
             )
-        for name in ("short_retry_limit", "long_retry_limit"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {value}")
-        if self.mac_queue_frames < 1:
-            raise ConfigurationError(
-                f"mac_queue_frames must be >= 1, got {self.mac_queue_frames}"
-            )
         if self.routing is not None and self.routing not in ROUTING_POLICIES:
             raise ConfigurationError(
                 f"unknown routing policy {self.routing!r}; "
                 f"accepted: {list(ROUTING_POLICIES)} (or null for direct)"
             )
-        if self.mac is not None:
-            for name in ("short_retry_limit", "long_retry_limit"):
-                if (
-                    getattr(self, name) is not None
-                    and getattr(self.mac, name) is not None
-                ):
-                    raise ConfigurationError(
-                        f"{name} is set both on the stack and on stack.mac; "
-                        f"pick one (stack.mac.{name} is the sweepable form)"
-                    )
 
     @property
     def effective_queue_frames(self) -> int:
-        """MAC queue depth after the ``stack.mac`` override."""
-        if self.mac is not None and self.mac.queue_frames is not None:
-            return self.mac.queue_frames
-        return self.mac_queue_frames
+        """The MAC queue depth :func:`~repro.scenario.builder.build` uses."""
+        return self.mac.effective_queue_frames
 
-    def dot11_config(self) -> Dot11bConfig | None:
-        """The protocol config this stack implies, ``None`` = defaults.
+    def dot11_config(self) -> Dot11bConfig:
+        """The protocol config this stack implies.
 
         Single source of truth for both sides of the conformance
         harness: :func:`repro.scenario.builder.build` hands this to
         every station, and :mod:`repro.analysis.analytic` computes its
         closed-form predictions from the very same object.
         """
-        legacy: dict[str, int] = {}
-        if self.short_retry_limit is not None:
-            legacy["short_retry_limit"] = self.short_retry_limit
-        if self.long_retry_limit is not None:
-            legacy["long_retry_limit"] = self.long_retry_limit
-        if self.mac is None or not self.mac.overrides_timing:
-            if not legacy:
-                return None
-            return Dot11bConfig(mac=MacParameters(**legacy))
-        base = MacParameters(**legacy) if legacy else MacParameters()
-        return Dot11bConfig(mac=self.mac.to_mac_parameters(base))
-
-    def _mac_effect(self) -> tuple[Dot11bConfig, int]:
-        """Everything :func:`~repro.scenario.builder.build` reads from ``mac``."""
-        return self.dot11_config() or Dot11bConfig(), self.effective_queue_frames
+        return Dot11bConfig(mac=self.mac.to_mac_parameters())
 
     def normalised(self) -> "StackSpec":
         """This stack with every ``stack.mac`` override that changes nothing dropped.
 
-        An override is dropped when removing it leaves
-        ``dot11_config() or Dot11bConfig()`` and
-        :attr:`effective_queue_frames` unchanged; ``mac`` becomes ``None``
-        once no override is left.  An override is kept when removing it
-        would pair the rest with an inconsistent default (``cw_min_slots=8,
-        cw_max_slots=16`` keeps both: CWmin 32 would exceed CWmax 16).
-        Stacks that build the same network then serialise identically, so
-        their sweep points share one cache key.  A stack with nothing to
-        drop is returned as is.
+        See :meth:`MacParamsSpec.normalised`.  Stacks that build the same
+        network then serialise identically, so their sweep points share
+        one cache key.  A stack with nothing to drop is returned as is.
         """
-        if self.mac is None:
-            return self
-        effect = self._mac_effect()
-        mac = self.mac
-        for spec_field in dataclasses.fields(mac):
-            if getattr(mac, spec_field.name) is None:
-                continue
-            try:
-                trial = dataclasses.replace(mac, **{spec_field.name: None})
-            except ConfigurationError:
-                continue
-            if dataclasses.replace(self, mac=trial)._mac_effect() == effect:
-                mac = trial
-        if mac == MacParamsSpec():
-            mac = None
-        return self if mac == self.mac else dataclasses.replace(self, mac=mac)
+        mac = self.mac.normalised()
+        return self if mac is self.mac else dataclasses.replace(self, mac=mac)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -639,19 +606,14 @@ class StackSpec:
             "rts_enabled": self.rts_enabled,
             "ack_policy": self.ack_policy,
             "radio": self.radio,
-            "short_retry_limit": self.short_retry_limit,
-            "long_retry_limit": self.long_retry_limit,
-            "mac_queue_frames": self.mac_queue_frames,
             "arf": self.arf,
             "routing": self.routing,
-            "mac": self.mac.to_dict() if self.mac is not None else None,
+            "mac": self.mac.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "StackSpec":
         _check_keys(data, cls, "stack")
-        short = data.get("short_retry_limit")
-        long = data.get("long_retry_limit")
         return cls(
             data_rate_mbps=_number(
                 data.get("data_rate_mbps", 11.0), "stack data_rate_mbps"
@@ -659,22 +621,9 @@ class StackSpec:
             rts_enabled=bool(data.get("rts_enabled", False)),
             ack_policy=str(data.get("ack_policy", "always")),
             radio=data.get("radio"),
-            short_retry_limit=(
-                None if short is None else _integer(short, "short_retry_limit")
-            ),
-            long_retry_limit=(
-                None if long is None else _integer(long, "long_retry_limit")
-            ),
-            mac_queue_frames=_integer(
-                data.get("mac_queue_frames", 200), "mac_queue_frames"
-            ),
             arf=bool(data.get("arf", False)),
             routing=data.get("routing"),
-            mac=(
-                MacParamsSpec.from_dict(data["mac"])
-                if data.get("mac") is not None
-                else None
-            ),
+            mac=MacParamsSpec.from_dict(data.get("mac", {})),
         )
 
 
@@ -1096,12 +1045,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        version = data.get("version", SPEC_VERSION)
-        if version != SPEC_VERSION:
-            raise ConfigurationError(
-                f"unsupported scenario spec version {version!r}; "
-                f"this build reads version {SPEC_VERSION}"
-            )
+        data = _upgraded(data, "scenario")
         _check_keys(data, cls, "scenario")
         if "topology" not in data:
             raise ConfigurationError("scenario spec needs a 'topology' section")
@@ -1136,6 +1080,92 @@ class ScenarioSpec:
         if not isinstance(data, dict):
             raise ConfigurationError("scenario spec must be a JSON object")
         return cls.from_dict(data)
+
+
+def _upgraded(data: Mapping[str, Any], what: str) -> Mapping[str, Any]:
+    """A ``what`` ("scenario" or "sweep") document in version-3 form.
+
+    Version 3 moved the stack's ``short_retry_limit``,
+    ``long_retry_limit`` and ``mac_queue_frames`` under ``stack.mac``
+    (the last as ``queue_frames``).  A version-2 document is migrated
+    by version 2's rules: an explicit ``stack.mac.queue_frames`` wins
+    over ``mac_queue_frames``, a retry limit set in both places is
+    rejected, and ``mac: null`` means no overrides.  A sweep's axes
+    that name a moved key move with it (:func:`_upgraded_axes`).  Other
+    versions are rejected.
+    """
+    version = data.get("version", SPEC_VERSION)
+    if version == SPEC_VERSION:
+        return data
+    if version != 2:
+        raise ConfigurationError(
+            f"unsupported {what} spec version {version!r}; this build "
+            f"reads version {SPEC_VERSION} and migrates version 2"
+        )
+    data = {**data, "version": SPEC_VERSION}
+    if what == "sweep":
+        data["axes"] = _upgraded_axes(
+            data.get("axes", ()), data["base"].get("stack", {})
+        )
+        data["base"] = _upgraded({"version": 2, **data["base"]}, "scenario")
+    elif "stack" in data:
+        stack = dict(data["stack"])
+        mac = dict(stack.get("mac") or {})
+        for old, new in _V2_STACK_KEYS.items():
+            value = stack.pop(old, None)
+            if value is None:
+                continue
+            if mac.get(new) is None:
+                mac[new] = value
+            elif new != "queue_frames":
+                raise ConfigurationError(
+                    f"version-2 stack sets {old} both on the stack and on "
+                    f"stack.mac; pick one"
+                )
+        data["stack"] = {**stack, "mac": mac}
+    return data
+
+
+def _upgraded_axes(
+    axes: Sequence[Mapping[str, Any]], stack: Mapping[str, Any]
+) -> list[Mapping[str, Any]]:
+    """A version-2 sweep's axes, with those naming a moved stack key renamed.
+
+    ``stack`` is the base's version-2 stack.  Version 2 kept the
+    stack-level knobs apart from ``stack.mac`` and settled the two by
+    rule, which renamed axes cannot carry.  So an axis is rejected when
+    it sets a knob that the base or another axis sets in the other
+    spelling (version 2 rejected a retry limit set twice and ignored a
+    ``stack.mac_queue_frames`` under ``stack.mac.queue_frames``), or
+    when it replaces ``stack.mac`` whole, which would drop the base's
+    moved knobs.
+    """
+    keys = {axis.get("key") for axis in axes}
+    if "stack.mac" in keys:
+        raise ConfigurationError(
+            "a version-2 sweep axis may not replace stack.mac whole; "
+            "write the sweep at version 3"
+        )
+    mac = stack.get("mac") or {}
+    upgraded = []
+    for axis in axes:
+        key = axis.get("key")
+        for old, new in _V2_STACK_KEYS.items():
+            if key == f"stack.{old}":
+                clash = mac.get(new) is not None or f"stack.mac.{new}" in keys
+            elif key == f"stack.mac.{new}":
+                clash = new != "queue_frames" and stack.get(old) is not None
+            else:
+                continue
+            if clash:
+                raise ConfigurationError(
+                    f"version-2 sweep axis {key} sets {old} in both "
+                    f"spellings; pick one"
+                )
+            axis = {**axis, "key": f"stack.mac.{new}"}
+            break
+        upgraded.append(axis)
+    return upgraded
 
 
 def _set_in(node: Any, segments: list[str], value: Any, full_key: str) -> None:
@@ -1253,12 +1283,7 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
-        version = data.get("version", SPEC_VERSION)
-        if version != SPEC_VERSION:
-            raise ConfigurationError(
-                f"unsupported sweep spec version {version!r}; "
-                f"this build reads version {SPEC_VERSION}"
-            )
+        data = _upgraded(data, "sweep")
         _check_keys(data, cls, "sweep")
         return cls(
             base=ScenarioSpec.from_dict(data["base"]),

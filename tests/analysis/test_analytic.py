@@ -170,11 +170,11 @@ class TestMaxThroughputByRate:
 class TestPredictScenario:
     def test_uses_the_spec_mac_overrides(self):
         from repro.experiments.mac_surface import saturation_spec
-        from repro.scenario import MacParamsSpec
+        from repro.scenario import apply_overrides
 
         default = predict_scenario(saturation_spec(5))
         wide = predict_scenario(
-            saturation_spec(5, mac=MacParamsSpec(cw_min_slots=256))
+            apply_overrides(saturation_spec(5), {"stack.mac.cw_min_slots": 256})
         )
         assert wide.collision_probability < default.collision_probability
 

@@ -76,19 +76,22 @@ def load_grid() -> tuple[dict[str, Any], list[dict[str, Any]]]:
 def point_spec(defaults: Mapping[str, Any], point: Mapping[str, Any]):
     """The :class:`ScenarioSpec` for one grid point."""
     from repro.experiments.mac_surface import saturation_spec
-    from repro.scenario import MacParamsSpec
+    from repro.scenario import apply_overrides
 
-    return saturation_spec(
+    spec = saturation_spec(
         stations=point["stations"],
         duration_s=defaults["duration_s"],
         warmup_s=defaults["warmup_s"],
         seed=defaults["seed"],
         payload_bytes=defaults["payload_bytes"],
         rate_mbps=defaults["rate_mbps"],
-        mac=MacParamsSpec(
-            cw_min_slots=point["cw_min"],
-            short_retry_limit=point["retry"],
-        ),
+    )
+    return apply_overrides(
+        spec,
+        {
+            "stack.mac.cw_min_slots": point["cw_min"],
+            "stack.mac.short_retry_limit": point["retry"],
+        },
     )
 
 

@@ -6,7 +6,7 @@ from repro.core.params import Rate
 from repro.errors import ExperimentError
 from repro.experiments.delay import format_delay_sweep, run_delay_sweep
 from repro.experiments.ratecontrol import format_arf_sweep, run_arf_sweep
-from repro.experiments.replication import replicate, replicate_many, seeds_for
+from repro.experiments.replication import replicate, seeds_for
 
 
 class TestDelaySweep:
@@ -52,17 +52,6 @@ class TestReplication:
         a = set(seeds_for(5, base_seed=1))
         b = set(seeds_for(5, base_seed=2))
         assert not (a & b)
-
-    def test_replicate_many_matches_seeds(self):
-        seeds_a, seeds_b = [], []
-        replicate_many(
-            {
-                "a": lambda seed: seeds_a.append(seed) or 0.0,
-                "b": lambda seed: seeds_b.append(seed) or 0.0,
-            },
-            replications=3,
-        )
-        assert seeds_a == seeds_b
 
     def test_zero_replications_rejected(self):
         with pytest.raises(ExperimentError):

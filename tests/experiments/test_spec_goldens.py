@@ -21,6 +21,7 @@ from repro.parallel import SweepCache
 from repro.scenario import (
     FaultSpec,
     FlowSpec,
+    MacParamsSpec,
     MobilitySpec,
     ScenarioSpec,
     StackSpec,
@@ -103,7 +104,8 @@ def _spec_loss_probe():
         name="loss-probe",
         topology=TopologySpec.line(0.0, 60.0),
         stack=StackSpec(
-            data_rate_mbps=11.0, short_retry_limit=0, long_retry_limit=0
+            data_rate_mbps=11.0,
+            mac=MacParamsSpec(short_retry_limit=0, long_retry_limit=0),
         ),
         traffic=TrafficSpec(
             flows=(

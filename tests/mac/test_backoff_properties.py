@@ -36,7 +36,7 @@ def mac_params_specs(draw) -> MacParamsSpec:
 
 
 def _mac(spec: MacParamsSpec) -> MacParameters:
-    return spec.to_mac_parameters(MacParameters())
+    return spec.to_mac_parameters()
 
 
 @given(spec=mac_params_specs(), failures=st.integers(min_value=0, max_value=16))

@@ -7,8 +7,6 @@ drop reason live in ``test_drop_reasons.py``.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.obs.ledger import DROP_REASONS, PacketLedger, SduEntry
 from repro.sim.tracing import TraceRecord
 

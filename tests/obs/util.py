@@ -11,6 +11,7 @@ from __future__ import annotations
 from repro.scenario import (
     FaultSpec,
     FlowSpec,
+    MacParamsSpec,
     ObservabilitySpec,
     ScenarioSpec,
     StackSpec,
@@ -96,7 +97,7 @@ def tiny_queue_spec(duration_s: float = 1.0) -> ScenarioSpec:
     return ScenarioSpec(
         name="obs-tiny-queue",
         topology=TopologySpec.line(0.0, 10.0, fast_sigma_db=0.0),
-        stack=StackSpec(mac_queue_frames=2),
+        stack=StackSpec(mac=MacParamsSpec(queue_frames=2)),
         traffic=TrafficSpec(
             flows=(
                 FlowSpec(kind="cbr", src=0, dst=1, payload_bytes=1000,

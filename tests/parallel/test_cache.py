@@ -61,7 +61,7 @@ class TestLookup:
     def test_function_change_misses(self, tmp_path):
         cache = make_cache(tmp_path)
         cache.put(POINT_FN, PARAMS, 1.0)
-        hit, _ = cache.lookup("repro.experiments.ranges:loss_point", PARAMS)
+        hit, _ = cache.lookup("repro.scenario.points:scenario_point", PARAMS)
         assert not hit
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):

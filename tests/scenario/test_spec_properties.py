@@ -26,7 +26,7 @@ from repro.parallel.cache import canonical_params  # noqa: E402
 from repro.scenario import (  # noqa: E402
     FaultSpec,
     FlowSpec,
-    MobilitySpec,
+    MacParamsSpec,
     ObservabilitySpec,
     ScenarioSpec,
     StackSpec,
@@ -84,10 +84,13 @@ stacks = st.builds(
     rts_enabled=st.booleans(),
     ack_policy=st.sampled_from(["always", "defer-if-busy"]),
     radio=st.sampled_from([None, "calibrated", "ns2"]),
-    short_retry_limit=st.none() | st.integers(min_value=0, max_value=10),
-    long_retry_limit=st.none() | st.integers(min_value=0, max_value=10),
-    mac_queue_frames=st.integers(min_value=1, max_value=500),
     arf=st.booleans(),
+    mac=st.builds(
+        MacParamsSpec,
+        short_retry_limit=st.none() | st.integers(min_value=0, max_value=10),
+        long_retry_limit=st.none() | st.integers(min_value=0, max_value=10),
+        queue_frames=st.none() | st.integers(min_value=1, max_value=500),
+    ),
 )
 
 
@@ -354,12 +357,11 @@ def test_factory_specs_share_a_sweep_cache_key(topology):
 
 from hypothesis import assume, example  # noqa: E402
 
-from repro.core.params import Dot11bConfig  # noqa: E402
 from repro.errors import ConfigurationError  # noqa: E402
-from repro.scenario import MacParamsSpec  # noqa: E402
+from repro.mac.dcf import DEFAULT_QUEUE_FRAMES  # noqa: E402
 
-#: Override values that never restate a default: the stacks below use
-#: a queue depth of 50 or 200, and no DIFS here equals SIFS + 2 x slot
+#: Override values that never restate a default: no queue depth here
+#: is the default 200, and no DIFS here equals SIFS + 2 x slot
 #: for any slot/SIFS pair drawn (20, 28, 34, 42, 50 or 56 µs).  The
 #: pairs CW 8/16, CW 2048/4096 and SIFS 2/DIFS 5 are only valid
 #: together: either half alone meets an inconsistent Table 1 default.
@@ -399,7 +401,7 @@ COUPLED = [
 
 def effect(stack: StackSpec):
     """What build() reads from a stack's MAC overrides."""
-    return stack.dot11_config() or Dot11bConfig(), stack.effective_queue_frames
+    return stack.dot11_config(), stack.effective_queue_frames
 
 
 def point_document(stack: StackSpec) -> str:
@@ -409,27 +411,17 @@ def point_document(stack: StackSpec) -> str:
 
 
 @st.composite
-def mac_stacks(draw, values=ANY_VALUE, legacy_retry=True):
+def mac_stacks(draw, values=ANY_VALUE):
     """A valid stack whose ``mac`` overrides are drawn from ``values``."""
     overrides = {
         name: draw(st.none() | st.sampled_from(choices))
         for name, choices in values.items()
     }
-    legacy = {
-        name: draw(st.none() | st.integers(min_value=0, max_value=10))
-        if legacy_retry and overrides[name] is None
-        else None
-        for name in ("short_retry_limit", "long_retry_limit")
-    }
     try:
         mac = MacParamsSpec(**overrides)
     except ConfigurationError:
         assume(False)  # e.g. CWmin above CWmax
-    return StackSpec(
-        mac_queue_frames=draw(st.sampled_from([50, 200])),
-        mac=mac if mac != MacParamsSpec() else draw(st.sampled_from([None, mac])),
-        **legacy,
-    )
+    return StackSpec(mac=mac)
 
 
 @settings(max_examples=150, deadline=None)
@@ -453,7 +445,6 @@ def test_normalisation_is_idempotent(stack):
 def test_normalisation_keeps_everything_build_reads(stack):
     normalised = stack.normalised()
     assert effect(normalised) == effect(stack)
-    assert normalised.mac != MacParamsSpec()  # an empty override set is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -463,7 +454,6 @@ def test_normalisation_keeps_everything_build_reads(stack):
 @example(COUPLED[2])
 def test_stacks_without_default_valued_overrides_keep_their_bytes(stack):
     # No other experiment's point documents or cache keys move.
-    assume(stack.mac != MacParamsSpec())
     assert stack.normalised() == stack
     spec = ScenarioSpec(topology=TopologySpec.line(0.0, 10.0), stack=stack)
     assert point_document(stack) == canonical_params(
@@ -472,9 +462,9 @@ def test_stacks_without_default_valued_overrides_keep_their_bytes(stack):
 
 
 @settings(max_examples=150, deadline=None)
-@given(mac_stacks(values=NON_DEFAULT, legacy_retry=False), st.data())
+@given(mac_stacks(values=NON_DEFAULT), st.data())
 def test_default_valued_spellings_share_one_canonical_json(stack, data):
-    mac = stack.mac or MacParamsSpec()
+    mac = stack.mac
     defaults = {
         "cw_min_slots": 32,
         "cw_max_slots": 1024,
@@ -483,7 +473,7 @@ def test_default_valued_spellings_share_one_canonical_json(stack, data):
         "slot_time_us": 20.0,
         "sifs_us": 10.0,
         "difs_us": effect(stack)[0].mac.difs_us,
-        "queue_frames": stack.mac_queue_frames,
+        "queue_frames": DEFAULT_QUEUE_FRAMES,
     }
     unset = [name for name in defaults if getattr(mac, name) is None]
     spelled = data.draw(st.lists(st.sampled_from(unset), unique=True) if unset
