@@ -1,12 +1,6 @@
 """Bench ``figure3``: packet loss vs distance for the four rates."""
 
-from benchmarks.util import (
-    OUTPUT_DIR,
-    run_once,
-    save_artifact,
-    save_audit,
-    save_journal,
-)
+from benchmarks.util import run_once, save_artifact, save_audit
 from repro.experiments.ranges import (
     estimate_tx_range,
     format_loss_curves,
@@ -18,10 +12,7 @@ PROBES = 120
 
 
 def test_bench_figure3(benchmark):
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    journal_path = OUTPUT_DIR / "figure3.journal.jsonl"
-    journal_path.unlink(missing_ok=True)  # fresh journal per bench run
-    policy = RunnerConfig(max_retries=0, journal_path=str(journal_path))
+    policy = RunnerConfig(max_retries=0)
     curves = run_once(benchmark, run_figure3, probes=PROBES, policy=policy)
     save_artifact(
         "figure3",
@@ -29,7 +20,6 @@ def test_bench_figure3(benchmark):
         benchmark=benchmark,
     )
     save_audit("figure3", "figure3", probes=30, seed=1, benchmark=benchmark)
-    save_journal("figure3", journal_path, benchmark=benchmark)
 
     by_rate = {curve.rate.mbps: curve for curve in curves}
     # The range ladder: faster rates cross 50% loss closer in.

@@ -46,29 +46,6 @@ def run_once(benchmark, function, *args, **kwargs):
                               iterations=1)
 
 
-def save_journal(name: str, journal_path, benchmark=None) -> Path:
-    """Link a sweep journal produced during the timed run to the bench.
-
-    The supervised executor appends one JSONL record per sweep point
-    (see :mod:`repro.parallel.journal`); recording its path and outcome
-    tally in ``extra_info`` ties a timing to the per-point evidence of
-    *what* ran — attempts, retries, durations — the same way
-    ``artifact`` ties it to the rendered table.
-    """
-    from repro.parallel import load_journal
-
-    path = Path(journal_path)
-    records = load_journal(path)
-    target = benchmark if benchmark is not None else _active_benchmark
-    if target is not None:
-        target.extra_info["sweep_journal"] = str(path)
-        target.extra_info["journal_points"] = len(records)
-        target.extra_info["journal_ok"] = sum(
-            1 for record in records.values() if record.status == "ok"
-        )
-    return path
-
-
 def save_profile(name: str, experiment: str, benchmark=None, **kwargs) -> Path:
     """Profile ``experiment`` outside the timed region and link the artefacts.
 

@@ -35,13 +35,44 @@ cache temperature.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.errors import SweepInterrupted
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import ExperimentResult, RunnerConfig, run_suite
 from repro.parallel import SweepCache
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse type of ``--timeout``: a finite number of seconds > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds > 0, got {text!r}"
+        )
+    return value
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type of an integer flag that must be >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_int_at_least(1),
         default=1,
         metavar="N",
         help=(
@@ -139,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="SECONDS",
         help=(
@@ -152,31 +183,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--retries",
         "--max-retries",
         dest="retries",
-        type=int,
+        type=_int_at_least(0),
         default=1,
         metavar="N",
         help=(
             "reseeded retries per sweep point after a simulation-kernel "
-            "failure, timeout or worker crash, with jittered "
-            "exponential backoff between attempts (default 1)"
-        ),
-    )
-    parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help=(
-            "append per-sweep-point outcomes (ok/failed/timeout/"
-            "crashed) to a JSONL journal at PATH; enables --resume"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "resume an interrupted sweep from --journal + cache: "
-            "points already completed are not re-executed and the "
-            "merged output is bit-identical to an uninterrupted run"
+            "failure, timeout or worker crash, each run at once "
+            "(default 1)"
         ),
     )
     parser.add_argument(
@@ -273,7 +286,7 @@ def _run_spec(args: argparse.Namespace, cache, config: RunnerConfig) -> int:
         [value] = run_scenarios(
             [spec],
             extract=args.extract,
-            jobs=max(1, args.jobs),
+            jobs=args.jobs,
             cache=cache,
             policy=config,
         )
@@ -347,13 +360,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         return lint_run(arguments[1:])
     args = _build_parser().parse_args(arguments)
-    if args.resume and not args.journal:
-        print(
-            "error: --resume needs --journal PATH (the journal of the "
-            "interrupted run)",
-            file=sys.stderr,
-        )
-        return 2
     cache = None
     if not args.no_cache:
         cache = SweepCache(root=args.cache_dir)
@@ -373,10 +379,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _audit(args)
     config = RunnerConfig(
         timeout_s=args.timeout,
-        max_retries=max(0, args.retries),
+        max_retries=args.retries,
         on_error=args.on_error,
-        journal_path=args.journal,
-        resume=args.resume,
     )
     if args.experiment == "spec":
         return _run_spec(args, cache, config)
@@ -390,7 +394,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             probes=args.probes,
             config=config,
             on_result=_print_result,
-            jobs=max(1, args.jobs),
+            jobs=args.jobs,
             cache=cache,
             overrides=overrides,
         )
@@ -402,14 +406,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:  # pragma: no cover - output piped to head
         return 0
     except SweepInterrupted as error:
-        # Graceful Ctrl-C/SIGTERM: journal + cache are flushed; tell
-        # the user how to pick the sweep back up.
+        # Graceful Ctrl-C/SIGTERM: the message says whether the cache
+        # kept the finished points and how to finish the rest.
         print(f"interrupted: {error}", file=sys.stderr)
-        if args.journal:
-            print(
-                f"resume with: --journal {args.journal} --resume",
-                file=sys.stderr,
-            )
         return 130
     except Exception as error:  # pragma: no cover - last-resort CLI surface
         print(f"error: {error}", file=sys.stderr)

@@ -26,13 +26,12 @@ class SchedulingError(SimulationError):
 
 
 class WatchdogTimeout(SimulationError):
-    """A watchdog budget (event count or wall clock) was exhausted.
+    """A sweep point overran its wall-clock deadline.
 
-    Raised by the engine's :class:`~repro.sim.engine.Watchdog` when a run
-    spins past its event or wall-clock budget, and by the sweep
-    supervisor when a point overruns its wall-clock deadline and its
-    worker is killed.  Deriving from :class:`SimulationError` makes it
-    eligible for the per-point retry-with-perturbed-seed policy.
+    Reported by the sweep supervisor when a point attempt runs past its
+    ``--timeout`` budget and its worker process is killed.  Deriving
+    from :class:`SimulationError` makes it eligible for the per-point
+    retry-with-perturbed-seed policy.
     """
 
 
@@ -70,11 +69,12 @@ class ExperimentError(ReproError):
 class SweepInterrupted(ReproError):
     """A supervised sweep was stopped by SIGINT/SIGTERM before finishing.
 
-    Raised by :mod:`repro.parallel.supervisor` after a graceful shutdown:
-    the journal and result cache have been flushed, so the message names
-    a resumable state (``--resume`` re-executes only the unfinished
-    points).  Deliberately *not* a :class:`SimulationError` — an
-    interrupt must never trigger the retry-with-perturbed-seed policy or
-    degrade into a failure record; it propagates to the CLI, which exits
-    with code 130.
+    Raised by :mod:`repro.parallel.supervisor` after a graceful shutdown.
+    Every point that finished is already in the result cache, so running
+    the same command again with the same cache executes only the rest;
+    without a cache the finished points were not kept, and the message
+    says which case applies.  Deliberately *not* a
+    :class:`SimulationError` — an interrupt must never trigger the
+    retry-with-perturbed-seed policy or degrade into a failure record;
+    it propagates to the CLI, which exits with code 130.
     """

@@ -30,20 +30,15 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.errors import SweepInterrupted, WatchdogTimeout
 from repro.experiments.registry import EXPERIMENTS, Experiment
 
-#: Default seed offset between retry attempts.  A large odd constant so
-#: perturbed seeds never collide with a user's natural seed sweep.
-DEFAULT_RETRY_SEED_STEP = 100_003
-
-
 @dataclass(frozen=True)
 class RunnerConfig:
     """Robustness policy for one suite run.
 
     The same object travels from the CLI through ``run_experiment``
     into every sweep an experiment makes (``policy=`` on
-    :func:`repro.parallel.run_sweep`), so retry/timeout/backoff,
-    failure policy and journaling are configured exactly once, and all
-    of them apply per sweep point.
+    :func:`repro.parallel.run_sweep`), so timeout, retries and the
+    failure policy are configured exactly once, and all of them apply
+    per sweep point.
     """
 
     #: Wall-clock budget per sweep point attempt; ``None`` disables the
@@ -51,27 +46,16 @@ class RunnerConfig:
     #: that is killed at its deadline.
     timeout_s: float | None = None
     #: Extra attempts per sweep point after a ``SimulationError``, a
-    #: timeout or a worker crash (0 = never retry).
+    #: timeout or a worker crash (0 = never retry).  Each retry runs at
+    #: once, at a seed perturbed by
+    #: :data:`~repro.parallel.supervisor.RETRY_SEED_STEP`.
     max_retries: int = 1
-    #: Seed offset added per retry attempt.
-    retry_seed_step: int = DEFAULT_RETRY_SEED_STEP
-    #: Base delay of the deterministic jittered exponential backoff
-    #: slept before each retry attempt (0 retries immediately).
-    backoff_base_s: float = 0.1
-    #: Ceiling on one backoff delay.
-    backoff_max_s: float = 2.0
     #: Sweep failure policy: ``"raise"`` aborts on the first point that
     #: exhausts its retries, ``"skip"`` substitutes ``None`` for failed
     #: points, ``"degrade"`` substitutes typed
     #: :class:`~repro.parallel.supervisor.PointFailure` records; the
     #: latter two complete the sweep and print a report.
     on_error: str = "raise"
-    #: Path of the persistent per-point sweep journal (JSONL); ``None``
-    #: disables journaling.
-    journal_path: str | None = None
-    #: Resume from ``journal_path`` + cache: points already recorded
-    #: ``ok`` under the current code version are not re-executed.
-    resume: bool = False
 
 
 @dataclass
@@ -138,7 +122,6 @@ class SuiteReport:
                 "timeout_s": self.config.timeout_s,
                 "max_retries": self.config.max_retries,
                 "on_error": self.config.on_error,
-                "journal": self.config.journal_path,
                 "results": [result.to_dict() for result in self.results],
             },
             indent=2,
@@ -177,7 +160,7 @@ def run_experiment(
     timeouts and exhausted retries all come back as failure records.
     A graceful SIGINT/SIGTERM shutdown is not a failure:
     :class:`~repro.errors.SweepInterrupted` propagates so the CLI can
-    exit with the resumable state (journal and cache already flushed).
+    exit 130; the finished points are already in the cache.
 
     ``jobs``/``cache`` flow into sweep-based experiments, which fan
     their independent points across a process pool and a

@@ -1,4 +1,4 @@
-"""Parallel sweep engine + supervisor + journal + result cache.
+"""Parallel sweep engine + supervisor + result cache.
 
 Public surface:
 
@@ -9,14 +9,12 @@ Public surface:
 * :func:`~repro.parallel.supervisor.supervise_sweep` — the crash-safe
   executor underneath ``run_sweep`` and the only place a point is
   retried or timed out: deadlines enforced by killing the worker,
-  dead/hung-worker detection with respawn, journaled outcomes,
-  ``--resume`` and ``on_error`` failure policies, graceful
-  SIGINT/SIGTERM shutdown.
-* :class:`~repro.parallel.journal.SweepJournal` /
-  :func:`~repro.parallel.journal.load_journal` — persistent JSONL
-  journal of per-point outcomes enabling bit-identical resume.
+  dead/hung-worker detection with respawn, immediate reseeded retries,
+  ``on_error`` failure policies, graceful SIGINT/SIGTERM shutdown.
 * :class:`~repro.parallel.cache.SweepCache` — content-addressed result
-  store keyed on canonical parameters + seed + code-version tag.
+  store keyed on canonical parameters + seed + code-version tag, and
+  the only record of finished points: running an interrupted sweep
+  again with the same cache executes only the points it lacks.
 """
 
 from repro.parallel.cache import (
@@ -25,12 +23,7 @@ from repro.parallel.cache import (
     default_cache_dir,
     point_key,
 )
-from repro.parallel.engine import (
-    SweepPoint,
-    backoff_delay_s,
-    run_sweep,
-)
-from repro.parallel.journal import PointRecord, SweepJournal, load_journal
+from repro.parallel.engine import SweepPoint, run_sweep
 from repro.parallel.supervisor import (
     PointFailure,
     SweepOutcome,
@@ -40,16 +33,12 @@ from repro.parallel.supervisor import (
 
 __all__ = [
     "PointFailure",
-    "PointRecord",
     "SweepCache",
-    "SweepJournal",
     "SweepOutcome",
     "SweepPoint",
     "SweepReport",
-    "backoff_delay_s",
     "code_version_tag",
     "default_cache_dir",
-    "load_journal",
     "point_key",
     "run_sweep",
     "supervise_sweep",

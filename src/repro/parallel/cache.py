@@ -7,13 +7,14 @@ over the canonicalised ``(function, parameters, version-tag)`` triple —
 so regenerating a figure is a set of disk reads when nothing relevant
 changed.
 
-The **version tag** is a content hash of the simulation-semantics
-modules (``sim``, ``channel``, ``phy``, ``mac``, ``net``, ``transport``,
-``apps``, ``core``, ``faults``, ``experiments`` …).  Editing any of them
-changes the tag and invalidates every entry; editing rendering/analysis
-code (``analysis``, ``cli``, ``parallel`` itself) leaves the tag — and
-the cache — intact, which is the point: re-rendering a figure after an
-unrelated code change is a cache hit.
+The **version tag** is a content hash of every module of ``repro``
+that a point can import: all of its ``.py`` files except the CLI
+(``cli.py``, ``__main__.py``), the profiler (``profiling.py``) and the
+linter (``simlint``).  Editing any hashed file — simulation layers,
+experiments, ``analysis``, ``obs``, ``parallel`` itself — changes the
+tag and invalidates every entry, because a cached value may depend on
+any of them (a mac-surface point reads the ``obs`` ledger and computes
+fairness in ``analysis``).  A new package is hashed by default.
 
 Entries are small JSON files under ``~/.cache/repro-sweeps`` (overridden
 by ``--cache-dir`` / the ``REPRO_SWEEP_CACHE_DIR`` environment
@@ -31,26 +32,11 @@ import tempfile
 from pathlib import Path
 from typing import Any, Mapping
 
-#: Subpackages of ``repro`` whose source content defines simulation
-#: semantics.  A change to any file below these roots invalidates the
-#: cache; everything else (rendering, CLI, the cache itself) does not.
-_SEMANTIC_ROOTS: tuple[str, ...] = (
-    "sim",
-    "channel",
-    "phy",
-    "mac",
-    "net",
-    "transport",
-    "apps",
-    "core",
-    "faults",
-    "scenario",
-    "experiments",
-    "units.py",
-    "errors.py",
-)
+#: Top-level entries of ``repro`` that no sweep point imports; every
+#: other ``.py`` file below the package is hashed into the version tag.
+_UNHASHED: tuple[str, ...] = ("cli.py", "__main__.py", "profiling.py", "simlint")
 
-_MISS = object()
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 _version_tag_cache: str | None = None
 
@@ -65,29 +51,29 @@ def default_cache_dir() -> Path:
     return base / "repro-sweeps"
 
 
+def _tagged_files() -> list[Path]:
+    """The source files :func:`code_version_tag` hashes, in hash order."""
+    return [
+        file
+        for file in sorted(_PACKAGE_ROOT.rglob("*.py"))
+        if file.relative_to(_PACKAGE_ROOT).parts[0] not in _UNHASHED
+    ]
+
+
 def code_version_tag() -> str:
-    """Content hash of the simulation-semantics source files.
+    """Content hash of every source file a sweep point can import.
 
     Computed once per process (the sources cannot change under a running
     interpreter in any way that matters to already-imported code).
     """
     global _version_tag_cache
     if _version_tag_cache is None:
-        package_root = Path(__file__).resolve().parent.parent
         digest = hashlib.sha256()
-        for root in _SEMANTIC_ROOTS:
-            path = package_root / root
-            if path.is_file():
-                files = [path]
-            elif path.is_dir():
-                files = sorted(path.rglob("*.py"))
-            else:  # pragma: no cover - layout change
-                continue
-            for file in files:
-                digest.update(str(file.relative_to(package_root)).encode())
-                digest.update(b"\0")
-                digest.update(file.read_bytes())
-                digest.update(b"\0")
+        for file in _tagged_files():
+            digest.update(str(file.relative_to(_PACKAGE_ROOT)).encode())
+            digest.update(b"\0")
+            digest.update(file.read_bytes())
+            digest.update(b"\0")
         _version_tag_cache = digest.hexdigest()[:16]
     return _version_tag_cache
 
@@ -100,9 +86,8 @@ def canonical_params(params: Mapping[str, Any]) -> str:
 def point_key(fn: str, params: Mapping[str, Any], version_tag: str) -> str:
     """Content address of one sweep point.
 
-    Shared by the cache and the sweep journal, so a journal entry and a
-    cache entry for the same point always carry the same key — resume
-    can match them up without re-deriving anything.
+    Shared by the cache and the supervisor, which runs the points of a
+    sweep that share a key once.
     """
     body = json.dumps(
         {"fn": fn, "params": params, "version": version_tag},
@@ -139,14 +124,6 @@ class SweepCache:
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
-
-    def get(self, fn: str, params: Mapping[str, Any]) -> Any:
-        """The cached value, or the module-private miss sentinel.
-
-        Use :meth:`lookup` for an explicit ``(hit, value)`` pair.
-        """
-        hit, value = self.lookup(fn, params)
-        return value if hit else _MISS
 
     def lookup(self, fn: str, params: Mapping[str, Any]) -> tuple[bool, Any]:
         """``(True, value)`` on a hit, ``(False, None)`` on a miss.

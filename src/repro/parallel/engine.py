@@ -17,31 +17,27 @@ Execution is delegated to the supervised executor
 (:mod:`repro.parallel.supervisor`), the one place where a point is
 retried, timed out or isolated: per-point dispatch with wall-clock
 deadlines enforced by killing the worker, dead/hung-worker detection
-with respawn and task reassignment, bounded retry with jittered
-exponential backoff and perturbed seeds, an optional persistent journal
-(:mod:`repro.parallel.journal`) with ``resume`` support, and a failure
-policy (``on_error = "raise" | "skip" | "degrade"``).  Completed
-results are persisted to the cache *as they finish*, so one failing
-point never discards the work of the others.
+with respawn and task reassignment, bounded immediate retry at
+perturbed seeds, and a failure policy (``on_error = "raise" | "skip" |
+"degrade"``).  Completed results are persisted to the cache *as they
+finish*, so one failing point never discards the work of the others,
+and running an interrupted sweep again with the same cache executes
+only the points it had not finished.
 
 The hardened runner's policy travels with the sweep: a
 :class:`~repro.experiments.runner.RunnerConfig`-shaped object (anything
-with ``timeout_s`` / ``max_retries`` / ``retry_seed_step`` /
-``backoff_base_s`` / ``backoff_max_s`` / ``on_error`` /
-``journal_path`` / ``resume``) applies the same semantics to each
-point, whatever the worker count.
+with ``timeout_s`` / ``max_retries`` / ``on_error``) applies the same
+semantics to each point, whatever the worker count.
 """
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ExperimentError
 from repro.parallel.cache import SweepCache
-from repro.parallel.journal import SweepJournal
 
 
 @dataclass(frozen=True)
@@ -73,36 +69,13 @@ def resolve_point_fn(fn: str) -> Callable[..., Any]:
         ) from error
 
 
-def backoff_delay_s(
-    attempt: int, base_s: float, max_s: float, token: str = ""
-) -> float:
-    """Jittered exponential backoff before retry ``attempt`` (1-based).
-
-    Deterministic: the jitter is derived from a SHA-256 over
-    ``token:attempt`` rather than a live RNG, so two runs of the same
-    sweep back off identically and reports stay reproducible.  The raw
-    delay doubles per attempt up to ``max_s``; jitter scales it into
-    ``[0.5, 1.0] * raw`` so a fleet of retrying points never
-    synchronises.  ``base_s <= 0`` disables backoff entirely.
-    """
-    if base_s <= 0.0 or attempt < 1:
-        return 0.0
-    cap = max(base_s, max_s)
-    raw = min(base_s * (2.0 ** (attempt - 1)), cap)
-    digest = hashlib.sha256(f"{token}:{attempt}".encode()).digest()
-    unit = int.from_bytes(digest[:8], "big") / 2.0**64
-    return raw * (0.5 + 0.5 * unit)
-
-
 def run_sweep(
     points: Sequence[SweepPoint | tuple[str, Mapping[str, Any]]],
     jobs: int = 1,
     cache: SweepCache | None = None,
     policy: Any = None,
     start_method: str | None = None,
-    journal: SweepJournal | str | None = None,
     on_error: str | None = None,
-    resume: bool | None = None,
 ) -> list[Any]:
     """Evaluate every point and return the values **in point order**.
 
@@ -122,29 +95,27 @@ def run_sweep(
     Points with equal content addresses run once: the first executes
     and every equal point gets a copy of its value (or of its failure).
     This relies on the cache's contract that a point is a pure function
-    of its parameters.  The cache and the journal hold one record per
-    distinct point.
+    of its parameters.  The cache holds one entry per distinct point.
 
-    Completed results are persisted to the cache and ``journal`` as
-    each point finishes — a failure at point 900/1000 never discards
-    the other 899.  ``on_error`` selects the failure policy: ``raise``
-    (default) re-raises the first final failure, ``skip`` leaves
-    ``None`` at the failed index, ``degrade`` leaves a typed
+    Completed results are persisted to the cache as each point
+    finishes — a failure at point 900/1000 never discards the other
+    899, and running the same sweep again with the same cache executes
+    only what is missing.  ``on_error`` selects the failure policy:
+    ``raise`` (default) re-raises the first final failure, ``skip``
+    leaves ``None`` at the failed index, ``degrade`` leaves a typed
     :class:`~repro.parallel.supervisor.PointFailure` record; both
-    non-raising modes print a sweep report to stderr.  ``resume=True``
-    (requires a journal) skips points the journal already records as
-    ``ok`` under the current code version.  ``journal``/``on_error``/
-    ``resume`` left as ``None`` fall back to the same-named attributes
-    of ``policy``.
+    non-raising modes print a sweep report to stderr.  ``on_error``
+    left as ``None`` falls back to the same-named attribute of
+    ``policy``.
 
     SIGINT/SIGTERM during the sweep trigger a graceful shutdown —
-    journal and cache are flushed and :class:`~repro.errors.\
-    SweepInterrupted` names the resumable state.  A timeout runs every
-    point in a worker process, even at ``jobs=1``, because a deadline
-    is enforced by killing the worker.  Without one, a single
-    outstanding point runs in-process (no pool start-up cost), so
-    crash-grade isolation needs ``jobs >= 2`` *and* at least two points
-    left to run.
+    finished points are already in the cache, the workers are reaped
+    and :class:`~repro.errors.SweepInterrupted` says how to finish the
+    rest.  A timeout runs every point in a worker process, even at
+    ``jobs=1``, because a deadline is enforced by killing the worker.
+    Without one, a single outstanding point runs in-process (no pool
+    start-up cost), so crash-grade isolation needs ``jobs >= 2`` *and*
+    at least two points left to run.
     """
     if jobs < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
@@ -160,8 +131,6 @@ def run_sweep(
         cache=cache,
         policy=policy,
         start_method=start_method,
-        journal=journal,
         on_error=on_error,
-        resume=resume,
     )
     return outcome.results

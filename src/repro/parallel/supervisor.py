@@ -1,4 +1,4 @@
-"""Supervised sweep executor: crash-safe, journaled, resumable.
+"""Supervised sweep executor: crash-safe, and finished from the cache.
 
 The engine's old pool path was all-or-nothing: ``pool.map`` blocked on
 every point, one worker failure propagated after the batch, and a hard
@@ -10,47 +10,43 @@ replaces it with per-task dispatch over dedicated pipes:
   task — and only its task — is reassigned to a respawned worker;
 * a per-point wall-clock **deadline** (``policy.timeout_s``) is
   enforced from the parent by *killing* the overdue worker, which
-  reclaims the CPU and leaves nothing running.  A policy with a
-  timeout therefore runs every point in a worker process, even at
-  ``jobs=1``; without one, ``jobs=1`` sweeps and single points run
-  in-process;
+  reclaims the CPU and leaves nothing running.  It is the only
+  timeout: a policy with one runs every point in a worker process,
+  even at ``jobs=1``; without one, ``jobs=1`` sweeps and single points
+  run in-process;
 * failures eligible for retry (kernel-level
-  :class:`~repro.errors.SimulationError`, timeouts, crashes) are
-  re-dispatched up to ``policy.max_retries`` times with perturbed seeds
-  and deterministic jittered exponential backoff;
-* every outcome is appended to the optional persistent
-  :class:`~repro.parallel.journal.SweepJournal` and successful values
-  are written to the result cache **as they complete**, so an abort at
-  point 900/1000 keeps the other 899;
+  :class:`~repro.errors.SimulationError`, timeouts, crashes) run again
+  at once, up to ``policy.max_retries`` times, each at a seed
+  perturbed by :data:`RETRY_SEED_STEP`.  Serial and pooled attempts
+  share one decision between a retry and a final failure;
+* successful values are written to the result cache **as they
+  complete**, so an abort at point 900/1000 keeps the other 899;
 * ``on_error`` picks the failure policy: ``"raise"`` stops dispatching
   and re-raises the first final failure once in-flight work has been
   collected, ``"skip"`` substitutes ``None``, ``"degrade"``
   substitutes a typed :class:`PointFailure` record — both of the
   latter finish the sweep and print a :class:`SweepReport`;
-* SIGINT/SIGTERM trigger graceful shutdown: flush journal and cache,
-  kill the workers, and raise :class:`~repro.errors.SweepInterrupted`
-  naming the resumable state.  A second SIGINT forces the default
-  handler (hard exit).
+* SIGINT/SIGTERM trigger graceful shutdown: kill the workers and raise
+  :class:`~repro.errors.SweepInterrupted`.  A second SIGINT forces the
+  default handler (hard exit).
 
-``resume=True`` replays a previous journal: points recorded ``ok``
-under the current code-version tag are served from the journal (and
-re-warmed into the cache) and only failed or unfinished points
-execute, so an interrupted sweep's merged results are bit-identical to
-an uninterrupted run.
+The cache is the only record of finished points.  Running an
+interrupted sweep again with the same cache serves every finished
+point from it and executes only the rest, so the merged results equal
+an uninterrupted run.  Without a cache nothing is kept.
 
 Points with equal :func:`~repro.parallel.cache.point_key` run once per
 sweep: a point is a pure function of its parameters (the cache's
 contract), so the first point of each key executes and its value — or
 its failure — is copied to every index that shares the key.  Results,
 report tallies and ``on_error`` handling read as if each point had run
-alone; the cache and the journal hold one record per distinct key.
+alone; the cache holds one entry per distinct key.
 """
 
 from __future__ import annotations
 
 import copy
 import gc
-import heapq
 import multiprocessing
 import signal
 import sys
@@ -64,21 +60,15 @@ from multiprocessing.connection import wait as connection_wait
 from typing import Any, Mapping, Sequence, TextIO
 
 from repro import errors as _errors
-from repro.errors import (
-    ExperimentError,
-    SimulationError,
-    SweepInterrupted,
-    WatchdogTimeout,
-)
+from repro.errors import ExperimentError, SimulationError, SweepInterrupted
 from repro.parallel.cache import SweepCache, code_version_tag, point_key
-from repro.parallel.engine import SweepPoint, backoff_delay_s, resolve_point_fn
-from repro.parallel.journal import PointRecord, SweepJournal, load_journal
+from repro.parallel.engine import SweepPoint, resolve_point_fn
 
 #: Valid ``on_error`` failure policies.
 ON_ERROR_POLICIES: tuple[str, ...] = ("raise", "skip", "degrade")
 
-#: Upper bound on one ``connection.wait`` nap, so signal flags and
-#: retry ready-times are observed promptly even under quiet workers.
+#: Upper bound on one ``connection.wait`` nap, so signal flags are
+#: observed promptly even under quiet workers.
 _POLL_INTERVAL_S = 0.2
 
 
@@ -99,18 +89,6 @@ class PointFailure:
     error_type: str
     attempts: int
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation (report files, journals)."""
-        return {
-            "index": self.index,
-            "fn": self.fn,
-            "key": self.key,
-            "status": self.status,
-            "error": self.error,
-            "error_type": self.error_type,
-            "attempts": self.attempts,
-        }
-
 
 @dataclass
 class SweepReport:
@@ -119,13 +97,11 @@ class SweepReport:
     total: int
     ok: int = 0
     cached: int = 0
-    resumed: int = 0
     retried: int = 0
     #: Points that reused the outcome of an equal point in the sweep.
     shared: int = 0
     failures: list[PointFailure] = field(default_factory=list)
     elapsed_s: float = 0.0
-    journal_path: str | None = None
 
     @property
     def failed(self) -> int:
@@ -136,9 +112,8 @@ class SweepReport:
         """Human-readable sweep report (printed on degraded sweeps)."""
         lines = [
             f"sweep report: {self.ok}/{self.total} points ok"
-            f" ({self.cached} cached, {self.resumed} resumed,"
-            f" {self.shared} shared, {self.retried} retries)"
-            f" in {self.elapsed_s:.1f}s"
+            f" ({self.cached} cached, {self.shared} shared,"
+            f" {self.retried} retries) in {self.elapsed_s:.1f}s"
         ]
         for failure in self.failures:
             lines.append(
@@ -146,8 +121,6 @@ class SweepReport:
                 f"after {failure.attempts} attempt(s): "
                 f"{failure.error_type}: {failure.error}"
             )
-        if self.journal_path is not None:
-            lines.append(f"  journal: {self.journal_path}")
         return "\n".join(lines)
 
 
@@ -159,23 +132,26 @@ class SweepOutcome:
     report: SweepReport
 
 
-def perturbed_params(
-    params: Mapping[str, Any], attempt: int, seed_step: int
-) -> dict[str, Any]:
+#: Seed offset added per retry attempt.  A large odd constant, so
+#: perturbed seeds never collide with a user's natural seed sweep.
+RETRY_SEED_STEP = 100_003
+
+
+def perturbed_params(params: Mapping[str, Any], attempt: int) -> dict[str, Any]:
     """The point's kwargs for retry ``attempt`` (0 = first try).
 
     Retries perturb the point's ``seed`` parameter, when it has one, by
-    ``seed_step`` per attempt.  Spec-driven points carry their seed
-    inside a ``spec`` document instead; the same perturbation applies to
-    ``params["spec"]["seed"]``.
+    :data:`RETRY_SEED_STEP` per attempt.  Spec-driven points carry
+    their seed inside a ``spec`` document instead; the same
+    perturbation applies to ``params["spec"]["seed"]``.
     """
     kwargs = dict(params)
     if attempt and "seed" in kwargs:
-        kwargs["seed"] = kwargs["seed"] + attempt * seed_step
+        kwargs["seed"] = kwargs["seed"] + attempt * RETRY_SEED_STEP
     spec = kwargs.get("spec")
     if attempt and isinstance(spec, Mapping) and "seed" in spec:
         reseeded = dict(spec)
-        reseeded["seed"] = reseeded["seed"] + attempt * seed_step
+        reseeded["seed"] = reseeded["seed"] + attempt * RETRY_SEED_STEP
         kwargs["spec"] = reseeded
     return kwargs
 
@@ -183,6 +159,11 @@ def perturbed_params(
 #: The serialised form a worker failure takes across the process
 #: boundary: ``(exception type name, message, formatted traceback)``.
 ErrorRecord = tuple[str, str, str]
+
+#: Failure status of an attempt by the error type of its record; every
+#: other type is ``"failed"``.  ``WorkerCrashed`` names no exception
+#: class: the supervisor writes it when a worker's pipe hits EOF.
+_STATUS_OF_ERROR = {"WatchdogTimeout": "timeout", "WorkerCrashed": "crashed"}
 
 
 def serialize_error(error: BaseException) -> ErrorRecord:
@@ -208,7 +189,10 @@ def worker_error(fn: str, record: ErrorRecord) -> Exception:
 
 
 def _retryable(error_type: str) -> bool:
-    """True when a failure type is eligible for a reseeded retry."""
+    """True for a worker crash and for any :mod:`repro.errors` subclass
+    of :class:`~repro.errors.SimulationError` (timeouts included)."""
+    if error_type == "WorkerCrashed":
+        return True
     exc_class = getattr(_errors, error_type, None)
     return isinstance(exc_class, type) and issubclass(
         exc_class, SimulationError
@@ -236,7 +220,7 @@ class _Task:
     point that shares the key (``index`` included) and so its outcome.
     """
 
-    __slots__ = ("index", "indices", "point", "key", "attempt", "started")
+    __slots__ = ("index", "indices", "point", "key", "attempt")
 
     def __init__(self, index: int, point: SweepPoint, key: str):
         self.index = index
@@ -244,7 +228,6 @@ class _Task:
         self.point = point
         self.key = key
         self.attempt = 0
-        self.started: float | None = None
 
 
 class _Worker:
@@ -337,42 +320,27 @@ class _Supervision:
         cache: SweepCache | None,
         policy: Any,
         start_method: str | None,
-        journal: SweepJournal | None,
         on_error: str,
-        resume: bool,
         report_stream: TextIO | None,
     ):
         self.points = list(points)
         self.jobs = jobs
         self.cache = cache
         self.start_method = start_method
-        self.journal = journal
         self.on_error = on_error
-        self.resume = resume
         self.report_stream = report_stream
         # A ``None`` policy means no timeout and no retry.
         self.timeout_s: float | None = getattr(policy, "timeout_s", None)
-        self.max_retries = max(0, int(getattr(policy, "max_retries", 0)))
-        self.seed_step = int(getattr(policy, "retry_seed_step", 0))
-        self.backoff_base_s = max(
-            0.0, float(getattr(policy, "backoff_base_s", 0.0))
-        )
-        self.backoff_max_s = max(
-            0.0, float(getattr(policy, "backoff_max_s", 0.0))
-        )
+        self.max_retries: int = getattr(policy, "max_retries", 0)
         self.version = (
             cache.version_tag if cache is not None else code_version_tag()
         )
         self.results: list[Any] = [None] * len(self.points)
-        self.report = SweepReport(
-            total=len(self.points),
-            journal_path=str(journal.path) if journal is not None else None,
-        )
+        self.report = SweepReport(total=len(self.points))
         self._interrupted = False
         self._signal_count = 0
         self._abort = False
         self._raise_error: BaseException | None = None
-        self._retry_sequence = 0
         #: Supervisor ends of the live workers' pipes (see _spawn_worker).
         self._parent_ends: set[Connection] = set()
 
@@ -407,62 +375,46 @@ class _Supervision:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _journal_record(self, record: PointRecord) -> None:
-        if self.journal is not None:
-            self.journal.record(record)
-
     def _fill(self, task: _Task, value: Any) -> None:
         """Put ``value`` at every index of ``task``, a copy at each sharer."""
         self.results[task.index] = value
         for index in task.indices[1:]:
             self.results[index] = copy.deepcopy(value)
 
-    def _complete_ok(
-        self, task: _Task, value: Any, attempts: int, cached: bool = False
-    ) -> None:
+    def _complete_ok(self, task: _Task, value: Any, cached: bool = False) -> None:
         self._fill(task, value)
         self.report.ok += len(task.indices)
         if cached:
             self.report.cached += len(task.indices)
-        duration = (
-            time.monotonic() - task.started if task.started is not None else 0.0
-        )
-        if self.cache is not None and not cached:
+        elif self.cache is not None:
             self.cache.put(task.point.fn, task.point.params, value)
-        self._journal_record(
-            PointRecord(
-                key=task.key,
-                fn=task.point.fn,
-                index=task.index,
-                status="ok",
-                attempts=attempts,
-                duration_s=duration,
-                version=self.version,
-                value=value,
-                cached=cached,
-            )
-        )
 
-    def _complete_failure(
-        self, task: _Task, status: str, record: ErrorRecord, attempts: int
-    ) -> None:
+    def _attempt_failed(
+        self,
+        task: _Task,
+        record: ErrorRecord,
+        error: BaseException | None = None,
+    ) -> bool:
+        """Decide between a retry and a final failure after one attempt.
+
+        Both executors route every failed attempt through here.  A
+        retry-eligible failure with attempts left returns True, and the
+        caller runs ``task`` again at once at its next perturbed seed.
+        Otherwise the failure is final and recorded at every index of
+        the task.  Under ``on_error="raise"`` the sweep then stops and
+        re-raises ``error``, the original exception of an in-process
+        attempt, or else the failure rebuilt from ``record``.
+        """
         error_type, message, _ = record
-        duration = (
-            time.monotonic() - task.started if task.started is not None else 0.0
-        )
-        self._journal_record(
-            PointRecord(
-                key=task.key,
-                fn=task.point.fn,
-                index=task.index,
-                status=status,
-                attempts=attempts,
-                duration_s=duration,
-                version=self.version,
-                error=message,
-                error_type=error_type,
-            )
-        )
+        if (
+            _retryable(error_type)
+            and task.attempt < self.max_retries
+            and not self._abort
+        ):
+            task.attempt += 1
+            self.report.retried += len(task.indices)
+            return True
+        status = _STATUS_OF_ERROR.get(error_type, "failed")
         for index in task.indices:
             failure = PointFailure(
                 index=index,
@@ -471,19 +423,22 @@ class _Supervision:
                 status=status,
                 error=message,
                 error_type=error_type,
-                attempts=attempts,
+                attempts=task.attempt + 1,
             )
             self.report.failures.append(failure)
             self.results[index] = failure if self.on_error == "degrade" else None
         if self.on_error == "raise":
             self._abort = True
             if self._raise_error is None:
-                self._raise_error = worker_error(task.point.fn, record)
+                self._raise_error = (
+                    error if error is not None else worker_error(task.point.fn, record)
+                )
+        return False
 
-    # -- resume / cache triage ---------------------------------------------
+    # -- cache triage --------------------------------------------------------
 
     def _triage(self) -> list[_Task]:
-        """Group equal points, serve resumed and cached ones; return the rest."""
+        """Group equal points and serve cached ones; return the rest."""
         distinct: dict[str, _Task] = {}
         for index, point in enumerate(self.points):
             key = point_key(point.fn, point.params, self.version)
@@ -493,31 +448,12 @@ class _Supervision:
             else:
                 first.indices.append(index)
         self.report.shared = len(self.points) - len(distinct)
-        resume_map: dict[str, PointRecord] = {}
-        if self.resume and self.journal is not None:
-            resume_map = load_journal(self.journal.path)
         tasks: list[_Task] = []
         for task in distinct.values():
-            point = task.point
-            record = resume_map.get(task.key)
-            if (
-                record is not None
-                and record.status == "ok"
-                and record.version == self.version
-            ):
-                self._fill(task, record.value)
-                self.report.ok += len(task.indices)
-                self.report.resumed += len(task.indices)
-                if self.cache is not None:
-                    hit, _ = self.cache.lookup(point.fn, point.params)
-                    if not hit:
-                        self.cache.put(point.fn, point.params, record.value)
-                continue
             if self.cache is not None:
-                hit, value = self.cache.lookup(point.fn, point.params)
+                hit, value = self.cache.lookup(task.point.fn, task.point.params)
                 if hit:
-                    task.started = time.monotonic()
-                    self._complete_ok(task, value, attempts=0, cached=True)
+                    self._complete_ok(task, value, cached=True)
                     continue
             tasks.append(task)
         return tasks
@@ -525,62 +461,19 @@ class _Supervision:
     # -- serial executor ---------------------------------------------------
 
     def _run_serial(self, tasks: Sequence[_Task]) -> None:
-        for task in tasks:
-            if self._interrupted or self._abort:
-                return
-            self._run_serial_task(task)
-
-    def _run_serial_task(self, task: _Task) -> None:
-        task.started = time.monotonic()
-        last_record: ErrorRecord | None = None
-        last_error: BaseException | None = None
-        last_status = "failed"
-        attempts = 0
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                if self._interrupted:
-                    return  # unfinished: no record, resume re-runs it
-                delay = backoff_delay_s(
-                    attempt,
-                    self.backoff_base_s,
-                    self.backoff_max_s,
-                    token=task.key,
-                )
-                if delay > 0.0:
-                    time.sleep(delay)
-                self.report.retried += len(task.indices)
-            params = perturbed_params(
-                task.point.params, attempt, self.seed_step
-            )
-            attempts = attempt + 1
+        queue = deque(tasks)
+        while queue and not (self._interrupted or self._abort):
+            task = queue.popleft()
+            params = perturbed_params(task.point.params, task.attempt)
             try:
                 value = resolve_point_fn(task.point.fn)(**params)
             except KeyboardInterrupt:
                 self._interrupted = True
-                return
-            except WatchdogTimeout as error:  # an engine Watchdog budget
-                last_record = serialize_error(error)
-                last_error = error
-                last_status = "timeout"
-                continue
-            except SimulationError as error:
-                last_record = serialize_error(error)
-                last_error = error
-                last_status = "failed"
-                continue
             except Exception as error:  # noqa: BLE001 - isolation boundary
-                self._complete_failure(
-                    task, "failed", serialize_error(error), attempts
-                )
-                if self.on_error == "raise":
-                    self._raise_error = error  # original object, serially
-                return
-            self._complete_ok(task, value, attempts)
-            return
-        assert last_record is not None
-        self._complete_failure(task, last_status, last_record, attempts)
-        if self.on_error == "raise" and last_error is not None:
-            self._raise_error = last_error
+                if self._attempt_failed(task, serialize_error(error), error):
+                    queue.appendleft(task)
+            else:
+                self._complete_ok(task, value)
 
     # -- pooled executor ---------------------------------------------------
 
@@ -624,11 +517,7 @@ class _Supervision:
         context: Any,
         queue: "deque[_Task]",
     ) -> None:
-        if task.started is None:
-            task.started = time.monotonic()
-        params = perturbed_params(
-            task.point.params, task.attempt, self.seed_step
-        )
+        params = perturbed_params(task.point.params, task.attempt)
         try:
             worker.connection.send((task.index, task.point.fn, params))
         except (BrokenPipeError, OSError):
@@ -645,37 +534,12 @@ class _Supervision:
         )
         busy[worker.connection] = worker
 
-    def _after_attempt_failure(
-        self,
-        task: _Task,
-        status: str,
-        record: ErrorRecord,
-        retryable: bool,
-        retries: list[tuple[float, int, _Task]],
-    ) -> None:
-        if retryable and task.attempt < self.max_retries and not self._abort:
-            task.attempt += 1
-            self.report.retried += len(task.indices)
-            delay = backoff_delay_s(
-                task.attempt,
-                self.backoff_base_s,
-                self.backoff_max_s,
-                token=task.key,
-            )
-            self._retry_sequence += 1
-            heapq.heappush(
-                retries,
-                (time.monotonic() + delay, self._retry_sequence, task),
-            )
-        else:
-            self._complete_failure(task, status, record, task.attempt + 1)
-
     def _collect(
         self,
         worker: _Worker,
         busy: dict[Connection, _Worker],
         idle: list[_Worker],
-        retries: list[tuple[float, int, _Task]],
+        queue: "deque[_Task]",
         context: Any,
     ) -> None:
         task = worker.task
@@ -688,45 +552,36 @@ class _Supervision:
             self._kill_worker(worker)
             if self._interrupted:
                 # Most likely the SIGTERM sent to the whole process
-                # group: the point is unfinished, so resume re-runs it.
+                # group: the point is unfinished, and a re-run runs it.
                 return
             exitcode = worker.process.exitcode
+            # Respawn unconditionally (surplus idle workers are cheap
+            # and reaped at shutdown); deciding "is a worker still
+            # needed" here would race the retry this crash may queue.
+            if not self._abort:
+                idle.append(self._spawn_worker(context))
             record: ErrorRecord = (
                 "WorkerCrashed",
                 f"worker died mid-point (exit code {exitcode})",
                 "",
             )
-            # Respawn unconditionally (surplus idle workers are cheap
-            # and reaped at shutdown); deciding "is a worker still
-            # needed" here would race the retry this crash may schedule.
-            if not self._abort:
-                idle.append(self._spawn_worker(context))
-            self._after_attempt_failure(
-                task, "crashed", record, retryable=True, retries=retries
-            )
+            if self._attempt_failed(task, record):
+                queue.append(task)
             return
         del busy[worker.connection]
         worker.task = None
         worker.deadline = None
         idle.append(worker)
         if status == "ok":
-            self._complete_ok(task, payload, attempts=task.attempt + 1)
-            return
-        error_type = payload[0]
-        failure_status = "timeout" if error_type == "WatchdogTimeout" else "failed"
-        self._after_attempt_failure(
-            task,
-            failure_status,
-            payload,
-            retryable=_retryable(error_type),
-            retries=retries,
-        )
+            self._complete_ok(task, payload)
+        elif self._attempt_failed(task, payload):
+            queue.append(task)
 
     def _enforce_deadlines(
         self,
         busy: dict[Connection, _Worker],
         idle: list[_Worker],
-        retries: list[tuple[float, int, _Task]],
+        queue: "deque[_Task]",
         context: Any,
     ) -> None:
         now = time.monotonic()
@@ -745,28 +600,21 @@ class _Supervision:
                 "budget; worker killed",
                 "",
             )
-            self._after_attempt_failure(
-                task, "timeout", record, retryable=True, retries=retries
-            )
+            if self._attempt_failed(task, record):
+                queue.append(task)
 
-    def _wait_timeout(
-        self,
-        busy: Mapping[Connection, _Worker],
-        retries: Sequence[tuple[float, int, _Task]],
-    ) -> float:
+    @staticmethod
+    def _wait_timeout(busy: Mapping[Connection, _Worker]) -> float:
         now = time.monotonic()
         timeout = _POLL_INTERVAL_S
         for worker in busy.values():
             if worker.deadline is not None:
                 timeout = min(timeout, worker.deadline - now)
-        if retries:
-            timeout = min(timeout, retries[0][0] - now)
         return max(0.01, timeout)
 
     def _run_pooled(self, tasks: Sequence[_Task]) -> None:
         context = _mp_context(self.start_method)
         queue: deque[_Task] = deque(tasks)
-        retries: list[tuple[float, int, _Task]] = []
         workers = min(self.jobs, len(tasks))
         idle: list[_Worker] = [
             self._spawn_worker(context) for _ in range(workers)
@@ -774,10 +622,6 @@ class _Supervision:
         busy: dict[Connection, _Worker] = {}
         try:
             while not self._interrupted:
-                now = time.monotonic()
-                while retries and retries[0][0] <= now:
-                    _, _, task = heapq.heappop(retries)
-                    queue.append(task)
                 if not self._abort:
                     while queue and idle:
                         self._dispatch(
@@ -785,32 +629,19 @@ class _Supervision:
                             queue,
                         )
                 if not busy:
-                    if self._abort:
-                        return  # raise-mode: drop undispatched work
-                    if retries:
-                        # Everything left is backing off; nap until the
-                        # first retry is due (in small, signal-aware
-                        # increments).
-                        time.sleep(
-                            min(
-                                _POLL_INTERVAL_S,
-                                max(0.01, retries[0][0] - time.monotonic()),
-                            )
-                        )
-                        continue
-                    if queue:  # pragma: no cover - no idle worker survived
+                    if queue and not self._abort:  # pragma: no cover
                         raise ExperimentError(
                             "supervised pool lost every worker"
                         )
-                    return
+                    return  # done, or raise-mode dropping undispatched work
                 ready = connection_wait(
-                    list(busy), timeout=self._wait_timeout(busy, retries)
+                    list(busy), timeout=self._wait_timeout(busy)
                 )
                 for connection in ready:
                     worker = busy.get(connection)
                     if worker is not None:
-                        self._collect(worker, busy, idle, retries, context)
-                self._enforce_deadlines(busy, idle, retries, context)
+                        self._collect(worker, busy, idle, queue, context)
+                self._enforce_deadlines(busy, idle, queue, context)
         finally:
             self._shutdown_workers(list(idle) + list(busy.values()))
 
@@ -838,20 +669,28 @@ class _Supervision:
 
     # -- orchestration -----------------------------------------------------
 
+    def _interruption(self) -> SweepInterrupted:
+        """The error that tells how to finish an interrupted sweep."""
+        finished = (
+            f"sweep interrupted with {self.report.ok}/{len(self.points)} "
+            "points finished"
+        )
+        if self.report.failed:
+            finished += f" and {self.report.failed} failed"
+        if self.cache is None:
+            return SweepInterrupted(
+                f"{finished}; without a cache the finished points were not "
+                "kept, so running it again starts over"
+            )
+        return SweepInterrupted(
+            f"{finished}; the finished points are cached in "
+            f"{self.cache.root}: run the same command again with the same "
+            "cache to finish the rest"
+        )
+
     def run(self) -> SweepOutcome:
         started = time.monotonic()
         tasks = self._triage()
-        if self.journal is not None:
-            self.journal.start_sweep(
-                total=len(self.points),
-                to_run=len(tasks),
-                version_tag=self.version,
-                policy={
-                    "timeout_s": self.timeout_s,
-                    "max_retries": self.max_retries,
-                    "on_error": self.on_error,
-                },
-            )
         previous_handlers = self._install_signals()
         try:
             if tasks:
@@ -868,21 +707,8 @@ class _Supervision:
         finally:
             self._restore_signals(previous_handlers)
         self.report.elapsed_s = time.monotonic() - started
-        completed = self.report.ok + self.report.failed
         if self._interrupted:
-            if self.journal is not None:
-                self.journal.interrupted(completed, len(self.points))
-            where = (
-                f"journal: {self.report.journal_path}"
-                if self.report.journal_path is not None
-                else "no journal; completed points survive in the cache"
-            )
-            raise SweepInterrupted(
-                f"sweep interrupted after {completed}/{len(self.points)} "
-                f"points; {where} — re-run with resume to finish the rest"
-            )
-        if self.journal is not None:
-            self.journal.finish(ok=self.report.ok, failed=self.report.failed)
+            raise self._interruption()
         if self._raise_error is not None:
             raise self._raise_error
         if self.report.failures and self.report_stream is not None:
@@ -896,20 +722,18 @@ def supervise_sweep(
     cache: SweepCache | None = None,
     policy: Any = None,
     start_method: str | None = None,
-    journal: SweepJournal | str | None = None,
     on_error: str | None = None,
-    resume: bool | None = None,
     report_stream: TextIO | None = None,
 ) -> SweepOutcome:
     """Run a sweep under supervision; the engine's ``run_sweep`` wraps this.
 
-    ``journal`` / ``on_error`` / ``resume`` left as ``None`` fall back
-    to the ``journal_path`` / ``on_error`` / ``resume`` attributes of
-    ``policy`` (the :class:`~repro.experiments.runner.RunnerConfig`
-    shape), so one policy object travels from the CLI into every sweep
-    an experiment makes.  ``report_stream`` defaults to ``sys.stderr``;
-    pass a file-like object to capture the degraded-sweep report, or
-    rely on the returned :class:`SweepOutcome`'s report.
+    ``on_error`` left as ``None`` falls back to the ``on_error``
+    attribute of ``policy`` (the
+    :class:`~repro.experiments.runner.RunnerConfig` shape), so one
+    policy object travels from the CLI into every sweep an experiment
+    makes.  ``report_stream`` defaults to ``sys.stderr``; pass a
+    file-like object to capture the degraded-sweep report, or rely on
+    the returned :class:`SweepOutcome`'s report.
     """
     if on_error is None:
         on_error = getattr(policy, "on_error", None) or "raise"
@@ -918,37 +742,12 @@ def supervise_sweep(
             f"on_error must be one of {', '.join(ON_ERROR_POLICIES)}, "
             f"got {on_error!r}"
         )
-    if journal is None:
-        journal_path = getattr(policy, "journal_path", None)
-        journal = SweepJournal(journal_path) if journal_path else None
-        owns_journal = journal is not None
-    elif isinstance(journal, SweepJournal):
-        owns_journal = False
-    else:
-        journal = SweepJournal(journal)
-        owns_journal = True
-    if resume is None:
-        resume = bool(getattr(policy, "resume", False))
-    if resume and journal is None:
-        raise ExperimentError(
-            "resume needs a journal: pass journal=/--journal with the "
-            "path of the interrupted sweep's journal"
-        )
-    if report_stream is None:
-        report_stream = sys.stderr
-    supervision = _Supervision(
+    return _Supervision(
         points,
         jobs=jobs,
         cache=cache,
         policy=policy,
         start_method=start_method,
-        journal=journal,
         on_error=on_error,
-        resume=resume,
-        report_stream=report_stream,
-    )
-    try:
-        return supervision.run()
-    finally:
-        if owns_journal and journal is not None:
-            journal.close()
+        report_stream=sys.stderr if report_stream is None else report_stream,
+    ).run()

@@ -101,26 +101,22 @@ def run_scenarios(
     jobs: int = 1,
     cache: Any = None,
     policy: Any = None,
-    journal: Any = None,
     on_error: str | None = None,
-    resume: bool | None = None,
 ) -> list[Any]:
     """Sweep a batch of scenarios through the parallel engine.
 
     Results come back in spec order, and specs that build the same
     network are simulated once; serial (``jobs=1``), pooled and
-    warm-cache runs are interchangeable.  ``journal``/``on_error``/
-    ``resume`` (or the same-named attributes of ``policy``) flow into
-    the supervised executor — see :func:`repro.parallel.run_sweep`.
+    warm-cache runs are interchangeable.  ``on_error`` (or the
+    same-named attribute of ``policy``) flows into the supervised
+    executor — see :func:`repro.parallel.run_sweep`.
     """
     return run_sweep(
         scenario_sweep_points(specs, extract, extract_params),
         jobs=jobs,
         cache=cache,
         policy=policy,
-        journal=journal,
         on_error=on_error,
-        resume=resume,
     )
 
 

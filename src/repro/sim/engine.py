@@ -18,11 +18,9 @@ the slot API directly and never allocate a handle at all.
 from __future__ import annotations
 
 import heapq
-import time
-from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import SchedulingError, SimulationError, WatchdogTimeout
+from repro.errors import SchedulingError
 from repro.units import ns_to_s, s_to_ns
 
 #: Event-count accumulator across every :class:`Simulator` in the process.
@@ -70,30 +68,6 @@ class EventHandle:
         return not self._sim.slot_active(self._slot, self._seq)
 
 
-@dataclass(frozen=True)
-class Watchdog:
-    """Runaway-simulation guard attached to a :class:`Simulator`.
-
-    Unlike :meth:`Simulator.run`'s ``max_events`` argument — a quiet
-    pagination break — an exhausted watchdog budget *raises*
-    :class:`~repro.errors.WatchdogTimeout`, so a livelocked scenario
-    (e.g. two faulty MACs ping-ponging zero-delay events) surfaces as a
-    structured failure instead of spinning forever.
-
-    ``invariant`` is an optional hook called every ``invariant_interval``
-    events with the simulator; returning ``False`` (or raising) aborts
-    the run — use it for cheap cross-layer consistency checks.
-    """
-
-    max_events: int | None = None
-    max_wall_s: float | None = None
-    invariant: Callable[["Simulator"], bool | None] | None = None
-    invariant_interval: int = 1000
-    #: Wall-clock rechecks happen every this many events (the syscall is
-    #: too slow to pay on every event).
-    wall_check_interval: int = 512
-
-
 class Simulator:
     """Event heap + clock.
 
@@ -104,7 +78,7 @@ class Simulator:
         sim.run(until_s=10.0)
     """
 
-    def __init__(self, watchdog: Watchdog | None = None) -> None:
+    def __init__(self) -> None:
         self._heap: list[tuple[int, int, int]] = []
         # Slot storage: _slot_token[i] is the seq of the event occupying
         # slot i (0 = free); _slot_callback/_slot_args hold its payload.
@@ -119,7 +93,6 @@ class Simulator:
         self._closed = False
         self._events_processed = 0
         self._shutdown_hooks: list[Callable[[], None]] = []
-        self.watchdog = watchdog
 
     @property
     def now_ns(self) -> int:
@@ -142,7 +115,7 @@ class Simulator:
 
         Every live event holds exactly one slot and every other slot is
         on the free-list, so the count is a subtraction rather than a
-        heap scan and watchdog invariant hooks can poll it for free.
+        heap scan.
         """
         return len(self._slot_token) - len(self._free_slots)
 
@@ -280,10 +253,6 @@ class Simulator:
             )
         if self._closed:
             raise SchedulingError("cannot run a shut-down simulator")
-        watchdog = self.watchdog
-        deadline = None
-        if watchdog is not None and watchdog.max_wall_s is not None:
-            deadline = time.monotonic() + watchdog.max_wall_s
         self._stopped = False
         self._running = True
         fired = 0
@@ -320,8 +289,6 @@ class Simulator:
                 fired += 1
                 if max_events is not None and fired >= max_events:
                     break
-                if watchdog is not None:
-                    self._check_watchdog(watchdog, fired, deadline)
         finally:
             self._running = False
             _events_fired_total += fired
@@ -329,33 +296,6 @@ class Simulator:
             max_events is None or fired < max_events
         ):
             self._now_ns = max(self._now_ns, until_ns)
-
-    def _check_watchdog(
-        self, watchdog: Watchdog, fired: int, deadline: float | None
-    ) -> None:
-        if watchdog.max_events is not None and fired >= watchdog.max_events:
-            raise WatchdogTimeout(
-                f"watchdog: {fired} events fired in one run "
-                f"(budget {watchdog.max_events}) at t={self.now_s:.6f} s"
-            )
-        if (
-            deadline is not None
-            and fired % watchdog.wall_check_interval == 0
-            and time.monotonic() > deadline
-        ):
-            raise WatchdogTimeout(
-                f"watchdog: wall-clock budget of {watchdog.max_wall_s} s "
-                f"exhausted after {fired} events at t={self.now_s:.6f} s"
-            )
-        if (
-            watchdog.invariant is not None
-            and fired % watchdog.invariant_interval == 0
-            and watchdog.invariant(self) is False
-        ):
-            raise SimulationError(
-                f"watchdog: invariant violated at t={self.now_s:.6f} s "
-                f"after {fired} events"
-            )
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""

@@ -24,8 +24,8 @@ _NON_DRAW_ATTRS = frozenset({"Random", "SystemRandom"})
 
 #: Wall-clock / OS-entropy calls that leak host state into a simulation.
 #: ``time.monotonic`` / ``perf_counter`` are deliberately absent: they
-#: are the right tools for wall-clock watchdog budgets and benchmarks,
-#: which never feed simulated state.
+#: are the right tools for sweep-point deadlines and benchmarks, which
+#: never feed simulated state.
 _ENTROPY_CALLS = {
     ("time", "time"): "wall-clock time",
     ("time", "time_ns"): "wall-clock time",

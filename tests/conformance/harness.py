@@ -11,7 +11,8 @@ record with the relative delta plus enough MAC-level diagnostics
 taxonomy) to debug a violation without re-running anything.
 
 ``python -m tests.conformance.report_grid`` renders the whole grid as
-a JSON report — the artifact the CI ``conformance`` job uploads.
+a JSON per-point delta report for local inspection; CI gates the grid
+through ``test_saturation_conformance.py`` in the tests job.
 
 Regenerating the grid: edit ``GRID_POINTS`` / ``TOLERANCES`` below and
 run ``python -m tests.conformance.report_grid --write-grid`` to rewrite

@@ -4,10 +4,12 @@ Run from the repo root::
 
     PYTHONPATH=src python -m tests.conformance.report_grid > deltas.json
 
-CI's ``conformance`` job uploads the output as the per-point
-model-vs-sim artifact.  ``--write-grid`` instead rewrites ``grid.json``
-from the constants in :mod:`tests.conformance.harness` (use after an
-intentional grid or tolerance change, and commit the result).
+The report lists every point's model-vs-sim delta and exits 1 when a
+point falls outside its band; CI does not run it, because the tests
+job's ``test_saturation_conformance.py`` checks the same bands.
+``--write-grid`` instead rewrites ``grid.json`` from the constants in
+:mod:`tests.conformance.harness` (use after an intentional grid or
+tolerance change, and commit the result).
 """
 
 from __future__ import annotations

@@ -7,13 +7,9 @@ experiments here are one-point sweeps.
 import json
 
 from repro.experiments.registry import Experiment
-from repro.experiments.runner import (
-    DEFAULT_RETRY_SEED_STEP,
-    RunnerConfig,
-    run_experiment,
-    run_suite,
-)
-from repro.parallel import SweepPoint, code_version_tag, point_key, run_sweep
+from repro.experiments.runner import RunnerConfig, run_experiment, run_suite
+from repro.parallel import SweepPoint, run_sweep
+from repro.parallel.supervisor import RETRY_SEED_STEP
 
 FLAKY = "tests.parallel.point_functions:flaky_point"
 FAILS = "tests.parallel.point_functions:always_fails_point"
@@ -103,16 +99,16 @@ class TestRetries:
         result = run_experiment(
             "flaky",
             seed=7,
-            config=RunnerConfig(max_retries=2, backoff_base_s=0.0),
+            config=RunnerConfig(max_retries=2),
             experiments=make_registry(flaky=sweep_run(FLAKY)),
         )
         assert result.status == "ok"
-        assert result.output == f"point returned {7 + DEFAULT_RETRY_SEED_STEP}"
+        assert result.output == f"point returned {7 + RETRY_SEED_STEP}"
 
     def test_exhausted_retries_degrade_to_failure(self, tmp_path):
         result = run_experiment(
             "x",
-            config=RunnerConfig(max_retries=2, backoff_base_s=0.0),
+            config=RunnerConfig(max_retries=2),
             experiments=livelock_registry(tmp_path),
         )
         assert result.status == "failed"
@@ -125,10 +121,10 @@ class TestRetries:
         run_experiment(
             "x",
             seed=5,
-            config=RunnerConfig(max_retries=2, backoff_base_s=0.0),
+            config=RunnerConfig(max_retries=2),
             experiments=livelock_registry(tmp_path),
         )
-        step = DEFAULT_RETRY_SEED_STEP
+        step = RETRY_SEED_STEP
         assert livelock_runs(tmp_path) == [5, 5 + step, 5 + 2 * step]
 
     def test_zero_retries_fails_on_first_kernel_error(self, tmp_path):
@@ -139,48 +135,6 @@ class TestRetries:
         )
         assert result.status == "failed"
         assert livelock_runs(tmp_path) == [1]
-
-    def test_backoff_slept_between_retries_deterministically(
-        self, monkeypatch, tmp_path
-    ):
-        import repro.parallel.supervisor as supervisor_module
-        from repro.parallel import backoff_delay_s
-
-        slept = []
-        monkeypatch.setattr(
-            supervisor_module.time, "sleep", lambda s: slept.append(s)
-        )
-        run_experiment(
-            "x",
-            config=RunnerConfig(
-                max_retries=2, backoff_base_s=0.1, backoff_max_s=2.0
-            ),
-            experiments=livelock_registry(tmp_path),
-        )
-        key = point_key(
-            LIVELOCK,
-            {"seed": 1, "marker_dir": str(tmp_path)},
-            code_version_tag(),
-        )
-        expected = [
-            backoff_delay_s(attempt, 0.1, 2.0, token=key) for attempt in (1, 2)
-        ]
-        assert slept == expected  # jitter is derived, not random
-
-    def test_backoff_disabled_with_zero_base(self, monkeypatch, tmp_path):
-        import repro.parallel.supervisor as supervisor_module
-
-        slept = []
-        monkeypatch.setattr(
-            supervisor_module.time, "sleep", lambda s: slept.append(s)
-        )
-        run_experiment(
-            "x",
-            config=RunnerConfig(max_retries=2, backoff_base_s=0.0),
-            experiments=livelock_registry(tmp_path),
-        )
-        assert slept == []
-        assert len(livelock_runs(tmp_path)) == 3
 
 
 class TestTimeout:

@@ -57,55 +57,41 @@ def hang_point(seed: int) -> int:
     return seed
 
 
-def sleepy_square_point(value: int, delay_s: float = 0.0) -> int:
-    """``square_point`` with a wall-clock cost, for interrupt tests."""
-    import time
-
-    if delay_s > 0.0:
-        time.sleep(delay_s)
-    return value * value
-
-
-def fail_once_point(value: int, marker_dir: str) -> int:
-    """Hard-crash the first time each ``value`` is seen, succeed after.
-
-    A marker file under ``marker_dir`` records the first visit, so a
-    resumed (or retried) run completes deterministically — the chaos
-    tests use this to compare interrupted-then-resumed output with an
-    uninterrupted run bit-for-bit.
-    """
-    import os
-
-    marker = os.path.join(marker_dir, f"seen-{value}")
-    if not os.path.exists(marker):
-        with open(marker, "w", encoding="utf-8") as handle:
-            handle.write("seen\n")
-        os._exit(9)
-    return value * value
-
-
 def counting_point(
-    value: int, marker_dir: str, fail: bool = False, interrupt: bool = False
+    value: int,
+    marker_dir: str,
+    fail: bool = False,
+    interrupt: bool = False,
+    crash: bool = False,
+    delay_s: float = 0.0,
 ) -> list[int]:
     """``[value, value**2]``, leaving one marker file per execution.
 
-    The sharing tests count the markers to see how many times a point
-    really ran.  ``fail`` raises a deterministic (non-retryable) error
-    after marking; ``interrupt`` raises KeyboardInterrupt the first time
-    each ``value`` runs, as a Ctrl-C landing mid-point would.
+    The sharing and re-run tests count the markers to see how many
+    times a point really ran.  ``fail`` raises a deterministic
+    (non-retryable) error after marking.  The first time each ``value``
+    runs, ``interrupt`` raises KeyboardInterrupt, as a Ctrl-C landing
+    mid-point would, and ``crash`` hard-crashes the worker, as an OOM
+    kill would; later runs succeed.  ``delay_s`` gives the point a
+    wall-clock cost, for the interrupt drills.
     """
     import os
     import tempfile
+    import time
 
     handle, _ = tempfile.mkstemp(dir=marker_dir, prefix=f"run-{value}-")
     os.close(handle)
     if fail:
         raise ValueError(f"point {value} is broken")
-    seen = os.path.join(marker_dir, f"interrupted-{value}")
-    if interrupt and not os.path.exists(seen):
+    seen = os.path.join(marker_dir, f"seen-{value}")
+    if (interrupt or crash) and not os.path.exists(seen):
         with open(seen, "w", encoding="utf-8") as marker:
-            marker.write("interrupted\n")
+            marker.write("seen\n")
+        if crash:
+            os._exit(9)
         raise KeyboardInterrupt
+    if delay_s > 0.0:
+        time.sleep(delay_s)
     return [value, value * value]
 
 

@@ -1,15 +1,44 @@
 """Cache semantics: hit/miss/invalidation by params, seed and version."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.parallel import SweepCache, SweepPoint, code_version_tag, run_sweep
-from repro.parallel.cache import default_cache_dir
+from repro.parallel.cache import _tagged_files, default_cache_dir
 
 #: Cheap analytic point function used throughout (no simulation).
 POINT_FN = "repro.experiments.table2:throughput_point"
 PARAMS = {"rate_mbps": 11.0, "payload_bytes": 512, "rts_cts": False}
+
+_SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: Runs an audited mac-surface point and a figure-7 panel point, then
+#: prints the file of every ``repro`` module the interpreter loaded.
+_POINT_IMPORTS_SCRIPT = """
+import json, sys
+from repro.experiments.four_nodes import ASYMMETRIC_SESSIONS, panel_spec
+from repro.experiments.mac_surface import saturation_spec
+from repro.scenario.points import run_scenarios
+
+run_scenarios(
+    [saturation_spec(2, duration_s=0.2, warmup_s=0.05)],
+    extract="repro.experiments.mac_surface:mac_surface_metrics",
+)
+run_scenarios(
+    [panel_spec("figure6", 11.0, "udp", False, ASYMMETRIC_SESSIONS, 1.5, 1)],
+    extract="repro.experiments.four_nodes:panel_rows",
+)
+print(json.dumps([
+    module.__file__
+    for name, module in sys.modules.items()
+    if name.split(".")[0] == "repro" and getattr(module, "__file__", None)
+]))
+"""
 
 
 def make_cache(tmp_path, tag="test-tag"):
@@ -112,6 +141,25 @@ class TestVersionTag:
         monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(tmp_path / "custom"))
         assert default_cache_dir() == tmp_path / "custom"
 
+    def test_tag_hashes_every_module_a_point_imports(self):
+        # A cached value may depend on any module its point imports, so
+        # editing one of them must change the tag.  Run an audited
+        # mac-surface point and a figure-7 panel point in a fresh
+        # interpreter and list the repro modules it loaded.
+        imported = json.loads(
+            subprocess.run(
+                [sys.executable, "-c", _POINT_IMPORTS_SCRIPT],
+                env={**os.environ, "PYTHONPATH": str(_SRC)},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+        )
+        loaded = {Path(file).resolve() for file in imported}
+        for needed in ("analysis/analytic.py", "analysis/meters.py", "obs/ledger.py"):
+            assert _SRC / "repro" / needed in loaded
+        assert sorted(loaded - set(_tagged_files())) == []
+
 
 class TestSweepIntegration:
     def test_run_sweep_fills_and_reuses_cache(self, tmp_path):
@@ -137,14 +185,6 @@ class TestSweepIntegration:
 
 
 class TestMissSentinel:
-    def test_get_returns_sentinel_on_miss(self, tmp_path):
-        from repro.parallel.cache import _MISS
-
-        cache = make_cache(tmp_path)
-        assert cache.get(POINT_FN, PARAMS) is _MISS
-        cache.put(POINT_FN, PARAMS, None)
-        assert cache.get(POINT_FN, PARAMS) is None
-
     def test_cached_none_value_is_a_hit(self, tmp_path):
         cache = make_cache(tmp_path)
         cache.put(POINT_FN, PARAMS, None)

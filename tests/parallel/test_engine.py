@@ -6,13 +6,15 @@ import pytest
 
 from repro.errors import ExperimentError, SimulationError, WatchdogTimeout
 from repro.experiments.runner import RunnerConfig
-from repro.parallel import SweepPoint, backoff_delay_s, run_sweep
+from repro.parallel import SweepPoint, run_sweep
 from repro.parallel.engine import resolve_point_fn
+from repro.parallel.supervisor import RETRY_SEED_STEP
 
 SQUARE = "tests.parallel.point_functions:square_point"
 FLAKY = "tests.parallel.point_functions:flaky_point"
 FAILS = "tests.parallel.point_functions:always_fails_point"
 SLOW = "tests.parallel.point_functions:slow_point"
+LIVELOCK = "tests.parallel.point_functions:livelock_point"
 TABLE2 = "repro.experiments.table2:throughput_point"
 
 
@@ -56,17 +58,18 @@ class TestSerial:
 
 class TestPolicy:
     def test_retry_perturbs_seed_on_simulation_error(self):
-        policy = RunnerConfig(max_retries=1, retry_seed_step=1000)
+        policy = RunnerConfig(max_retries=1)
         (value,) = run_sweep([SweepPoint(FLAKY, {"seed": 1})], policy=policy)
-        assert value == 1001  # retried once with seed + step
+        assert value == 1 + RETRY_SEED_STEP  # retried once with seed + step
 
-    def test_exhausted_retries_raise_last_error(self):
-        policy = RunnerConfig(max_retries=1, retry_seed_step=1)
-        with pytest.raises(SimulationError, match="livelocked"):
-            run_sweep([SweepPoint(FLAKY, {"seed": 1})], policy=policy)
+    def test_exhausted_retries_raise_last_error(self, tmp_path):
+        policy = RunnerConfig(max_retries=1)
+        point = SweepPoint(LIVELOCK, {"seed": 1, "marker_dir": str(tmp_path)})
+        with pytest.raises(SimulationError, match="livelock detected"):
+            run_sweep([point], policy=policy)
 
     def test_non_simulation_errors_do_not_retry(self):
-        policy = RunnerConfig(max_retries=5, retry_seed_step=1000)
+        policy = RunnerConfig(max_retries=5)
         with pytest.raises(ValueError):
             run_sweep([SweepPoint(FAILS, {"seed": 1})], policy=policy)
 
@@ -79,7 +82,7 @@ class TestPolicy:
         # A deadline kills the worker process that ran the point, so no
         # attempt keeps running after the sweep gives up on it.
         before = threading.active_count()
-        policy = RunnerConfig(timeout_s=0.05, max_retries=2, backoff_base_s=0.0)
+        policy = RunnerConfig(timeout_s=0.05, max_retries=2)
         with pytest.raises(WatchdogTimeout):
             run_sweep([SweepPoint(SLOW, {"seed": 1})], jobs=1, policy=policy)
         assert threading.active_count() == before
@@ -134,27 +137,3 @@ class TestParallel:
         # One point never pays pool start-up, whatever ``jobs`` says.
         (value,) = run_sweep([SweepPoint(SQUARE, {"value": 7})], jobs=8)
         assert value == 49
-
-
-class TestBackoff:
-    def test_deterministic_for_same_inputs(self):
-        first = backoff_delay_s(3, 0.1, 2.0, token="figure3")
-        second = backoff_delay_s(3, 0.1, 2.0, token="figure3")
-        assert first == second
-
-    def test_jitter_within_half_to_full_raw_delay(self):
-        for attempt in range(1, 8):
-            raw = min(0.1 * 2.0 ** (attempt - 1), 2.0)
-            delay = backoff_delay_s(attempt, 0.1, 2.0, token="t")
-            assert 0.5 * raw <= delay <= raw
-
-    def test_capped_at_max(self):
-        assert backoff_delay_s(30, 0.1, 2.0, token="t") <= 2.0
-
-    def test_different_tokens_desynchronise(self):
-        delays = {backoff_delay_s(1, 0.1, 2.0, token=t) for t in "abcd"}
-        assert len(delays) == 4
-
-    def test_disabled_when_base_nonpositive(self):
-        assert backoff_delay_s(3, 0.0, 2.0) == 0.0
-        assert backoff_delay_s(0, 0.1, 2.0) == 0.0

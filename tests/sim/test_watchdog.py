@@ -1,9 +1,9 @@
-"""Engine guards: watchdog budgets, shutdown, invariant hook."""
+"""Engine guards: the run(max_events=) break, shutdown, stale handles."""
 
 import pytest
 
-from repro.errors import SchedulingError, SimulationError, WatchdogTimeout
-from repro.sim.engine import Simulator, Watchdog
+from repro.errors import SchedulingError
+from repro.sim.engine import Simulator
 
 
 def spin(sim):
@@ -12,81 +12,13 @@ def spin(sim):
 
 
 class TestEventBudget:
-    def test_event_budget_raises(self):
-        sim = Simulator(watchdog=Watchdog(max_events=500))
-        spin(sim)
-        with pytest.raises(WatchdogTimeout, match="budget 500"):
-            sim.run()
-
-    def test_budget_is_per_run_not_cumulative(self):
-        sim = Simulator(watchdog=Watchdog(max_events=10))
-        for index in range(8):
-            sim.schedule(index + 1, lambda: None)
-        sim.run()  # 8 events: inside budget
-        for index in range(8):
-            sim.schedule(index + 1, lambda: None)
-        sim.run()  # fresh budget per run() call
-        assert sim.events_processed == 16
-
-    def test_normal_run_unaffected_under_budget(self):
-        sim = Simulator(watchdog=Watchdog(max_events=100))
-        fired = []
-        sim.schedule(5, fired.append, "a")
-        sim.run(until_ns=10)
-        assert fired == ["a"]
-        assert sim.now_ns == 10
-
     def test_max_events_run_argument_still_breaks_quietly(self):
-        # The run(max_events=...) pagination API predates the watchdog
-        # and must keep its silent-break semantics.
-        sim = Simulator(watchdog=Watchdog(max_events=50))
+        # run(max_events=...) is a pagination break, not an error: a
+        # livelocked scenario is stopped by its sweep point's deadline.
+        sim = Simulator()
         spin(sim)
         sim.run(max_events=10)
         assert sim.events_processed == 10
-
-
-class TestWallClockBudget:
-    def test_wall_clock_budget_raises_on_livelock(self):
-        sim = Simulator(
-            watchdog=Watchdog(max_wall_s=0.05, wall_check_interval=64)
-        )
-        spin(sim)
-        with pytest.raises(WatchdogTimeout, match="wall-clock"):
-            sim.run()
-
-
-class TestInvariantHook:
-    def test_invariant_returning_false_raises(self):
-        sim = Simulator(
-            watchdog=Watchdog(
-                invariant=lambda s: s.events_processed < 30,
-                invariant_interval=10,
-            )
-        )
-        spin(sim)
-        with pytest.raises(SimulationError, match="invariant violated"):
-            sim.run()
-
-    def test_invariant_exception_propagates(self):
-        def check(sim):
-            raise ValueError("inconsistent NAV")
-
-        sim = Simulator(watchdog=Watchdog(invariant=check, invariant_interval=5))
-        spin(sim)
-        with pytest.raises(ValueError, match="inconsistent NAV"):
-            sim.run()
-
-    def test_healthy_invariant_does_not_interfere(self):
-        calls = []
-        sim = Simulator(
-            watchdog=Watchdog(invariant=lambda s: calls.append(1) or True,
-                              invariant_interval=10)
-        )
-        for index in range(35):
-            sim.schedule(index + 1, lambda: None)
-        sim.run()
-        assert sim.events_processed == 35
-        assert len(calls) == 3  # at events 10, 20, 30
 
 
 class TestShutdown:

@@ -131,37 +131,77 @@ class TestSweepFlags:
 
 
 class TestRobustnessFlags:
-    def test_resume_without_journal_exits_2(self, capsys):
-        assert main(["table2", "--resume"]) == 2
+    def test_resumed_run_output_identical(self, capsys, tmp_path, monkeypatch):
+        # An interrupted run exits 130 with its finished points cached;
+        # the same command run again simulates only the rest and prints
+        # what an uninterrupted run prints.
+        import repro.scenario.points as points_module
+
+        assert main(["figure3", "--probes", "5", "--no-cache"]) == 0
+        clean = _table_lines(capsys.readouterr().out)
+        argv = ["figure3", "--probes", "5", "--cache-dir", str(tmp_path)]
+        build = points_module.build
+        builds = []
+
+        def counted_build(spec):
+            builds.append(spec)
+            if len(builds) == 4:  # Ctrl-C during the first run's 4th point
+                raise KeyboardInterrupt
+            return build(spec)
+
+        monkeypatch.setattr(points_module, "build", counted_build)
+        assert main(argv) == 130
         err = capsys.readouterr().err
-        assert "--resume needs --journal" in err
+        assert "3/56 points finished" in err
+        assert "run the same command again with the same cache" in err
 
-    def test_journal_written_with_point_records(self, capsys, tmp_path):
-        import json
-
-        journal = tmp_path / "sweep.jsonl"
-        assert main(["table2", "--journal", str(journal)]) == 0
-        capsys.readouterr()
-        documents = [
-            json.loads(line) for line in journal.read_text().splitlines()
-        ]
-        assert any(doc.get("type") == "sweep-start" for doc in documents)
-        points = [doc for doc in documents if doc.get("type") == "point"]
-        assert points and all(doc["status"] == "ok" for doc in points)
-        assert any(doc.get("type") == "sweep-end" for doc in documents)
-
-    def test_resumed_run_output_identical(self, capsys, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        cache_dir = str(tmp_path / "cache")
-        argv = ["table2", "--cache-dir", cache_dir, "--journal", str(journal)]
         assert main(argv) == 0
-        first = _table_lines(capsys.readouterr().out)
-        assert main(argv + ["--resume"]) == 0
-        resumed = _table_lines(capsys.readouterr().out)
-        assert first == resumed
+        assert _table_lines(capsys.readouterr().out) == clean
+        assert len(builds) == 4 + 56 - 3  # the re-run built only the rest
+
+    def test_interrupt_without_cache_says_nothing_was_kept(
+        self, capsys, monkeypatch
+    ):
+        import repro.scenario.points as points_module
+
+        def interrupted(spec):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(points_module, "build", interrupted)
+        assert main(["figure3", "--probes", "5", "--no-cache"]) == 130
+        assert "were not kept" in capsys.readouterr().err
 
     def test_max_retries_alias_accepted(self, capsys):
         assert main(["table2", "--max-retries", "0"]) == 0
+
+
+def _rejected(capsys, argv: list[str]) -> str:
+    """The argparse error line for ``argv``, which must exit 2."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    return capsys.readouterr().err.strip().splitlines()[-1]
+
+
+class TestSweepKnobValidation:
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_timeout_must_be_finite_and_positive(self, capsys, value):
+        assert _rejected(capsys, ["table2", "--timeout", value]).endswith(
+            "argument --timeout: expected a finite number of seconds > 0, "
+            f"got {value!r}"
+        )
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_jobs_must_be_at_least_one(self, capsys, value):
+        assert _rejected(capsys, ["table2", "--jobs", value]).endswith(
+            f"argument --jobs: expected an integer >= 1, got {value!r}"
+        )
+
+    @pytest.mark.parametrize("flag", ["--retries", "--max-retries"])
+    def test_retries_must_not_be_negative(self, capsys, flag):
+        assert _rejected(capsys, ["table2", flag, "-2"]).endswith(
+            "expected an integer >= 0, got '-2'"
+        )
 
 
 class TestProfileCommand:
