@@ -23,7 +23,8 @@ def main() -> None:
     net = build_network(
         [x for x, _ in placement.positions], data_rate=Rate.MBPS_11
     )
-    auditor = AirtimeAuditor(net.tracer)
+    auditor = AirtimeAuditor()
+    auditor.attach(net.tracer)
     sinks = []
     for index, (tx, rx) in enumerate(((0, 1), (2, 3))):
         port = 5001 + index

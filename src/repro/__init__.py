@@ -39,7 +39,6 @@ from repro.core.params import (
 from repro.core.throughput_model import (
     RtsCtsOverheadModel,
     ThroughputModel,
-    table2,
 )
 from repro.core.encapsulation import TransportProtocol, mac_payload_bytes
 from repro.channel.propagation import (
@@ -56,8 +55,8 @@ from repro.phy.transceiver import Transceiver
 from repro.mac.dcf import AckPolicy, MacConfig, MacStation
 from repro.mac.ratecontrol import ArfConfig, ArfRateController, FixedRate
 from repro.net.node import Node, NodeStackConfig
-from repro.analysis.airtime_audit import AirtimeAuditor
 from repro.analysis.tracefile import TraceWriter, read_trace
+from repro.obs.auditors import AirtimeAuditor
 from repro.apps.onoff import OnOffSource
 from repro.experiments.replication import replicate
 from repro.transport.tcp import TcpConfig
@@ -147,5 +146,4 @@ __all__ = [
     "build_network",
     "mac_payload_bytes",
     "run_scenarios",
-    "table2",
 ]

@@ -1,27 +1,25 @@
 """Closed-form DCF model: the analytic half of the conformance harness.
 
-Two complementary predictions live here, both computed from the *same*
-:class:`~repro.core.params.MacParameters` constants the simulator's
-stations consume (via :meth:`repro.scenario.specs.StackSpec.
+The retry-limited saturation throughput lives here, computed from the
+*same* :class:`~repro.core.params.MacParameters` constants the
+simulator's stations consume (via :meth:`repro.scenario.specs.StackSpec.
 dot11_config`), so a swept scenario and its prediction can never drift
-apart on the constants:
+apart on the constants.  It is Bianchi's bidimensional Markov chain
+("Performance Analysis of the IEEE 802.11 Distributed Coordination
+Function", JSAC 2000) extended with a finite frame-retry limit in the
+style of Wu et al.: a station that exhausts its retries drops the frame
+and resets to stage 0, so the transmission probability responds to the
+retry-limit axis — exactly what the ``mac-surface`` sweeps vary.  With
+the retry limit at infinity the expression reduces to Bianchi's Eq. (7);
+at n = 1 it reduces to the paper's Equation (1) plus the mean initial
+backoff.
 
-* **Retry-limited saturation throughput** — Bianchi's bidimensional
-  Markov chain ("Performance Analysis of the IEEE 802.11 Distributed
-  Coordination Function", JSAC 2000) extended with a finite frame-retry
-  limit in the style of Wu et al.: a station that exhausts its retries
-  drops the frame and resets to stage 0, so the transmission
-  probability responds to the retry-limit axis — exactly what the
-  ``mac-surface`` sweeps vary.  With the retry limit at infinity the
-  expression reduces to Bianchi's Eq. (7); at n = 1 it reduces to the
-  paper's Equation (1) plus the mean initial backoff.
-
-* **Per-rate maximum-throughput / overhead accounting** — the
-  zero-contention upper bound of "Throughput Limits of IEEE 802.11 and
-  IEEE 802.15.3" (PAPERS.md): one station, no collisions, every
-  exchange paying DIFS + PLCP/headers + SIFS + ACK + mean backoff.
-  This wraps :class:`repro.core.throughput_model.ThroughputModel` at
-  each 802.11b rate and exposes the per-component overhead breakdown.
+The zero-contention bound each prediction is compared against (the
+per-rate maximum throughput of "Throughput Limits of IEEE 802.11 and
+IEEE 802.15.3", PAPERS.md) is the paper's own Equation (1):
+:meth:`repro.core.throughput_model.ThroughputModel.max_throughput_bps`,
+with its per-component breakdown in
+:meth:`~repro.core.throughput_model.ThroughputModel.occupancy`.
 
 The collision-slot duration is *simulator-faithful* rather than
 textbook: after a collision the transmitters run the ACK-await timeout
@@ -44,8 +42,8 @@ from dataclasses import dataclass
 
 from repro.core.airtime import AirtimeCalculator
 from repro.core.encapsulation import TransportProtocol, mac_payload_bytes
-from repro.core.params import ALL_RATES, Dot11bConfig, Rate
-from repro.core.throughput_model import ChannelOccupancy, ThroughputModel
+from repro.core.params import Dot11bConfig, Rate
+from repro.core.throughput_model import ThroughputModel
 from repro.errors import ConfigurationError
 
 #: Collision-cost accounting modes (see module docstring).
@@ -233,60 +231,6 @@ def saturation_throughput(
         t_collision_us=t_collision_us,
         expected_slot_us=expected_slot_us,
         max_throughput_bps=bound.max_throughput_bps(app_payload_bytes, data_rate),
-    )
-
-
-@dataclass(frozen=True)
-class RateEfficiency:
-    """Overhead accounting for one 802.11b rate (802.15.3-paper style)."""
-
-    data_rate: Rate
-    payload_bytes: int
-    max_throughput_bps: float
-    occupancy: ChannelOccupancy
-
-    @property
-    def efficiency(self) -> float:
-        """Delivered fraction of the nominal PHY rate."""
-        return self.max_throughput_bps / self.data_rate.bps
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Share of each exchange spent on anything but the payload."""
-        return 1.0 - self.payload_us / self.occupancy.total_us
-
-    @property
-    def payload_us(self) -> float:
-        """Airtime of the application payload bits alone."""
-        return self.payload_bytes * 8 / self.data_rate.mbps
-
-
-def max_throughput_by_rate(
-    app_payload_bytes: int = 512,
-    config: Dot11bConfig | None = None,
-    transport: TransportProtocol = TransportProtocol.UDP,
-    rts_cts: bool = False,
-) -> tuple[RateEfficiency, ...]:
-    """The per-rate maximum-throughput table with overhead breakdowns.
-
-    The asymptotic-efficiency story of the 802.15.3 comparison paper:
-    as the PHY rate grows the fixed per-exchange overhead (PLCP at
-    1 Mbps, DIFS, SIFS, ACK, mean backoff) caps the delivered fraction
-    well below 1 — the reason 11 Mbps delivers ~3 Mbps in Table 2.
-    """
-    if config is None:
-        config = Dot11bConfig()
-    model = ThroughputModel(config=config, transport=transport)
-    return tuple(
-        RateEfficiency(
-            data_rate=rate,
-            payload_bytes=app_payload_bytes,
-            max_throughput_bps=model.max_throughput_bps(
-                app_payload_bytes, rate, rts_cts
-            ),
-            occupancy=model.occupancy(app_payload_bytes, rate, rts_cts),
-        )
-        for rate in ALL_RATES
     )
 
 

@@ -76,6 +76,8 @@ class BulkTcpSender:
         self.connection: TcpConnection | None = None
         self._chunk_bytes = chunk_bytes
         self.finished = False
+        #: Why the connection closed (``None`` while it is open).
+        self.close_reason: str | None = None
         if start_s > 0:
             node.sim.schedule_s(start_s, self.start)
         else:
@@ -117,3 +119,4 @@ class BulkTcpSender:
 
     def _on_closed(self, reason: str) -> None:
         self.finished = True
+        self.close_reason = reason

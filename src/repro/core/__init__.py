@@ -34,7 +34,6 @@ from repro.core.throughput_model import (
     ChannelOccupancy,
     RtsCtsOverheadModel,
     ThroughputModel,
-    table2,
 )
 from repro.core.range_model import (
     loss_probability,
@@ -59,5 +58,4 @@ __all__ = [
     "loss_probability",
     "mac_payload_bytes",
     "solve_range_m",
-    "table2",
 ]

@@ -28,13 +28,12 @@ Numerical fidelity notes (validated against the paper's Table 2):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.airtime import AirtimeCalculator
 from repro.core.encapsulation import TransportProtocol, mac_payload_bytes
-from repro.core.params import ALL_RATES, Dot11bConfig, Rate
+from repro.core.params import Dot11bConfig, Rate
 from repro.errors import ConfigurationError
-from repro.units import bps_to_mbps
 
 
 class RtsCtsOverheadModel(enum.Enum):
@@ -76,27 +75,6 @@ class ChannelOccupancy:
             + self.cts_us
             + self.propagation_us
         )
-
-
-@dataclass(frozen=True)
-class ThroughputEntry:
-    """One cell of Table 2."""
-
-    data_rate: Rate
-    payload_bytes: int
-    rts_cts: bool
-    throughput_bps: float
-    occupancy: ChannelOccupancy
-
-    @property
-    def throughput_mbps(self) -> float:
-        """Throughput in Mbps (the unit Table 2 reports)."""
-        return bps_to_mbps(self.throughput_bps)
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of the nominal bit rate delivered to the application."""
-        return self.throughput_bps / self.data_rate.bps
 
 
 class ThroughputModel:
@@ -165,52 +143,3 @@ class ThroughputModel:
         """Maximum expected application throughput, in bits per second."""
         occupancy = self.occupancy(app_payload_bytes, data_rate, rts_cts)
         return app_payload_bytes * 8 / (occupancy.total_us * 1e-6)
-
-    def entry(
-        self, app_payload_bytes: int, data_rate: Rate, rts_cts: bool
-    ) -> ThroughputEntry:
-        """A fully described Table-2 cell."""
-        occupancy = self.occupancy(app_payload_bytes, data_rate, rts_cts)
-        return ThroughputEntry(
-            data_rate=data_rate,
-            payload_bytes=app_payload_bytes,
-            rts_cts=rts_cts,
-            throughput_bps=app_payload_bytes * 8 / (occupancy.total_us * 1e-6),
-            occupancy=occupancy,
-        )
-
-
-@dataclass(frozen=True)
-class Table2:
-    """The full Table 2: rates × payload sizes × RTS on/off."""
-
-    entries: tuple[ThroughputEntry, ...] = field(default_factory=tuple)
-
-    def lookup(
-        self, data_rate: Rate, payload_bytes: int, rts_cts: bool
-    ) -> ThroughputEntry:
-        """Find one cell; raises ``KeyError`` if absent."""
-        for entry in self.entries:
-            if (
-                entry.data_rate is data_rate
-                and entry.payload_bytes == payload_bytes
-                and entry.rts_cts == rts_cts
-            ):
-                return entry
-        raise KeyError((data_rate, payload_bytes, rts_cts))
-
-
-def table2(
-    config: Dot11bConfig | None = None,
-    payload_sizes: tuple[int, ...] = (512, 1024),
-    transport: TransportProtocol = TransportProtocol.UDP,
-    rts_overhead: RtsCtsOverheadModel = RtsCtsOverheadModel.STANDARD,
-) -> Table2:
-    """Regenerate Table 2 of the paper."""
-    model = ThroughputModel(config, transport=transport, rts_overhead=rts_overhead)
-    entries = []
-    for rate in reversed(ALL_RATES):  # paper lists 11 Mbps first
-        for payload in payload_sizes:
-            for rts_cts in (False, True):
-                entries.append(model.entry(payload, rate, rts_cts))
-    return Table2(entries=tuple(entries))

@@ -24,7 +24,6 @@ from repro.experiments.four_nodes import (
     run_figure9,
     run_figure11,
     run_figure12,
-    run_four_node_scenario,
 )
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 
@@ -46,7 +45,6 @@ __all__ = [
     "run_figure9",
     "run_figure11",
     "run_figure12",
-    "run_four_node_scenario",
     "run_loss_sweep",
     "run_table2",
     "run_table3",

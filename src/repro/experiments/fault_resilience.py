@@ -16,10 +16,11 @@ degrading and recovering instead of falling over:
 
 Both scenarios are pure :class:`~repro.scenario.ScenarioSpec` data — the
 fault window is a ``faults`` entry and the crash restart is the spec's
-``restart_flows`` wiring, not a hand-built callback.  Each run is one
-sweep point, so it is cached, timed out and retried like every other
-experiment's simulations: the point function returns the result as a
-JSON document and the ``run_*`` function rebuilds the dataclass.
+``restart_flows`` wiring, not a hand-built callback.  Each run sweeps
+its spec through :func:`repro.scenario.run_scenarios`, so it is cached
+on the canonical spec document, timed out and retried like every other
+experiment's simulations: the extractor returns the result as a JSON
+document and the ``run_*`` function rebuilds the dataclass.
 """
 
 from __future__ import annotations
@@ -31,22 +32,23 @@ from typing import Any
 from repro.analysis.tables import render_table
 from repro.core.params import Rate
 from repro.errors import ConfigurationError
-from repro.parallel import SweepCache, SweepPoint, run_sweep
+from repro.parallel import SweepCache
 from repro.scenario import (
     FaultSpec,
     FlowSpec,
+    ScenarioNetwork,
     ScenarioSpec,
     StackSpec,
     TopologySpec,
     TrafficSpec,
-    build,
+    run_scenarios,
 )
 
 #: Port used by both workloads at the receiver.
 _PORT = 5001
 
-_BLACKOUT_POINT = "repro.experiments.fault_resilience:link_blackout_point"
-_CRASH_POINT = "repro.experiments.fault_resilience:node_crash_point"
+_BLACKOUT_RESULT = "repro.experiments.fault_resilience:blackout_result"
+_CRASH_RESULT = "repro.experiments.fault_resilience:crash_result"
 
 
 @dataclass(frozen=True)
@@ -73,11 +75,15 @@ def _phase_mbps(
     return sum(rx_bytes[lo:hi]) * 8 / window_s / 1e6
 
 
-def _run_point(
-    cls: type, fn: str, cache: SweepCache | None, policy: Any, **params: Any
+def _run_spec(
+    cls: type,
+    spec: ScenarioSpec,
+    extract: str,
+    cache: SweepCache | None,
+    policy: Any,
 ) -> Any:
-    """Run one sweep point and rebuild its result dataclass ``cls``."""
-    [document] = run_sweep([SweepPoint(fn, params)], cache=cache, policy=policy)
+    """Sweep one spec and rebuild the extractor's document as ``cls``."""
+    [document] = run_scenarios([spec], extract=extract, cache=cache, policy=policy)
     fields = dict(document)
     fields["phases"] = tuple(
         PhaseThroughput(**phase) for phase in fields["phases"]
@@ -150,27 +156,13 @@ def blackout_spec(
     )
 
 
-def link_blackout_point(
-    duration_s: float,
-    blackout_s: float,
-    offered_mbps: float,
-    rate_mbps: float,
-    seed: int,
-) -> dict[str, Any]:
-    """Sweep point: one blackout run, as a :class:`BlackoutResult` dict."""
-    spec = blackout_spec(
-        duration_s=duration_s,
-        blackout_s=blackout_s,
-        offered_mbps=offered_mbps,
-        rate_mbps=rate_mbps,
-        seed=seed,
-    )
-    fault = spec.faults[0]
+def blackout_result(net: ScenarioNetwork) -> dict[str, Any]:
+    """Extractor: a :func:`blackout_spec` run as a :class:`BlackoutResult` dict."""
+    assert net.spec is not None
+    fault = net.spec.faults[0]
     start_s = fault.start_s
     assert fault.duration_s is not None
     end_s = start_s + fault.duration_s
-    net = build(spec)
-    net.run(duration_s)
     sink = net.flow(0).sink
     rx_bytes = [512] * len(sink.rx_times_ns)
     phases = tuple(
@@ -183,7 +175,7 @@ def link_blackout_point(
         for label, lo, hi in (
             ("before", 0.0, start_s),
             ("blackout", start_s, end_s),
-            ("after", end_s, duration_s),
+            ("after", end_s, net.spec.duration_s),
         )
     )
     mac = net[0].mac.counters
@@ -208,11 +200,14 @@ def run_link_blackout(
     policy: Any = None,
 ) -> BlackoutResult:
     """UDP flow with a total link outage centred in the run."""
-    return _run_point(
-        BlackoutResult, _BLACKOUT_POINT, cache, policy,
-        duration_s=duration_s, blackout_s=blackout_s,
-        offered_mbps=offered_mbps, rate_mbps=rate.mbps, seed=seed,
+    spec = blackout_spec(
+        duration_s=duration_s,
+        blackout_s=blackout_s,
+        offered_mbps=offered_mbps,
+        rate_mbps=rate.mbps,
+        seed=seed,
     )
+    return _run_spec(BlackoutResult, spec, _BLACKOUT_RESULT, cache, policy)
 
 
 def format_link_blackout(result: BlackoutResult) -> str:
@@ -294,23 +289,15 @@ def crash_spec(
     )
 
 
-def node_crash_point(
-    duration_s: float, crash_s: float, downtime_s: float, seed: int
-) -> dict[str, Any]:
-    """Sweep point: one crash/reboot run, as a :class:`CrashResult` dict."""
-    spec = crash_spec(
-        duration_s=duration_s,
-        crash_s=crash_s,
-        downtime_s=downtime_s,
-        seed=seed,
-    )
-    reboot_s = crash_s + downtime_s
-    net = build(spec)
+def crash_result(net: ScenarioNetwork) -> dict[str, Any]:
+    """Extractor: a :func:`crash_spec` run as a :class:`CrashResult` dict."""
+    assert net.spec is not None
+    fault = net.spec.faults[0]
+    crash_s = fault.start_s
+    assert fault.duration_s is not None
+    reboot_s = crash_s + fault.duration_s
     flow = net.flow(0)
     receiver = flow.sink
-    closed_reasons: list[str] = []
-    flow.source.connection.on_closed = closed_reasons.append
-    net.run(duration_s)
     phases = tuple(
         PhaseThroughput(
             label,
@@ -321,7 +308,7 @@ def node_crash_point(
         for label, lo, hi in (
             ("before", 0.0, crash_s),
             ("down", crash_s, reboot_s),
-            ("after", reboot_s, duration_s),
+            ("after", reboot_s, net.spec.duration_s),
         )
     )
     reboot_ns = round(reboot_s * 1e9)
@@ -334,7 +321,8 @@ def node_crash_point(
         phases=phases,
         crash_s=crash_s,
         reboot_s=reboot_s,
-        old_connection_reason=closed_reasons[0] if closed_reasons else None,
+        # The sender started at t=0; a reboot appends a fresh one.
+        old_connection_reason=flow.sources[0].close_reason,
         connections_seen=len(receiver.connections),
         bytes_after_reboot=bytes_after,
     )
@@ -350,11 +338,10 @@ def run_node_crash(
     policy: Any = None,
 ) -> CrashResult:
     """TCP bulk transfer whose sender crashes and reboots mid-stream."""
-    return _run_point(
-        CrashResult, _CRASH_POINT, cache, policy,
-        duration_s=duration_s, crash_s=crash_s, downtime_s=downtime_s,
-        seed=seed,
+    spec = crash_spec(
+        duration_s=duration_s, crash_s=crash_s, downtime_s=downtime_s, seed=seed
     )
+    return _run_spec(CrashResult, spec, _CRASH_RESULT, cache, policy)
 
 
 def format_node_crash(result: CrashResult) -> str:

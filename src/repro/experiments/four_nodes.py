@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from repro.analysis.tables import render_table
 from repro.channel.placement import (
-    Placement,
     figure6_placement,
     figure8_placement,
     figure10_placement,
@@ -43,11 +42,14 @@ from repro.scenario import (
     StackSpec,
     TopologySpec,
     TrafficSpec,
-    build,
     run_scenarios,
 )
 
 _BASE_PORT = 5001
+#: The paper's "constant size packets of 512 bytes".
+_PAYLOAD_BYTES = 512
+#: Goodput is measured after the first second of each session.
+_WARMUP_S = 1.0
 
 #: (sender index, receiver index) per session, 0-based station indices.
 ASYMMETRIC_SESSIONS = ((0, 1), (2, 3))  # S1->S2, S3->S4
@@ -91,9 +93,7 @@ class FourNodeResult:
 
 
 def _session_flows(
-    transport: str,
-    sessions: tuple[tuple[int, int], ...],
-    payload_bytes: int,
+    transport: str, sessions: tuple[tuple[int, int], ...]
 ) -> tuple[FlowSpec, ...]:
     if transport not in ("udp", "tcp"):
         raise ExperimentError(f"unknown transport {transport!r}")
@@ -107,86 +107,12 @@ def _session_flows(
                     src=tx,
                     dst=rx,
                     port=port,
-                    payload_bytes=payload_bytes,
+                    payload_bytes=_PAYLOAD_BYTES,
                 )
             )
         else:
             flows.append(FlowSpec(kind="bulk-tcp", src=tx, dst=rx, port=port))
     return tuple(flows)
-
-
-def scenario_for_placement(
-    placement: Placement,
-    rate: Rate,
-    transport: str,
-    rts_cts: bool,
-    sessions: tuple[tuple[int, int], ...] = ASYMMETRIC_SESSIONS,
-    duration_s: float = 10.0,
-    warmup_s: float = 1.0,
-    payload_bytes: int = 512,
-    seed: int = 1,
-) -> ScenarioSpec:
-    """The spec for one four-node panel on a live :class:`Placement`."""
-    positions = [x for x, _ in placement.positions]
-    return ScenarioSpec(
-        name=placement.name,
-        topology=TopologySpec.line(*positions),
-        stack=StackSpec(data_rate_mbps=rate.mbps, rts_enabled=rts_cts),
-        traffic=TrafficSpec(
-            flows=_session_flows(transport, sessions, payload_bytes)
-        ),
-        seed=seed,
-        duration_s=duration_s,
-        warmup_s=warmup_s,
-    )
-
-
-def _result_from_net(
-    net: ScenarioNetwork, rate: Rate, transport: str, rts_cts: bool
-) -> FourNodeResult:
-    assert net.spec is not None
-    session_results = tuple(
-        SessionThroughput(
-            label=handle.label,
-            kbps=handle.throughput_bps(net.spec.duration_s) / 1e3,
-        )
-        for handle in net.flows
-    )
-    return FourNodeResult(
-        scenario=net.spec.name,
-        rate=rate,
-        transport=transport,
-        rts_cts=rts_cts,
-        sessions=session_results,
-    )
-
-
-def run_four_node_scenario(
-    placement: Placement,
-    rate: Rate,
-    transport: str,
-    rts_cts: bool,
-    sessions: tuple[tuple[int, int], tuple[int, int]] = ASYMMETRIC_SESSIONS,
-    duration_s: float = 10.0,
-    warmup_s: float = 1.0,
-    payload_bytes: int = 512,
-    seed: int = 1,
-) -> FourNodeResult:
-    """Run one panel: two concurrent sessions, measure both."""
-    spec = scenario_for_placement(
-        placement,
-        rate,
-        transport,
-        rts_cts,
-        sessions=sessions,
-        duration_s=duration_s,
-        warmup_s=warmup_s,
-        payload_bytes=payload_bytes,
-        seed=seed,
-    )
-    net = build(spec)
-    net.run(duration_s)
-    return _result_from_net(net, rate, transport, rts_cts)
 
 
 _PLACEMENTS = {
@@ -208,14 +134,21 @@ def panel_spec(
     """The spec for one named-placement panel (JSON-friendly arguments)."""
     if placement not in _PLACEMENTS:
         raise ExperimentError(f"unknown placement {placement!r}")
-    return scenario_for_placement(
-        _PLACEMENTS[placement](),
-        Rate.from_mbps(rate_mbps),
-        transport,
-        rts_cts,
-        sessions=tuple((int(tx), int(rx)) for tx, rx in sessions),
-        duration_s=duration_s,
+    layout = _PLACEMENTS[placement]()
+    return ScenarioSpec(
+        name=layout.name,
+        topology=TopologySpec.line(*(x for x, _ in layout.positions)),
+        stack=StackSpec(
+            data_rate_mbps=Rate.from_mbps(rate_mbps).mbps, rts_enabled=rts_cts
+        ),
+        traffic=TrafficSpec(
+            flows=_session_flows(
+                transport, tuple((int(tx), int(rx)) for tx, rx in sessions)
+            )
+        ),
         seed=seed,
+        duration_s=duration_s,
+        warmup_s=_WARMUP_S,
     )
 
 
@@ -232,6 +165,23 @@ def panel_rows(net: ScenarioNetwork) -> list:
 
 
 _PANEL_ROWS = "repro.experiments.four_nodes:panel_rows"
+
+
+def panel_result(
+    rate: Rate, transport: str, rts_cts: bool, rows: list
+) -> FourNodeResult:
+    """The :class:`FourNodeResult` of one panel's :func:`panel_rows`."""
+    scenario, session_rows = rows
+    return FourNodeResult(
+        scenario=scenario,
+        rate=rate,
+        transport=transport,
+        rts_cts=rts_cts,
+        sessions=tuple(
+            SessionThroughput(label=label, kbps=kbps)
+            for label, kbps in session_rows
+        ),
+    )
 
 
 def _run_figure(
@@ -265,17 +215,8 @@ def _run_figure(
         specs, extract=_PANEL_ROWS, jobs=jobs, cache=cache, policy=policy
     )
     return [
-        FourNodeResult(
-            scenario=scenario,
-            rate=rate,
-            transport=transport,
-            rts_cts=rts_cts,
-            sessions=tuple(
-                SessionThroughput(label=label, kbps=kbps)
-                for label, kbps in session_rows
-            ),
-        )
-        for (transport, rts_cts), (scenario, session_rows) in zip(panels, values)
+        panel_result(rate, transport, rts_cts, rows)
+        for (transport, rts_cts), rows in zip(panels, values)
     ]
 
 

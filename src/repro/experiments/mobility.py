@@ -30,7 +30,6 @@ from repro.scenario import (
     StackSpec,
     TopologySpec,
     TrafficSpec,
-    build,
     run_scenarios,
 )
 
@@ -127,27 +126,6 @@ def usable_lifetime(net: ScenarioNetwork) -> float:
 
 
 _USABLE_LIFETIME = "repro.experiments.mobility:usable_lifetime"
-
-
-def measure_link_lifetime(
-    rate: Rate,
-    speed_m_s: float = 10.0,
-    ns2_preset: bool = False,
-    horizon_s: float = 80.0,
-    seed: int = 1,
-) -> LinkLifetime:
-    """Time until a walking receiver drops below usable delivery."""
-    spec = lifetime_spec(
-        rate.mbps, speed_m_s, ns2_preset, seed, horizon_s=horizon_s
-    )
-    net = build(spec)
-    net.run(spec.duration_s)
-    return LinkLifetime(
-        rate=rate,
-        radio_preset="ns-2" if ns2_preset else "calibrated",
-        speed_m_s=speed_m_s,
-        lifetime_s=usable_lifetime(net),
-    )
 
 
 def run_link_lifetimes(

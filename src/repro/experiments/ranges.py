@@ -36,7 +36,6 @@ from repro.scenario import (
     TopologySpec,
     TrafficSpec,
     WeatherSpec,
-    build,
     scenario_sweep_points,
 )
 
@@ -121,30 +120,6 @@ def probe_loss(net: ScenarioNetwork) -> float:
 
 
 _PROBE_LOSS = "repro.experiments.ranges:probe_loss"
-
-
-def measure_loss_at(
-    rate: Rate,
-    distance_m: float,
-    probes: int = 200,
-    payload_bytes: int = 512,
-    seed: int = 1,
-    weather: DayConditions | None = None,
-) -> float:
-    """Per-frame loss rate between two stations ``distance_m`` apart."""
-    spec = loss_spec(
-        rate.mbps,
-        distance_m,
-        probes,
-        seed,
-        payload_bytes=payload_bytes,
-        weather=(
-            WeatherSpec.from_conditions(weather) if weather is not None else None
-        ),
-    )
-    net = build(spec)
-    net.run(spec.duration_s)
-    return probe_loss(net)
 
 
 def _loss_points(

@@ -119,8 +119,8 @@ class Experiment:
         return self.run(**call)
 
 
-def _table2(jobs: int = 1, cache=None, policy=None) -> str:
-    return format_table2(run_table2(jobs=jobs, cache=cache, policy=policy))
+def _table2() -> str:
+    return format_table2(run_table2())
 
 
 def _figure2(

@@ -8,7 +8,6 @@ from repro.analysis.tables import render_table
 from repro.core.params import ALL_RATES, Rate
 from repro.core.throughput_model import RtsCtsOverheadModel, ThroughputModel
 from repro.experiments import paper
-from repro.parallel import SweepCache, SweepPoint, run_sweep
 
 
 @dataclass(frozen=True)
@@ -31,66 +30,27 @@ class Table2Row:
         )
 
 
-def throughput_point(rate_mbps: float, payload_bytes: int, rts_cts: bool) -> list:
-    """Sweep-engine point: one Table-2 cell under both overhead models.
+def run_table2(payload_sizes: tuple[int, ...] = (512, 1024)) -> list[Table2Row]:
+    """Evaluate every Table-2 cell under both RTS/CTS overhead models.
 
-    Analytic (microseconds of work) — it goes through the engine for
-    grid/caching uniformity, and because its cheapness makes it the
-    canonical point function for cache-semantics tests.
+    Closed-form arithmetic, so the cells are computed inline rather than
+    swept: there is nothing to parallelise, retry or cache.
     """
-    rate = Rate.from_mbps(rate_mbps)
     standard = ThroughputModel(rts_overhead=RtsCtsOverheadModel.STANDARD)
     implied = ThroughputModel(rts_overhead=RtsCtsOverheadModel.PAPER_IMPLIED)
-    return [
-        standard.max_throughput_bps(payload_bytes, rate, rts_cts) / 1e6,
-        implied.max_throughput_bps(payload_bytes, rate, rts_cts) / 1e6,
-    ]
-
-
-_THROUGHPUT_POINT = "repro.experiments.table2:throughput_point"
-
-
-def run_table2(
-    payload_sizes: tuple[int, ...] = (512, 1024),
-    jobs: int = 1,
-    cache: SweepCache | None = None,
-    policy=None,
-) -> list[Table2Row]:
-    """Evaluate every Table-2 cell under both RTS/CTS overhead models."""
-    grid = [
-        (rate, payload, rts_cts)
-        for rate in reversed(ALL_RATES)
-        for payload in payload_sizes
-        for rts_cts in (False, True)
-    ]
-    values = run_sweep(
-        [
-            SweepPoint(
-                _THROUGHPUT_POINT,
-                {
-                    "rate_mbps": rate.mbps,
-                    "payload_bytes": payload,
-                    "rts_cts": rts_cts,
-                },
-            )
-            for rate, payload, rts_cts in grid
-        ],
-        jobs=jobs,
-        cache=cache,
-        policy=policy,
-    )
     return [
         Table2Row(
             rate=rate,
             payload_bytes=payload,
             rts_cts=rts_cts,
             paper_mbps=paper.TABLE2_MBPS[(rate, payload, rts_cts)],
-            standard_mbps=standard_mbps,
-            paper_implied_mbps=implied_mbps,
+            standard_mbps=standard.max_throughput_bps(payload, rate, rts_cts) / 1e6,
+            paper_implied_mbps=implied.max_throughput_bps(payload, rate, rts_cts)
+            / 1e6,
         )
-        for (rate, payload, rts_cts), (standard_mbps, implied_mbps) in zip(
-            grid, values
-        )
+        for rate in reversed(ALL_RATES)  # the paper lists 11 Mbps first
+        for payload in payload_sizes
+        for rts_cts in (False, True)
     ]
 
 

@@ -28,7 +28,6 @@ from repro.scenario import (
     TopologySpec,
     TrafficSpec,
     run_scenarios,
-    scenario_point,
 )
 
 #: Port both workloads use at the receiver.
@@ -89,12 +88,16 @@ def goodput_mbps(net: ScenarioNetwork) -> float:
 
 
 def rx_times(net: ScenarioNetwork) -> list[int]:
-    """Extractor: flow-0 delivery timestamps (ns)."""
+    """Extractor: flow-0 delivery timestamps (ns).
+
+    The full delivery trace rather than an aggregate, so a sweep of
+    :func:`udp_trace_spec` points shows that parallel and serial
+    execution are bit-identical at the event level.
+    """
     return [int(time_ns) for time_ns in net.flow(0).sink.rx_times_ns]
 
 
 _GOODPUT_MBPS = "repro.experiments.two_nodes:goodput_mbps"
-_RX_TIMES = "repro.experiments.two_nodes:rx_times"
 
 
 def udp_trace_spec(
@@ -123,23 +126,6 @@ def udp_trace_spec(
         seed=seed,
         duration_s=duration_s,
     )
-
-
-def udp_trace_point(
-    rate_mbps: float,
-    distance_m: float,
-    duration_s: float,
-    payload_bytes: int,
-    seed: int,
-) -> list[int]:
-    """Receive timestamps (ns) of a saturated two-node UDP run.
-
-    Returns the full delivery trace rather than an aggregate, so tests
-    can assert that parallel and serial execution are bit-identical at
-    the event level, not just in the summary statistics.
-    """
-    spec = udp_trace_spec(rate_mbps, distance_m, duration_s, payload_bytes, seed)
-    return list(scenario_point(spec.to_dict(), extract=_RX_TIMES))
 
 
 def run_figure2(

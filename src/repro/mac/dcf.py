@@ -14,8 +14,8 @@ distributed coordination function:
 * the behaviours the paper's four-station experiments expose: an exposed
   receiver goes deaf while its PHY tracks a third station's frames and
   its CTS is withheld while the NAV is set (paper §3.3); the optional
-  :class:`AckPolicy` / ``cts_respects_physical_cs`` knobs add energy-
-  based suppression of responses for ablation studies.
+  :class:`AckPolicy` knob adds energy-based suppression of ACKs for
+  ablation studies.
 
 The timing discipline follows the standard closely: backoff slots are
 consumed only while the medium has stayed idle for a full IFS, a slot
@@ -87,11 +87,6 @@ class MacConfig:
     dot11: Dot11bConfig = field(default_factory=Dot11bConfig)
     rts_enabled: bool = False
     ack_policy: AckPolicy = AckPolicy.ALWAYS
-    #: The standard gates the CTS on the NAV only; half-duplex reception
-    #: already prevents answering an RTS that arrived during another
-    #: frame.  True adds an energy check at the SIFS boundary (ablation).
-    cts_respects_physical_cs: bool = False
-    nav_reset_on_missing_cts: bool = True
     max_queue_frames: int = DEFAULT_QUEUE_FRAMES
     #: MSDUs larger than this are split into fragments transmitted as a
     #: SIFS-spaced burst, each individually acknowledged, with the NAV
@@ -133,7 +128,6 @@ class MacCounters:
     fragments_tx: int = 0
     acks_suppressed: int = 0
     cts_suppressed_nav: int = 0
-    cts_suppressed_cs: int = 0
     nav_resets: int = 0
 
 
@@ -763,8 +757,7 @@ class MacStation(PhyListener):
     def _handle_rts(self, frame: RtsFrame) -> None:
         if frame.dst != self.address:
             if self._update_nav(frame.duration_us):
-                if self._config.nav_reset_on_missing_cts:
-                    self._nav_reset_timer.start(self._nav_reset_grace_ns)
+                self._nav_reset_timer.start(self._nav_reset_grace_ns)
             return
         if self._nav.busy:
             self.counters.cts_suppressed_nav += 1
@@ -865,13 +858,12 @@ class MacStation(PhyListener):
         self._phy.transmit(self._ack_plan, ack)
 
     def _respond_cts(self, rts: RtsFrame) -> None:
+        # The standard gates the CTS on the NAV alone: half-duplex
+        # reception already keeps a station from answering an RTS that
+        # arrived during another frame.
         if self._nav.busy:
             self.counters.cts_suppressed_nav += 1
             self._trace("cts_suppressed", reason="nav-late")
-            return
-        if self._config.cts_respects_physical_cs and self._phy.cs_busy:
-            self.counters.cts_suppressed_cs += 1
-            self._trace("cts_suppressed", reason="cs")
             return
         duration_us = max(0.0, rts.duration_us - self._mac.sifs_us - self._cts_us)
         cts = CtsFrame(src=self.address, dst=rts.src, duration_us=duration_us)

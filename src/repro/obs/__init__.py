@@ -4,9 +4,14 @@ The flight recorder follows every application-layer SDU from the moment
 the IP layer opens it until it reaches exactly one terminal state —
 delivered, or dropped with a typed reason — and runs online auditors
 that fail fast (with sim-time context) the moment a cross-layer
-invariant breaks.  Everything here rides on the :class:`Tracer` audit
+invariant breaks.  The ledger rides on the :class:`Tracer` audit
 channel, which is off by default: an uninstrumented run pays one
 attribute read per hook point and emits nothing.
+
+:class:`AirtimeAuditor` reads the regular PHY events instead, and is
+also the one channel-airtime account: attached on its own
+(:meth:`Auditor.attach`) it reports each station's
+transmissions, airtime and share of the air, and the busy fraction.
 
 Entry points:
 

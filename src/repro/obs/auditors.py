@@ -11,9 +11,11 @@ in which case violations accumulate on :attr:`Auditor.violations`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
-from repro.sim.tracing import TraceRecord
+from repro.analysis.tables import render_table
+from repro.sim.tracing import TraceRecord, Tracer
 from repro.units import ns_to_s
 
 
@@ -37,6 +39,10 @@ class Auditor:
         if self.on_violation is not None:
             self.on_violation(stamped)
 
+    def attach(self, tracer: Tracer) -> None:
+        """Subscribe to ``tracer`` for the events this auditor reads."""
+        tracer.subscribe(self.on_record, prefix=self.prefix, events=self.events)
+
     def on_record(self, record: TraceRecord) -> None:
         """Tracer subscriber; override."""
         raise NotImplementedError
@@ -45,18 +51,38 @@ class Auditor:
         """End-of-run checks; default none."""
 
 
+@dataclass(slots=True)
+class StationAirtime:
+    """One station's transmissions and the airtime they occupied."""
+
+    name: str
+    transmissions: int = 0
+    airtime_ns: int = 0
+    last_end_ns: int = 0
+
+
 class AirtimeAuditor(Auditor):
-    """Airtime occupancy can never exceed elapsed simulation time.
+    """Per-station airtime, which can never exceed elapsed simulation time.
 
     Rides the *regular* ``phy.`` trace events (``tx_start`` carries the
-    transmission duration), so it needs no audit channel.  Two checks
-    per station at each transmission start, one for the medium union at
-    the end:
+    transmission duration), so it needs no audit channel.  A
+    transmission's whole airtime is charged when it starts: a frame
+    still in the air when the run ends counts in full, and the observed
+    span runs from the first transmission start to the latest
+    transmission end, that frame's included.
+
+    Two checks per station at each transmission start, one for the
+    medium union at the end:
 
     * a station's cumulative airtime never exceeds the clock,
     * a station never starts transmitting before its previous
       transmission ended (half-duplex violation),
     * the union of all transmission intervals fits in the run.
+
+    The same accounting answers which station holds the air: each
+    station's transmissions and share of the span, the busy fraction
+    and a printable :meth:`report` (the four-node experiments' S3
+    occupying the channel while S1 spends its airtime on retries).
     """
 
     prefix = "phy."
@@ -64,31 +90,35 @@ class AirtimeAuditor(Auditor):
 
     def __init__(self) -> None:
         super().__init__()
-        self._busy_ns: dict[str, int] = {}
-        self._last_end_ns: dict[str, int] = {}
+        self._stations: dict[str, StationAirtime] = {}
+        self._first_start_ns: int | None = None
         self._union_busy_ns = 0
         self._union_end_ns = 0
 
     def on_record(self, record: TraceRecord) -> None:
-        station = record.category
         now = record.time_ns
         dur = record.fields.get("dur_ns", 0)
-        last_end = self._last_end_ns.get(station, 0)
-        if now < last_end:
+        station = self._stations.get(record.category)
+        if station is None:
+            name = record.category[len(self.prefix):]
+            station = self._stations[record.category] = StationAirtime(name)
+            if self._first_start_ns is None:
+                self._first_start_ns = now
+        if now < station.last_end_ns:
             self.violate(
                 now,
-                f"{station} starts a transmission at {now} ns while its "
-                f"previous one runs until {last_end} ns",
+                f"{record.category} starts a transmission at {now} ns while "
+                f"its previous one runs until {station.last_end_ns} ns",
             )
-        busy = self._busy_ns.get(station, 0)
-        if busy > now:
+        if station.airtime_ns > now:
             self.violate(
                 now,
-                f"{station} has accumulated {busy} ns of airtime but only "
-                f"{now} ns have elapsed",
+                f"{record.category} has accumulated {station.airtime_ns} ns "
+                f"of airtime but only {now} ns have elapsed",
             )
-        self._busy_ns[station] = busy + dur
-        self._last_end_ns[station] = now + dur
+        station.transmissions += 1
+        station.airtime_ns += dur
+        station.last_end_ns = now + dur
         # Union of transmission intervals across the medium: events
         # arrive in time order, so a running (busy, end) pair suffices.
         if now >= self._union_end_ns:
@@ -110,6 +140,54 @@ class AirtimeAuditor(Auditor):
     def union_busy_ns(self) -> int:
         """Total time at least one station was transmitting."""
         return self._union_busy_ns
+
+    @property
+    def stations(self) -> tuple[StationAirtime, ...]:
+        """Every station that transmitted, ordered by name."""
+        return tuple(sorted(self._stations.values(), key=lambda s: s.name))
+
+    @property
+    def observed_span_ns(self) -> int:
+        """From the first transmission start to the latest transmission end."""
+        if self._first_start_ns is None:
+            return 0
+        return self._union_end_ns - self._first_start_ns
+
+    def airtime_share(self, name: str) -> float:
+        """Fraction of the observed span station ``name`` spent transmitting."""
+        station = self._stations.get(self.prefix + name)
+        span_ns = self.observed_span_ns
+        if station is None or span_ns <= 0:
+            return 0.0
+        return station.airtime_ns / span_ns
+
+    def busy_fraction(self) -> float:
+        """Every station's airtime summed, over the observed span.
+
+        At most 1 when transmissions never overlap; above 1 reveals
+        concurrent (potentially colliding) transmissions, which
+        :attr:`union_busy_ns` counts once.
+        """
+        span_ns = self.observed_span_ns
+        if span_ns <= 0:
+            return 0.0
+        return sum(s.airtime_ns for s in self._stations.values()) / span_ns
+
+    def report(self) -> str:
+        """Per-station airtime table."""
+        return render_table(
+            ["station", "transmissions", "airtime (ms)", "share"],
+            [
+                (
+                    station.name,
+                    station.transmissions,
+                    round(station.airtime_ns / 1e6, 1),
+                    round(self.airtime_share(station.name), 3),
+                )
+                for station in self.stations
+            ],
+            title="Channel airtime audit",
+        )
 
 
 class NavAuditor(Auditor):

@@ -118,9 +118,7 @@ class FlightRecorder:
             for auditor in self.auditors:
                 if self._strict:
                     auditor.on_violation = self._raise
-                self._tracer.subscribe(
-                    auditor.on_record, prefix=auditor.prefix, events=auditor.events
-                )
+                auditor.attach(self._tracer)
         self._sim.add_shutdown_hook(self.finalize)
         return self
 

@@ -1,10 +1,10 @@
 """Session-scoped audit collection.
 
-Experiment shims build networks wherever they like — through
-:func:`repro.scenario.points.scenario_point`, or by calling
-:func:`repro.scenario.builder.build` directly (the fault-resilience
-experiments do).  An :class:`AuditCollector` covers both: while one is
-active, every network the builder constructs gets a strict
+Networks are built through :func:`repro.scenario.points.scenario_point`,
+or by calling :func:`repro.scenario.builder.build` directly
+(:func:`repro.experiments.multihop.scale_point`, which only the
+benchmarks call, does).  An :class:`AuditCollector` covers both: while
+one is active, every network the builder constructs gets a strict
 :class:`~repro.obs.recorder.FlightRecorder`, and recorders that were
 never finalized (networks whose simulator was not shut down) are swept
 up when the collector exits.

@@ -75,7 +75,6 @@ def run_sweep(
     cache: SweepCache | None = None,
     policy: Any = None,
     start_method: str | None = None,
-    on_error: str | None = None,
 ) -> list[Any]:
     """Evaluate every point and return the values **in point order**.
 
@@ -100,13 +99,12 @@ def run_sweep(
     Completed results are persisted to the cache as each point
     finishes — a failure at point 900/1000 never discards the other
     899, and running the same sweep again with the same cache executes
-    only what is missing.  ``on_error`` selects the failure policy:
-    ``raise`` (default) re-raises the first final failure, ``skip``
-    leaves ``None`` at the failed index, ``degrade`` leaves a typed
+    only what is missing.  ``policy.on_error`` selects the failure
+    policy: ``raise`` (the default, also without a policy) re-raises
+    the first final failure, ``skip`` leaves ``None`` at the failed
+    index, ``degrade`` leaves a typed
     :class:`~repro.parallel.supervisor.PointFailure` record; both
-    non-raising modes print a sweep report to stderr.  ``on_error``
-    left as ``None`` falls back to the same-named attribute of
-    ``policy``.
+    non-raising modes print a sweep report to stderr.
 
     SIGINT/SIGTERM during the sweep trigger a graceful shutdown —
     finished points are already in the cache, the workers are reaped
@@ -131,6 +129,5 @@ def run_sweep(
         cache=cache,
         policy=policy,
         start_method=start_method,
-        on_error=on_error,
     )
     return outcome.results

@@ -21,11 +21,11 @@ replaces it with per-task dispatch over dedicated pipes:
   share one decision between a retry and a final failure;
 * successful values are written to the result cache **as they
   complete**, so an abort at point 900/1000 keeps the other 899;
-* ``on_error`` picks the failure policy: ``"raise"`` stops dispatching
-  and re-raises the first final failure once in-flight work has been
-  collected, ``"skip"`` substitutes ``None``, ``"degrade"``
-  substitutes a typed :class:`PointFailure` record — both of the
-  latter finish the sweep and print a :class:`SweepReport`;
+* ``policy.on_error`` picks the failure policy: ``"raise"`` stops
+  dispatching and re-raises the first final failure once in-flight
+  work has been collected, ``"skip"`` substitutes ``None``,
+  ``"degrade"`` substitutes a typed :class:`PointFailure` record —
+  both of the latter finish the sweep and print a :class:`SweepReport`;
 * SIGINT/SIGTERM trigger graceful shutdown: kill the workers and raise
   :class:`~repro.errors.SweepInterrupted`.  A second SIGINT forces the
   default handler (hard exit).
@@ -61,7 +61,7 @@ from typing import Any, Mapping, Sequence, TextIO
 
 from repro import errors as _errors
 from repro.errors import ExperimentError, SimulationError, SweepInterrupted
-from repro.parallel.cache import SweepCache, code_version_tag, point_key
+from repro.parallel.cache import SweepCache, point_key
 from repro.parallel.engine import SweepPoint, resolve_point_fn
 
 #: Valid ``on_error`` failure policies.
@@ -332,9 +332,9 @@ class _Supervision:
         # A ``None`` policy means no timeout and no retry.
         self.timeout_s: float | None = getattr(policy, "timeout_s", None)
         self.max_retries: int = getattr(policy, "max_retries", 0)
-        self.version = (
-            cache.version_tag if cache is not None else code_version_tag()
-        )
+        # Point keys group equal points for sharing; without a cache
+        # they live for this sweep alone, so any constant tag will do.
+        self.version = cache.version_tag if cache is not None else "uncached"
         self.results: list[Any] = [None] * len(self.points)
         self.report = SweepReport(total=len(self.points))
         self._interrupted = False
@@ -722,21 +722,19 @@ def supervise_sweep(
     cache: SweepCache | None = None,
     policy: Any = None,
     start_method: str | None = None,
-    on_error: str | None = None,
     report_stream: TextIO | None = None,
 ) -> SweepOutcome:
     """Run a sweep under supervision; the engine's ``run_sweep`` wraps this.
 
-    ``on_error`` left as ``None`` falls back to the ``on_error``
-    attribute of ``policy`` (the
-    :class:`~repro.experiments.runner.RunnerConfig` shape), so one
-    policy object travels from the CLI into every sweep an experiment
-    makes.  ``report_stream`` defaults to ``sys.stderr``; pass a
-    file-like object to capture the degraded-sweep report, or rely on
-    the returned :class:`SweepOutcome`'s report.
+    The failure policy is ``policy.on_error`` (the
+    :class:`~repro.experiments.runner.RunnerConfig` shape), ``"raise"``
+    without a policy, so one policy object travels from the CLI into
+    every sweep an experiment makes.  ``report_stream`` defaults to
+    ``sys.stderr``; pass a file-like object to capture the
+    degraded-sweep report, or rely on the returned
+    :class:`SweepOutcome`'s report.
     """
-    if on_error is None:
-        on_error = getattr(policy, "on_error", None) or "raise"
+    on_error = getattr(policy, "on_error", "raise")
     if on_error not in ON_ERROR_POLICIES:
         raise ExperimentError(
             f"on_error must be one of {', '.join(ON_ERROR_POLICIES)}, "

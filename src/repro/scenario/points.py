@@ -1,7 +1,7 @@
 """Spec-driven sweep points: the one cacheable entry into a scenario.
 
 :func:`scenario_point` is the *single* function every experiment sweep
-now routes through: its parameters are the scenario's canonical
+routes through: its parameters are the scenario's canonical
 ``to_dict`` document plus the dotted path of a metric extractor.  The
 :class:`~repro.parallel.cache.SweepCache` therefore keys results on the
 canonical spec serialisation (plus the sim-source version tag) — a cache
@@ -101,37 +101,25 @@ def run_scenarios(
     jobs: int = 1,
     cache: Any = None,
     policy: Any = None,
-    on_error: str | None = None,
 ) -> list[Any]:
     """Sweep a batch of scenarios through the parallel engine.
 
     Results come back in spec order, and specs that build the same
     network are simulated once; serial (``jobs=1``), pooled and
-    warm-cache runs are interchangeable.  ``on_error`` (or the
-    same-named attribute of ``policy``) flows into the supervised
-    executor — see :func:`repro.parallel.run_sweep`.
+    warm-cache runs are interchangeable.  ``policy`` (timeout, retries
+    and ``on_error``) flows into the supervised executor — see
+    :func:`repro.parallel.run_sweep`.
     """
     return run_sweep(
         scenario_sweep_points(specs, extract, extract_params),
         jobs=jobs,
         cache=cache,
         policy=policy,
-        on_error=on_error,
     )
 
 
 # ---------------------------------------------------------------------------
-# Generic extractors (experiment modules define richer ones).
-
-
-def flow_throughput_bps(
-    net: ScenarioNetwork, flow: int = 0, horizon_s: float | None = None
-) -> float:
-    """Goodput of one flow over the scenario's measurement window."""
-    if horizon_s is None:
-        assert net.spec is not None
-        horizon_s = net.spec.duration_s
-    return net.flow(flow).throughput_bps(horizon_s)
+# Generic extractor (experiment modules define richer ones).
 
 
 def flow_throughputs_kbps(net: ScenarioNetwork) -> list[list[Any]]:
@@ -142,13 +130,3 @@ def flow_throughputs_kbps(net: ScenarioNetwork) -> list[list[Any]]:
         [handle.label, handle.throughput_bps(horizon_s) / 1e3]
         for handle in net.flows
     ]
-
-
-def sink_packets(net: ScenarioNetwork, flow: int = 0) -> int:
-    """Packets the flow's sink delivered (including warmup)."""
-    return int(net.flow(flow).sink.packets)
-
-
-def trace_counters(net: ScenarioNetwork) -> dict[str, int]:
-    """The tracer's counter map — the scenario's event-level fingerprint."""
-    return dict(net.tracer.counters())

@@ -81,11 +81,6 @@ def mbps_to_bps(mbps: float) -> float:
     return mbps * 1e6
 
 
-def bps_to_mbps(bps: float) -> float:
-    """Convert bits per second to megabits per second."""
-    return bps / 1e6
-
-
 def bits_duration_us(bits: int, rate_mbps: float) -> float:
     """Time in microseconds to transmit ``bits`` at ``rate_mbps``.
 

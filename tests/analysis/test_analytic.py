@@ -9,7 +9,6 @@ from repro.analysis.analytic import (
     collision_overhead_us,
     contention_windows,
     jain_index,
-    max_throughput_by_rate,
     predict_scenario,
     retry_limited_tau,
     saturation_throughput,
@@ -144,27 +143,6 @@ class TestSaturationThroughput:
         }
         assert classic[2] > classic[1]
         assert classic[16] < classic[4]
-
-
-class TestMaxThroughputByRate:
-    def test_matches_the_table2_model(self):
-        model = ThroughputModel()
-        for entry in max_throughput_by_rate(512):
-            assert entry.max_throughput_bps == model.max_throughput_bps(
-                512, entry.data_rate
-            )
-
-    def test_efficiency_falls_as_the_phy_rate_rises(self):
-        entries = max_throughput_by_rate(512)
-        efficiencies = [entry.efficiency for entry in entries]
-        assert efficiencies == sorted(efficiencies, reverse=True)
-        assert entries[-1].data_rate is Rate.MBPS_11
-        assert entries[-1].efficiency < 0.35  # the paper's ~3 of 11 Mbps
-
-    def test_overhead_fraction_is_the_complement_of_payload_share(self):
-        for entry in max_throughput_by_rate(1024):
-            share = entry.payload_us / entry.occupancy.total_us
-            assert entry.overhead_fraction == pytest.approx(1.0 - share)
 
 
 class TestPredictScenario:

@@ -126,6 +126,18 @@ class TestUdpSink:
         net = build_network([0, 10], fast_sigma_db=0.0)
         sink = UdpSink(net[1], port=5001, warmup_s=2.0)
         assert sink.throughput_bps(1.0) == 0.0
+        assert sink.throughput_bps(2.0) == 0.0
+
+    def test_warmup_boundary_is_inclusive(self):
+        # A datagram at exactly t == warmup counts; one ns earlier does not.
+        net = build_network([0, 10], fast_sigma_db=0.0)
+        sink = UdpSink(net[1], port=5001, warmup_s=1.0)
+        for time_ns in (999_999_999, 1_000_000_000, 1_000_000_001):
+            net.sim.schedule_at(time_ns, sink._on_datagram, 0, 100, 1, 5001)
+        net.run(2.0)
+        assert sink.packets == 3
+        assert sink.packets_after_warmup == 2
+        assert sink.bytes_after_warmup == 200
 
 
 class TestBulkApps:
@@ -152,6 +164,22 @@ class TestBulkApps:
         assert sender.connection is None
         net.run(3.0)
         assert receiver.bytes == 1024
+
+    def test_receiver_warmup_boundary_is_inclusive(self):
+        net = build_network([0, 10], fast_sigma_db=0.0)
+        receiver = BulkTcpReceiver(net[1], port=80, warmup_s=1.0)
+        for time_ns in (999_999_999, 1_000_000_000, 1_000_000_001):
+            net.sim.schedule_at(time_ns, receiver._on_deliver, 100)
+        net.run(2.0)
+        assert receiver.bytes == 300
+        assert receiver.bytes_after_warmup == 200
+        assert receiver.throughput_bps(2.0) == pytest.approx(200 * 8 / 1.0)
+
+    def test_receiver_degenerate_window_is_zero(self):
+        net = build_network([0, 10], fast_sigma_db=0.0)
+        receiver = BulkTcpReceiver(net[1], port=80, warmup_s=2.0)
+        assert receiver.throughput_bps(1.0) == 0.0
+        assert receiver.throughput_bps(2.0) == 0.0
 
     def test_receiver_tracks_connections(self):
         net = build_network([0, 10, 20], fast_sigma_db=0.0)

@@ -165,25 +165,29 @@ class TestTickSchedule:
 
 
 class TestMobileLink:
-    def test_walking_receiver_eventually_loses_the_link(self):
-        from repro.experiments.mobility import measure_link_lifetime
-        from repro.core.params import Rate
+    USABLE_LIFETIME = "repro.experiments.mobility:usable_lifetime"
 
-        result = measure_link_lifetime(
-            Rate.MBPS_11, speed_m_s=20.0, horizon_s=10.0
+    def lifetime_s(self, rate_mbps, horizon_s, ns2_preset=False):
+        from repro.experiments.mobility import lifetime_spec
+        from repro.scenario import scenario_point
+
+        spec = lifetime_spec(
+            rate_mbps, 20.0, ns2_preset, seed=1, horizon_s=horizon_s
+        )
+        return scenario_point(spec.to_dict(), extract=self.USABLE_LIFETIME)
+
+    def test_walking_receiver_eventually_loses_the_link(self):
+        from repro.core.params import Rate
+        from repro.experiments.mobility import LinkLifetime
+
+        result = LinkLifetime(
+            Rate.MBPS_11, "calibrated", 20.0, self.lifetime_s(11.0, 10.0)
         )
         # 11 Mbps range ~31 m from a 5 m start at 20 m/s: ~1.3 s.
         assert 0.5 < result.lifetime_s < 3.5
         assert 15.0 < result.break_distance_m < 60.0
 
     def test_ns2_preset_lives_much_longer(self):
-        from repro.experiments.mobility import measure_link_lifetime
-        from repro.core.params import Rate
-
-        calibrated = measure_link_lifetime(
-            Rate.MBPS_2, speed_m_s=20.0, horizon_s=20.0
-        )
-        ns2 = measure_link_lifetime(
-            Rate.MBPS_2, speed_m_s=20.0, ns2_preset=True, horizon_s=20.0
-        )
-        assert ns2.lifetime_s > 2.0 * calibrated.lifetime_s
+        calibrated = self.lifetime_s(2.0, 20.0)
+        ns2 = self.lifetime_s(2.0, 20.0, ns2_preset=True)
+        assert ns2 > 2.0 * calibrated

@@ -4,12 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.params import ALL_RATES, Rate
-from repro.core.throughput_model import (
-    RtsCtsOverheadModel,
-    ThroughputModel,
-    table2,
-)
+from repro.core.throughput_model import RtsCtsOverheadModel, ThroughputModel
 from repro.errors import ConfigurationError
+from repro.experiments.table2 import run_table2
 
 #: Table 2 of the paper, in Mbps: (rate, m, rts_cts) -> throughput.
 PAPER_TABLE2 = {
@@ -83,8 +80,8 @@ class TestQualitativeShapes:
 
     def test_utilization_below_44_percent_at_11_mbps(self):
         model = ThroughputModel()
-        entry = model.entry(1024, Rate.MBPS_11, rts_cts=False)
-        assert entry.utilization < 0.44
+        bps = model.max_throughput_bps(1024, Rate.MBPS_11, rts_cts=False)
+        assert bps / Rate.MBPS_11.bps < 0.44
 
     def test_throughput_increases_with_payload(self):
         model = ThroughputModel()
@@ -127,19 +124,46 @@ class TestQualitativeShapes:
         )
 
 
+class TestEfficiencyByRate:
+    """The per-rate overhead story of "Throughput Limits of IEEE 802.11
+    and IEEE 802.15.3" (PAPERS.md), read off Equation (1).
+
+    As the PHY rate grows the fixed per-exchange overhead (PLCP at
+    1 Mbps, DIFS, SIFS, ACK, mean backoff) caps the delivered fraction
+    well below 1: the reason 11 Mbps delivers about 3 Mbps in Table 2.
+    """
+
+    def test_efficiency_falls_as_the_phy_rate_rises(self):
+        model = ThroughputModel()
+        efficiencies = [
+            model.max_throughput_bps(512, rate) / rate.bps for rate in ALL_RATES
+        ]
+        assert efficiencies == sorted(efficiencies, reverse=True)
+        assert ALL_RATES[-1] is Rate.MBPS_11
+        assert efficiencies[-1] < 0.35  # the paper's ~3 of 11 Mbps
+
+    def test_overhead_fraction_is_the_complement_of_payload_share(self):
+        model = ThroughputModel()
+        for rate in ALL_RATES:
+            occupancy = model.occupancy(1024, rate, rts_cts=False)
+            payload_share = 1024 * 8 / rate.mbps / occupancy.total_us
+            efficiency = model.max_throughput_bps(1024, rate) / rate.bps
+            overhead_fraction = 1.0 - efficiency
+            assert overhead_fraction == pytest.approx(1.0 - payload_share)
+
+
 class TestTable2Generator:
+    """`run_table2` is the one tabulation of Equations (1)/(2)."""
+
     def test_generates_16_entries(self):
-        assert len(table2().entries) == 16
-
-    def test_lookup_finds_cells(self):
-        t = table2()
-        entry = t.lookup(Rate.MBPS_11, 512, False)
-        assert entry.throughput_mbps == pytest.approx(3.060, abs=0.001)
-
-    def test_lookup_raises_on_missing_cell(self):
-        t = table2(payload_sizes=(512,))
-        with pytest.raises(KeyError):
-            t.lookup(Rate.MBPS_11, 9999, False)
+        rows = run_table2()
+        assert len(rows) == 16
+        cells = {(row.rate, row.payload_bytes, row.rts_cts) for row in rows}
+        assert cells == set(PAPER_TABLE2)
+        model = ThroughputModel()
+        for row in rows:
+            bps = model.max_throughput_bps(row.payload_bytes, row.rate, row.rts_cts)
+            assert row.standard_mbps == bps / 1e6
 
     def test_rejects_non_positive_payload(self):
         model = ThroughputModel()

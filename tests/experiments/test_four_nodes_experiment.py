@@ -11,40 +11,47 @@ end to end on shortened runs:
 
 import pytest
 
-from repro.channel.placement import figure6_placement, figure8_placement, figure10_placement
 from repro.core.params import Rate
 from repro.errors import ExperimentError
 from repro.experiments.four_nodes import (
+    ASYMMETRIC_SESSIONS,
     SYMMETRIC_SESSIONS,
     format_four_node,
-    run_four_node_scenario,
+    panel_result,
+    panel_spec,
 )
+from repro.scenario import scenario_point
 
 DURATION_S = 6.0
+
+PANEL_ROWS = "repro.experiments.four_nodes:panel_rows"
+
+
+def run_panel(
+    placement, rate, transport, sessions=ASYMMETRIC_SESSIONS,
+    duration_s=DURATION_S,
+):
+    """One no-RTS panel through the experiments' own spec and extractor."""
+    spec = panel_spec(
+        placement, rate.mbps, transport, False, sessions, duration_s, seed=1
+    )
+    rows = scenario_point(spec.to_dict(), extract=PANEL_ROWS)
+    return panel_result(rate, transport, False, rows)
 
 
 @pytest.fixture(scope="module")
 def fig7_udp():
-    return run_four_node_scenario(
-        figure6_placement(), Rate.MBPS_11, "udp", rts_cts=False,
-        duration_s=DURATION_S,
-    )
+    return run_panel("figure6", Rate.MBPS_11, "udp")
 
 
 @pytest.fixture(scope="module")
 def fig7_tcp():
-    return run_four_node_scenario(
-        figure6_placement(), Rate.MBPS_11, "tcp", rts_cts=False,
-        duration_s=DURATION_S,
-    )
+    return run_panel("figure6", Rate.MBPS_11, "tcp")
 
 
 @pytest.fixture(scope="module")
 def fig9_udp():
-    return run_four_node_scenario(
-        figure8_placement(), Rate.MBPS_2, "udp", rts_cts=False,
-        duration_s=DURATION_S,
-    )
+    return run_panel("figure8", Rate.MBPS_2, "udp")
 
 
 class TestFigure7Asymmetry:
@@ -78,16 +85,15 @@ class TestTcpNarrowsTheGap:
 
 class TestSymmetricScenarios:
     def test_symmetric_11mbps_is_balanced(self):
-        result = run_four_node_scenario(
-            figure10_placement(), Rate.MBPS_11, "udp", rts_cts=False,
-            sessions=SYMMETRIC_SESSIONS, duration_s=DURATION_S,
+        result = run_panel(
+            "figure10", Rate.MBPS_11, "udp", sessions=SYMMETRIC_SESSIONS
         )
         assert 0.5 < result.ratio < 2.0
 
     def test_labels_follow_session_direction(self):
-        result = run_four_node_scenario(
-            figure10_placement(), Rate.MBPS_11, "udp", rts_cts=False,
-            sessions=SYMMETRIC_SESSIONS, duration_s=1.0,
+        result = run_panel(
+            "figure10", Rate.MBPS_11, "udp", sessions=SYMMETRIC_SESSIONS,
+            duration_s=1.0,
         )
         assert result.sessions[0].label == "1->2"
         assert result.sessions[1].label == "4->3"
@@ -96,8 +102,8 @@ class TestSymmetricScenarios:
 class TestRunnerValidation:
     def test_unknown_transport_rejected(self):
         with pytest.raises(ExperimentError):
-            run_four_node_scenario(
-                figure6_placement(), Rate.MBPS_11, "sctp", rts_cts=False
+            panel_spec(
+                "figure6", 11.0, "sctp", False, ASYMMETRIC_SESSIONS, 10.0, seed=1
             )
 
     def test_formatting(self, fig7_udp):

@@ -8,21 +8,30 @@ from repro.experiments.ranges import (
     estimate_tx_range,
     format_loss_curves,
     format_table3,
-    measure_loss_at,
+    loss_spec,
     run_figure4,
     run_loss_sweep,
 )
+from repro.scenario import scenario_point
+
+PROBE_LOSS = "repro.experiments.ranges:probe_loss"
+
+
+def loss_at(distance_m, probes):
+    """Per-frame loss at 11 Mbps over one two-station probe cell."""
+    spec = loss_spec(11.0, distance_m, probes, seed=1)
+    return scenario_point(spec.to_dict(), extract=PROBE_LOSS)
 
 
 class TestMeasureLoss:
     def test_close_link_is_lossless(self):
-        assert measure_loss_at(Rate.MBPS_11, 10.0, probes=50) == 0.0
+        assert loss_at(10.0, probes=50) == 0.0
 
     def test_far_link_loses_everything(self):
-        assert measure_loss_at(Rate.MBPS_11, 120.0, probes=50) == 1.0
+        assert loss_at(120.0, probes=50) == 1.0
 
     def test_edge_of_range_is_partial(self):
-        loss = measure_loss_at(Rate.MBPS_11, 31.0, probes=120)
+        loss = loss_at(31.0, probes=120)
         assert 0.1 < loss < 0.9
 
 

@@ -1,5 +1,7 @@
 """Tests for the Table-2 experiment runner."""
 
+import pytest
+
 from repro.core.params import Rate
 from repro.experiments.table2 import format_table2, run_table2
 
@@ -7,6 +9,14 @@ from repro.experiments.table2 import format_table2, run_table2
 class TestRunTable2:
     def test_sixteen_cells(self):
         assert len(run_table2()) == 16
+
+    def test_11_mbps_512_bytes_is_3_060(self):
+        [row] = [
+            row
+            for row in run_table2()
+            if row.rate is Rate.MBPS_11 and row.payload_bytes == 512 and not row.rts_cts
+        ]
+        assert row.standard_mbps == pytest.approx(3.060, abs=0.001)
 
     def test_every_no_rts_cell_matches_paper(self):
         for row in run_table2():

@@ -11,9 +11,9 @@ import pytest
 from repro.parallel import SweepCache, SweepPoint, code_version_tag, run_sweep
 from repro.parallel.cache import _tagged_files, default_cache_dir
 
-#: Cheap analytic point function used throughout (no simulation).
-POINT_FN = "repro.experiments.table2:throughput_point"
-PARAMS = {"rate_mbps": 11.0, "payload_bytes": 512, "rts_cts": False}
+#: Cheap point function used throughout (no simulation).
+POINT_FN = "tests.parallel.point_functions:square_point"
+PARAMS = {"value": 3}
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -64,7 +64,7 @@ class TestLookup:
     def test_param_change_misses(self, tmp_path):
         cache = make_cache(tmp_path)
         cache.put(POINT_FN, PARAMS, [1.0, 2.0])
-        changed = dict(PARAMS, payload_bytes=1024)
+        changed = dict(PARAMS, value=4)
         hit, _ = cache.lookup(POINT_FN, changed)
         assert not hit
 
@@ -112,7 +112,7 @@ class TestClear:
     def test_clear_removes_entries(self, tmp_path):
         cache = make_cache(tmp_path)
         cache.put(POINT_FN, PARAMS, 1.0)
-        cache.put(POINT_FN, dict(PARAMS, rts_cts=True), 2.0)
+        cache.put(POINT_FN, dict(PARAMS, value=4), 2.0)
         assert cache.clear() == 2
         hit, _ = cache.lookup(POINT_FN, PARAMS)
         assert not hit
@@ -164,8 +164,7 @@ class TestVersionTag:
 class TestSweepIntegration:
     def test_run_sweep_fills_and_reuses_cache(self, tmp_path):
         points = [
-            SweepPoint(POINT_FN, dict(PARAMS, payload_bytes=payload))
-            for payload in (512, 1024)
+            SweepPoint(POINT_FN, dict(PARAMS, value=value)) for value in (3, 4)
         ]
         cold = make_cache(tmp_path)
         first = run_sweep(points, cache=cold)
@@ -194,11 +193,11 @@ class TestMissSentinel:
 
 @pytest.mark.parametrize("payload", [512, 1024])
 def test_round_trip_matches_direct_call(tmp_path, payload):
-    from repro.experiments.table2 import throughput_point
+    from tests.parallel.point_functions import square_point
 
     cache = SweepCache(root=tmp_path, version_tag="rt")
-    params = dict(PARAMS, payload_bytes=payload)
+    params = dict(PARAMS, value=payload)
     (via_engine,) = run_sweep([SweepPoint(POINT_FN, params)], cache=cache)
-    assert via_engine == throughput_point(**params)
+    assert via_engine == square_point(**params)
     (from_cache,) = run_sweep([SweepPoint(POINT_FN, params)], cache=cache)
     assert from_cache == via_engine

@@ -15,7 +15,6 @@ FLAKY = "tests.parallel.point_functions:flaky_point"
 FAILS = "tests.parallel.point_functions:always_fails_point"
 SLOW = "tests.parallel.point_functions:slow_point"
 LIVELOCK = "tests.parallel.point_functions:livelock_point"
-TABLE2 = "repro.experiments.table2:throughput_point"
 
 
 class TestResolve:
@@ -94,26 +93,13 @@ class TestPolicy:
 
 class TestParallel:
     def test_pool_results_match_serial(self):
-        points = [
-            SweepPoint(
-                TABLE2,
-                {"rate_mbps": 11.0, "payload_bytes": payload, "rts_cts": rts},
-            )
-            for payload in (512, 1024)
-            for rts in (False, True)
-        ]
+        points = [SweepPoint(SQUARE, {"value": value}) for value in range(4)]
         serial = run_sweep(points, jobs=1)
         parallel = run_sweep(points, jobs=2)
         assert serial == parallel
 
     def test_spawn_start_method_is_supported(self):
-        points = [
-            SweepPoint(
-                TABLE2,
-                {"rate_mbps": 2.0, "payload_bytes": payload, "rts_cts": False},
-            )
-            for payload in (512, 1024)
-        ]
+        points = [SweepPoint(SQUARE, {"value": value}) for value in (2, 3)]
         assert run_sweep(points, jobs=2, start_method="spawn") == run_sweep(points)
 
     def test_worker_failure_reraises_original_repro_type(self):

@@ -9,25 +9,26 @@ import pytest
 
 from repro.core.params import Rate
 from repro.experiments.ranges import format_loss_curves, run_figure3
-from repro.parallel import SweepCache, SweepPoint, run_sweep
+from repro.experiments.two_nodes import udp_trace_spec
+from repro.parallel import SweepCache, run_sweep
+from repro.scenario import scenario_sweep_points
 
-TRACE = "repro.experiments.two_nodes:udp_trace_point"
-
-#: Small but non-trivial: ~3 distances × 2 seeds of a real scenario.
-TRACE_POINTS = [
-    SweepPoint(
-        TRACE,
-        {
-            "rate_mbps": 2.0,
-            "distance_m": distance,
-            "duration_s": 0.15,
-            "payload_bytes": 256,
-            "seed": seed,
-        },
-    )
-    for distance in (10.0, 60.0, 110.0)
-    for seed in (1, 2)
-]
+#: Small but non-trivial: ~3 distances × 2 seeds of a real scenario,
+#: each returning its full delivery trace.
+TRACE_POINTS = scenario_sweep_points(
+    [
+        udp_trace_spec(
+            rate_mbps=2.0,
+            distance_m=distance,
+            duration_s=0.15,
+            payload_bytes=256,
+            seed=seed,
+        )
+        for distance in (10.0, 60.0, 110.0)
+        for seed in (1, 2)
+    ],
+    extract="repro.experiments.two_nodes:rx_times",
+)
 
 
 class TestTraceIdentity:

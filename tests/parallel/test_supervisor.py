@@ -33,6 +33,8 @@ from repro.parallel import (
     run_sweep,
     supervise_sweep,
 )
+from repro.parallel import cache as cache_module
+from repro.parallel import supervisor as supervisor_module
 from repro.parallel.supervisor import RETRY_SEED_STEP
 
 SQUARE = "tests.parallel.point_functions:square_point"
@@ -94,13 +96,12 @@ class TestCrashRecovery:
             SweepPoint(SQUARE, {"value": 2}),
             SweepPoint(SQUARE, {"value": 3}),
         ]
-        policy = RunnerConfig(max_retries=1)
+        policy = RunnerConfig(max_retries=1, on_error="skip")
         report_stream = io.StringIO()
         outcome = supervise_sweep(
             points,
             jobs=2,
             policy=policy,
-            on_error="skip",
             report_stream=report_stream,
         )
         assert outcome.results == [None, 4, 9]
@@ -116,12 +117,11 @@ class TestCrashRecovery:
             SweepPoint(ALWAYS_CRASH, {"seed": 1}),
             SweepPoint(SQUARE, {"value": 5}),
         ]
-        policy = RunnerConfig(max_retries=0)
+        policy = RunnerConfig(max_retries=0, on_error="degrade")
         outcome = supervise_sweep(
             points,
             jobs=2,
             policy=policy,
-            on_error="degrade",
             report_stream=io.StringIO(),
         )
         failure, value = outcome.results
@@ -151,12 +151,11 @@ class TestCrashRecovery:
             SweepPoint(HANG, {"seed": 1}),
             SweepPoint(SQUARE, {"value": 4}),
         ]
-        policy = RunnerConfig(timeout_s=0.5, max_retries=0)
+        policy = RunnerConfig(timeout_s=0.5, max_retries=0, on_error="skip")
         outcome = supervise_sweep(
             points,
             jobs=2,
             policy=policy,
-            on_error="skip",
             report_stream=io.StringIO(),
         )
         assert outcome.results == [None, 16]
@@ -202,7 +201,10 @@ class TestResume:
 
     def test_invalid_on_error_rejected(self):
         with pytest.raises(ExperimentError, match="on_error"):
-            run_sweep([SweepPoint(SQUARE, {"value": 1})], on_error="explode")
+            run_sweep(
+                [SweepPoint(SQUARE, {"value": 1})],
+                policy=RunnerConfig(on_error="explode"),
+            )
 
     def test_resume_skips_completed_points(self, markers, tmp_path):
         points = counting(markers, range(4))
@@ -238,14 +240,13 @@ class TestAcceptance:
             for point in counting(markers, values)
         ]
         cache_dir = tmp_path / "cache"
-        policy = RunnerConfig(max_retries=0)
+        policy = RunnerConfig(max_retries=0, on_error="skip")
 
         partial = run_sweep(
             points,
             jobs=2,
             cache=SweepCache(root=cache_dir),
             policy=policy,
-            on_error="skip",
         )
         expected = [[v, v * v] for v in values]
         assert partial == [
@@ -326,7 +327,10 @@ class TestSharedPoints:
         points = counting(markers, [1, 6, 1], fail=True)
         points[1] = SweepPoint(SQUARE, {"value": 6})
         outcome = supervise_sweep(
-            points, jobs=jobs, on_error="degrade", report_stream=io.StringIO()
+            points,
+            jobs=jobs,
+            policy=RunnerConfig(max_retries=0, on_error="degrade"),
+            report_stream=io.StringIO(),
         )
         first, value, second = outcome.results
         assert value == 36
@@ -345,7 +349,7 @@ class TestSharedPoints:
             points,
             jobs=2,
             cache=SweepCache(root=cache_dir),
-            on_error="skip",
+            policy=RunnerConfig(max_retries=0, on_error="skip"),
             report_stream=io.StringIO(),
         )
         assert outcome.results == [None, None, None, 9]
@@ -615,3 +619,22 @@ class TestWorkerLifetime:
             for pid in pids:
                 if not process_exited(pid):  # pragma: no cover - the bug
                     os.kill(pid, signal.SIGKILL)
+
+
+class TestUncachedSweep:
+    def test_shares_equal_points_without_hashing_the_source(
+        self, monkeypatch, markers
+    ):
+        # Without a cache, point keys only group equal points within
+        # the sweep, so no source file needs to be read and hashed.
+        def refuse():
+            raise AssertionError("an uncached sweep hashed the source tree")
+
+        monkeypatch.setattr(cache_module, "code_version_tag", refuse)
+        monkeypatch.setattr(
+            supervisor_module, "code_version_tag", refuse, raising=False
+        )
+        points = counting(markers, [2, 3, 2])
+        assert run_sweep(points) == [[2, 4], [3, 9], [2, 4]]
+        assert runs(markers, 2) == 1
+        assert runs(markers) == 2

@@ -105,24 +105,37 @@ def _table_lines(out: str) -> list[str]:
 
 
 class TestSweepFlags:
+    #: The cheapest experiment that still sweeps through the engine.
+    SWEEP = ["figure3", "--probes", "5"]
+
     def test_jobs_output_identical_to_serial(self, capsys):
-        assert main(["table2", "--no-cache"]) == 0
+        assert main([*self.SWEEP, "--no-cache"]) == 0
         serial = _table_lines(capsys.readouterr().out)
-        assert main(["table2", "--no-cache", "--jobs", "2"]) == 0
+        assert main([*self.SWEEP, "--no-cache", "--jobs", "2"]) == 0
         parallel = _table_lines(capsys.readouterr().out)
         assert serial == parallel
 
     def test_warm_cache_output_identical(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        assert main(["table2", "--cache-dir", cache_dir]) == 0
+        assert main([*self.SWEEP, "--cache-dir", cache_dir]) == 0
         cold = _table_lines(capsys.readouterr().out)
-        assert main(["table2", "--cache-dir", cache_dir]) == 0
+        entries = sorted((tmp_path / "cache").rglob("*.json"))
+        assert entries
+        assert main([*self.SWEEP, "--cache-dir", cache_dir]) == 0
         warm = _table_lines(capsys.readouterr().out)
         assert cold == warm
+        assert sorted((tmp_path / "cache").rglob("*.json")) == entries
+
+    def test_table2_writes_no_cache_entry(self, capsys, tmp_path):
+        # Table 2 is closed-form arithmetic: it never goes through a sweep.
+        cache_dir = tmp_path / "cache"
+        assert main(["table2", "--cache-dir", str(cache_dir)]) == 0
+        assert "Table 2" in capsys.readouterr().out
+        assert list(cache_dir.rglob("*.json")) == []
 
     def test_clear_cache_reports_removed_points(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        assert main(["table2", "--cache-dir", cache_dir]) == 0
+        assert main([*self.SWEEP, "--cache-dir", cache_dir]) == 0
         capsys.readouterr()
         assert main(["list", "--cache-dir", cache_dir, "--clear-cache"]) == 0
         out = capsys.readouterr().out

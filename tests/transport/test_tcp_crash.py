@@ -49,8 +49,6 @@ class TestSenderCrashAndReboot:
         net = tcp_link()
         receiver = BulkTcpReceiver(net[1], port=80)
         sender = BulkTcpSender(net[0], dst=2, dst_port=80)
-        reasons = []
-        sender.connection.on_closed = reasons.append
 
         def restart(node):
             BulkTcpSender(node, dst=2, dst_port=80)
@@ -62,8 +60,10 @@ class TestSenderCrashAndReboot:
         bytes_before = []
         net.sim.schedule_s(2.0, lambda: bytes_before.append(receiver.bytes))
         net.run(4.0)
-        # Crash aborts the original connection without a FIN...
-        assert reasons == ["aborted"]
+        # Crash aborts the original connection without a FIN, and the
+        # sender keeps the reason...
+        assert sender.close_reason == "aborted"
+        assert sender.finished
         # ...the receiver accepts a second connection after reboot...
         assert len(receiver.connections) == 2
         # ...and goodput resumes on it.
