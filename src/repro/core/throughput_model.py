@@ -93,11 +93,6 @@ class ThroughputModel:
         self._rts_overhead = rts_overhead
         self._include_propagation = include_propagation
 
-    @property
-    def airtime(self) -> AirtimeCalculator:
-        """The airtime calculator backing this model."""
-        return self._airtime
-
     def occupancy(
         self, app_payload_bytes: int, data_rate: Rate, rts_cts: bool
     ) -> ChannelOccupancy:

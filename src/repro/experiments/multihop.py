@@ -27,7 +27,7 @@ pass carries them — the property that makes N=250 practical at all
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.analysis.tables import render_table
@@ -39,6 +39,7 @@ from repro.parallel import SweepCache
 from repro.phy.radio import RadioParameters
 from repro.scenario import (
     FlowSpec,
+    MobilitySpec,
     ScenarioNetwork,
     ScenarioSpec,
     StackSpec,
@@ -324,17 +325,12 @@ def scale_point(
     spec = density_spec(
         n, duration_s, warmup_s=0.0, seed=seed, spacing_m=spacing_m
     )
-    topology = spec.topology.to_dict()
     if mobile_speed_m_s > 0:
-        topology["mobility"] = [
-            {
-                "node": node,
-                "speed_m_s": mobile_speed_m_s * (1.0 + 0.01 * node),
-                "update_interval_s": 0.1,
-            }
+        mobility = tuple(
+            MobilitySpec(node=node, speed_m_s=mobile_speed_m_s * (1.0 + 0.01 * node))
             for node in range(n)
-        ]
-    spec = ScenarioSpec.from_dict({**spec.to_dict(), "topology": topology})
+        )
+        spec = replace(spec, topology=replace(spec.topology, mobility=mobility))
     net = build(spec)
     net.sim.run(until_ns=s_to_ns(duration_s))
     return sum(

@@ -25,6 +25,7 @@ picklable and content-addressable.  They run after the scenario's
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
@@ -56,7 +57,7 @@ def scenario_point(
     """
     scenario = ScenarioSpec.from_dict(spec)
     if seed is not None:
-        scenario = ScenarioSpec.from_dict({**scenario.to_dict(), "seed": seed})
+        scenario = dataclasses.replace(scenario, seed=seed)
     net = build(scenario)
     net.run(scenario.duration_s)
     extractor = resolve_point_fn(extract)

@@ -22,23 +22,30 @@ The layers compose bottom-up:
 * :class:`SweepSpec` — a base scenario and override axes expanding to a
   scenario grid.
 
-``from_dict`` rejects unknown keys (a typo never silently produces a
-default run) and ``apply_overrides`` takes dotted ``--set``-style paths
-with the same strictness.  Documents are at :data:`SPEC_VERSION` 3; a
-version-2 document is migrated on load (:func:`_upgraded`) and older
-ones are rejected.
+Each field is typed, defaulted and checked once, by its annotation: the
+shared base :class:`_Spec` checks every field at construction (a float
+field stores a ``float`` whether it was given ``1`` or ``1.0``, an int
+field takes only an ``int``, a bool field only ``True`` or ``False``, a
+tuple field also takes a list), writes the JSON document (``to_dict``)
+and reads it back (``from_dict``).  ``from_dict`` fills a missing key
+with the field's default and rejects unknown keys (a typo never
+silently produces a default run); ``apply_overrides`` takes dotted
+``--set``-style paths with the same strictness.  Documents are at
+:data:`SPEC_VERSION` 3; other versions are rejected.
 """
 
-from __future__ import annotations
+# No ``from __future__ import annotations``: the spec codec reads each
+# field's type from ``dataclasses.fields``, which then holds the
+# evaluated annotation rather than its source text.
 
 import dataclasses
 import json
 import math
 import random
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Any
+from typing import Any, TypeVar, get_args, get_origin
 
 from repro.channel.weather import DayConditions
 from repro.core.params import (
@@ -53,13 +60,6 @@ from repro.net.routing import ROUTING_POLICIES
 
 #: Serialisation format version; bump on incompatible spec changes.
 SPEC_VERSION = 3
-
-#: The version-2 stack keys that version 3 moved under ``stack.mac``.
-_V2_STACK_KEYS = {
-    "short_retry_limit": "short_retry_limit",
-    "long_retry_limit": "long_retry_limit",
-    "mac_queue_frames": "queue_frames",
-}
 
 #: The :class:`MacParamsSpec` fields that override a
 #: :class:`~repro.core.params.MacParameters` constant.
@@ -91,70 +91,219 @@ FAULT_KINDS = (
 )
 
 
-def _check_keys(data: Mapping[str, Any], cls: type, what: str) -> None:
-    """Reject keys that are not fields of ``cls`` (typo protection)."""
-    if not isinstance(data, Mapping):
-        raise ConfigurationError(f"{what} must be an object, got {data!r}")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - allowed - {"version"})
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {what} key(s) {unknown}; accepted: {sorted(allowed)}"
-        )
+class _WrongType(Exception):
+    """A field value that its annotation does not admit."""
 
 
-def _number(value: Any, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{what} must be a number, got {value!r}")
-    return float(value)
+def _float(value: Any) -> float:
+    # ``1`` and ``1.0`` describe the same scenario and compare equal; one
+    # stored type gives them one canonical serialisation and so one
+    # sweep-cache key.
+    if type(value) is float:
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise _WrongType
 
 
-def _optional_number(value: Any, what: str) -> float | None:
-    return None if value is None else _number(value, what)
+def _int(value: Any) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise _WrongType
 
 
-def _integer(value: Any, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+def _bool(value: Any) -> bool:
+    if value is True or value is False:
+        return value
+    raise _WrongType
+
+
+def _str(value: Any) -> str:
+    if isinstance(value, str):
+        return value
+    raise _WrongType
+
+
+def _any(value: Any) -> Any:
     return value
 
 
-def _freeze_types(
-    spec: Any,
-    float_fields: tuple[str, ...] = (),
-    bool_fields: tuple[str, ...] = (),
-) -> None:
-    """Normalise numeric/bool field types in place (frozen-safe).
+#: Check and description of each scalar annotation.
+_SCALARS: dict[Any, tuple[Callable[[Any], Any], str]] = {
+    float: (_float, "a number"),
+    int: (_int, "an integer"),
+    bool: (_bool, "true or false"),
+    str: (_str, "a string"),
+    Any: (_any, ""),
+}
 
-    ``ScenarioSpec(duration_s=1)`` and ``ScenarioSpec(duration_s=1.0)``
-    describe the same scenario and compare equal, but without coercion
-    they would serialise to different canonical bytes (``1`` vs ``1.0``)
-    and therefore different sweep-cache keys.  Coercing at construction
-    makes equality and canonical serialisation agree.
+
+def _codec(hint: Any) -> tuple[Any, ...]:
+    """``(exact, check, description, decode, encode)`` for annotation ``hint``.
+
+    ``check`` returns a value normalised (floats stored as ``float``,
+    lists as tuples) or raises :class:`_WrongType`; a value whose type is
+    in ``exact`` is already normal and never reaches ``check``.
+    ``decode`` turns a JSON value into what ``check`` takes (nested spec
+    documents into specs) and ``encode`` turns a field value into JSON;
+    ``None`` for either means the value passes as it is.
     """
-    for name in float_fields:
-        value = getattr(spec, name)
-        if value is not None and not isinstance(value, float):
-            object.__setattr__(spec, name, float(value))
-    for name in bool_fields:
-        value = getattr(spec, name)
-        if not isinstance(value, bool):
-            object.__setattr__(spec, name, bool(value))
+    if hint in _SCALARS:
+        check, what = _SCALARS[hint]
+        return (() if hint is Any else (hint,)), check, what, None, None
+    args = get_args(hint)
+    if type(None) in args:
+        [inner] = [arg for arg in args if arg is not type(None)]
+        exact, check, what, decode, encode = _codec(inner)
+        return (
+            (*exact, type(None)),
+            check,
+            f"{what} or null",
+            decode and (lambda value: None if value is None else decode(value)),
+            encode and (lambda value: None if value is None else encode(value)),
+        )
+    if get_origin(hint) is tuple and args[-1] is Ellipsis:
+        exact, check, what, decode, encode = _codec(args[0])
+
+        def check_entries(value: Any) -> tuple[Any, ...]:
+            if not isinstance(value, (tuple, list)):
+                raise _WrongType
+            return tuple(
+                [item if type(item) in exact else check(item) for item in value]
+            )
+
+        return (
+            (),
+            check_entries,
+            f"a list (each entry {what})" if what else "a list",
+            decode and (
+                lambda value: [decode(item) for item in value]
+                if isinstance(value, (tuple, list)) else value
+            ),
+            (lambda value: [encode(item) for item in value]) if encode else list,
+        )
+    if get_origin(hint) is tuple:  # a fixed-length tuple of scalars
+        checks = [_SCALARS[arg] for arg in args]
+
+        def check_each(value: Any) -> tuple[Any, ...]:
+            if not isinstance(value, (tuple, list)) or len(value) != len(checks):
+                raise _WrongType
+            return tuple([check(item) for (check, _), item in zip(checks, value)])
+
+        return (), check_each, f"[{', '.join(what for _, what in checks)}]", None, list
+    if isinstance(hint, type) and issubclass(hint, _Spec):
+
+        def check_spec(value: Any) -> Any:
+            if isinstance(value, hint):
+                return value
+            raise _WrongType
+
+        return (hint,), check_spec, f"a {hint.__name__}", hint.from_dict, hint.to_dict
+    raise TypeError(f"spec fields cannot be annotated {hint!r}")
+
+
+class _Fields:
+    """One spec class's fields and their codecs, from its annotations."""
+
+    __slots__ = ("checks", "encoders", "decoders", "keys", "required")
+
+    def __init__(self, cls: Any) -> None:
+        spec_fields = dataclasses.fields(cls)
+        codecs = [(f.name, _codec(f.type)) for f in spec_fields]
+        self.checks = tuple(
+            (name, exact, check, what) for name, (exact, check, what, _, _) in codecs
+        )
+        self.encoders = tuple((name, encode) for name, (*_, encode) in codecs)
+        self.decoders = tuple((name, decode) for name, (*_, decode, _) in codecs)
+        #: The keys a document may carry: the fields, and a ``version``
+        #: that only the scenario and sweep readers check.
+        self.keys = frozenset(name for name, _ in codecs) | {"version"}
+        self.required = tuple(
+            f.name
+            for f in spec_fields
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        )
+
+
+_S = TypeVar("_S", bound="_Spec")
+
+
+class _Spec:
+    """The codec every spec dataclass shares, driven by its annotations.
+
+    A subclass names its document ``section`` (``class StackSpec(_Spec,
+    section="stack")``), which error messages lead with.  Its
+    :class:`_Fields` are derived from its field annotations on first use
+    and kept on the class.
+    """
+
+    def __init_subclass__(cls, section: str, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._section = section
+
+    @classmethod
+    def _fields(cls) -> _Fields:
+        fields = cls.__dict__.get("_spec_fields")
+        if fields is None:
+            fields = _Fields(cls)
+            cls._spec_fields = fields  # type: ignore[attr-defined]
+        return fields
+
+    def __post_init__(self) -> None:
+        self._check_types()
+
+    def _check_types(self) -> None:
+        """Check every field against its annotation and normalise it."""
+        for name, exact, check, what in self._fields().checks:
+            value = getattr(self, name)
+            if type(value) in exact:
+                continue
+            try:
+                object.__setattr__(self, name, check(value))
+            except _WrongType:
+                raise ConfigurationError(
+                    f"{self._section} {name} must be {what}, got {value!r}"
+                ) from None
+
+    def to_dict(self) -> dict[str, Any]:
+        """The JSON document: every field, nested specs as objects."""
+        document = {}
+        for name, encode in self._fields().encoders:
+            value = getattr(self, name)
+            document[name] = value if encode is None else encode(value)
+        return document
+
+    @classmethod
+    def from_dict(cls: type[_S], data: Mapping[str, Any]) -> _S:
+        """Read a :meth:`to_dict` document; a missing key takes its default."""
+        section = cls._section
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(f"{section} must be an object, got {data!r}")
+        fields = cls._fields()
+        if not data.keys() <= fields.keys:
+            raise ConfigurationError(
+                f"unknown {section} key(s) {sorted(data.keys() - fields.keys)}; "
+                f"accepted: {sorted(fields.keys - {'version'})}"
+            )
+        missing = [name for name in fields.required if name not in data]
+        if missing:
+            raise ConfigurationError(f"{section} needs the key(s) {missing}")
+        values = {}
+        for name, decode in fields.decoders:
+            if name in data:
+                value = data[name]
+                values[name] = value if decode is None else decode(value)
+        return cls(**values)
 
 
 @dataclass(frozen=True)
-class WeatherSpec:
+class WeatherSpec(_Spec, section="weather"):
     """Serialisable form of :class:`repro.channel.weather.DayConditions`."""
 
     name: str
     offset_db: float
     sigma_db: float = 1.5
     correlation_time_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        _freeze_types(
-            self, ("offset_db", "sigma_db", "correlation_time_s")
-        )
 
     @classmethod
     def from_conditions(cls, day: DayConditions) -> "WeatherSpec":
@@ -175,29 +324,9 @@ class WeatherSpec:
             correlation_time_s=self.correlation_time_s,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "offset_db": self.offset_db,
-            "sigma_db": self.sigma_db,
-            "correlation_time_s": self.correlation_time_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WeatherSpec":
-        _check_keys(data, cls, "weather")
-        return cls(
-            name=str(data["name"]),
-            offset_db=_number(data["offset_db"], "weather offset_db"),
-            sigma_db=_number(data.get("sigma_db", 1.5), "weather sigma_db"),
-            correlation_time_s=_number(
-                data.get("correlation_time_s", 30.0), "weather correlation_time_s"
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class MobilitySpec:
+class MobilitySpec(_Spec, section="mobility"):
     """One moving station (the paper's walking-receiver pattern)."""
 
     node: int
@@ -206,7 +335,7 @@ class MobilitySpec:
     kind: str = "walk-away"
 
     def __post_init__(self) -> None:
-        _freeze_types(self, ("speed_m_s", "update_interval_s"))
+        self._check_types()
         if self.kind != "walk-away":
             raise ConfigurationError(
                 f"unknown mobility kind {self.kind!r}; accepted: ['walk-away']"
@@ -222,45 +351,9 @@ class MobilitySpec:
                 f"mobility update interval must be > 0 s, got {self.update_interval_s}"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "node": self.node,
-            "speed_m_s": self.speed_m_s,
-            "update_interval_s": self.update_interval_s,
-            "kind": self.kind,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MobilitySpec":
-        _check_keys(data, cls, "mobility")
-        return cls(
-            node=_integer(data["node"], "mobility node"),
-            speed_m_s=_number(data["speed_m_s"], "mobility speed_m_s"),
-            update_interval_s=_number(
-                data.get("update_interval_s", 0.1), "mobility update_interval_s"
-            ),
-            kind=str(data.get("kind", "walk-away")),
-        )
-
-
-def _normalise_positions(
-    positions: Iterable[Any],
-) -> tuple[tuple[float, float], ...]:
-    out: list[tuple[float, float]] = []
-    for position in positions:
-        if isinstance(position, (int, float)) and not isinstance(position, bool):
-            out.append((float(position), 0.0))
-        elif isinstance(position, (tuple, list)) and len(position) == 2:
-            out.append((float(position[0]), float(position[1])))
-        else:
-            raise ConfigurationError(
-                f"positions_m entries must be x or (x, y), got {position!r}"
-            )
-    return tuple(out)
-
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(_Spec, section="topology"):
     """Where the stations sit and how the channel between them behaves."""
 
     positions_m: tuple[tuple[float, float], ...]
@@ -273,9 +366,7 @@ class TopologySpec:
     mobility: tuple[MobilitySpec, ...] = ()
 
     def __post_init__(self) -> None:
-        _freeze_types(self, ("fast_sigma_db", "static_sigma_db"))
-        object.__setattr__(self, "positions_m", _normalise_positions(self.positions_m))
-        object.__setattr__(self, "mobility", tuple(self.mobility))
+        self._check_types()
         if not self.positions_m:
             raise ConfigurationError("topology needs at least one station position")
         if self.fast_sigma_db < 0 or self.static_sigma_db < 0:
@@ -360,39 +451,9 @@ class TopologySpec:
             **kwargs,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "positions_m": [list(xy) for xy in self.positions_m],
-            "fast_sigma_db": self.fast_sigma_db,
-            "static_sigma_db": self.static_sigma_db,
-            "weather": self.weather.to_dict() if self.weather is not None else None,
-            "propagation": self.propagation,
-            "mobility": [m.to_dict() for m in self.mobility],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TopologySpec":
-        _check_keys(data, cls, "topology")
-        weather = data.get("weather")
-        return cls(
-            positions_m=_normalise_positions(data["positions_m"]),
-            fast_sigma_db=_number(
-                data.get("fast_sigma_db", DEFAULT_FAST_SIGMA_DB),
-                "topology fast_sigma_db",
-            ),
-            static_sigma_db=_number(
-                data.get("static_sigma_db", 0.0), "topology static_sigma_db"
-            ),
-            weather=WeatherSpec.from_dict(weather) if weather is not None else None,
-            propagation=data.get("propagation"),
-            mobility=tuple(
-                MobilitySpec.from_dict(m) for m in data.get("mobility", ())
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class MacParamsSpec:
+class MacParamsSpec(_Spec, section="mac"):
     """Every MAC knob of a stack: the ``stack.mac`` overrides.
 
     Every field defaults to ``None`` = "use the Table 1 constant from
@@ -421,25 +482,13 @@ class MacParamsSpec:
     queue_frames: int | None = None
 
     def __post_init__(self) -> None:
-        _freeze_types(self, ("slot_time_us", "sifs_us", "difs_us"))
+        self._check_types()
         for name in ("cw_min_slots", "cw_max_slots", "queue_frames"):
             value = getattr(self, name)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, int)
-            ):
-                raise ConfigurationError(
-                    f"mac {name} must be an integer or null, got {value!r}"
-                )
             if value is not None and value < 1:
                 raise ConfigurationError(f"mac {name} must be >= 1, got {value}")
         for name in ("short_retry_limit", "long_retry_limit"):
             value = getattr(self, name)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, int)
-            ):
-                raise ConfigurationError(
-                    f"mac {name} must be an integer or null, got {value!r}"
-                )
             if value is not None and value < 0:
                 raise ConfigurationError(f"mac {name} must be >= 0, got {value}")
         for name in ("slot_time_us", "sifs_us", "difs_us"):
@@ -497,44 +546,9 @@ class MacParamsSpec:
                 mac = trial
         return mac
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "cw_min_slots": self.cw_min_slots,
-            "cw_max_slots": self.cw_max_slots,
-            "short_retry_limit": self.short_retry_limit,
-            "long_retry_limit": self.long_retry_limit,
-            "slot_time_us": self.slot_time_us,
-            "sifs_us": self.sifs_us,
-            "difs_us": self.difs_us,
-            "queue_frames": self.queue_frames,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MacParamsSpec":
-        _check_keys(data, cls, "mac")
-        ints = {
-            name: (
-                None
-                if data.get(name) is None
-                else _integer(data[name], f"mac {name}")
-            )
-            for name in (
-                "cw_min_slots", "cw_max_slots", "short_retry_limit",
-                "long_retry_limit", "queue_frames",
-            )
-        }
-        return cls(
-            slot_time_us=_optional_number(
-                data.get("slot_time_us"), "mac slot_time_us"
-            ),
-            sifs_us=_optional_number(data.get("sifs_us"), "mac sifs_us"),
-            difs_us=_optional_number(data.get("difs_us"), "mac difs_us"),
-            **ints,
-        )
-
 
 @dataclass(frozen=True)
-class StackSpec:
+class StackSpec(_Spec, section="stack"):
     """Per-station PHY/MAC/transport configuration.
 
     Every MAC knob lives in :attr:`mac`, which is always present: its
@@ -557,7 +571,7 @@ class StackSpec:
     routing: str | None = None
 
     def __post_init__(self) -> None:
-        _freeze_types(self, ("data_rate_mbps",), ("rts_enabled", "arf"))
+        self._check_types()
         Rate.from_mbps(self.data_rate_mbps)  # validates; raises ConfigurationError
         if self.ack_policy not in {policy.value for policy in AckPolicy}:
             raise ConfigurationError(
@@ -600,35 +614,9 @@ class StackSpec:
         mac = self.mac.normalised()
         return self if mac is self.mac else dataclasses.replace(self, mac=mac)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "data_rate_mbps": self.data_rate_mbps,
-            "rts_enabled": self.rts_enabled,
-            "ack_policy": self.ack_policy,
-            "radio": self.radio,
-            "arf": self.arf,
-            "routing": self.routing,
-            "mac": self.mac.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StackSpec":
-        _check_keys(data, cls, "stack")
-        return cls(
-            data_rate_mbps=_number(
-                data.get("data_rate_mbps", 11.0), "stack data_rate_mbps"
-            ),
-            rts_enabled=bool(data.get("rts_enabled", False)),
-            ack_policy=str(data.get("ack_policy", "always")),
-            radio=data.get("radio"),
-            arf=bool(data.get("arf", False)),
-            routing=data.get("routing"),
-            mac=MacParamsSpec.from_dict(data.get("mac", {})),
-        )
-
 
 @dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(_Spec, section="flow"):
     """One traffic flow between two station indices.
 
     ``kind`` selects the generator: ``cbr`` (:class:`~repro.apps.cbr.
@@ -652,11 +640,7 @@ class FlowSpec:
     total_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        _freeze_types(
-            self,
-            ("rate_bps", "start_s", "mean_on_s", "mean_off_s"),
-            ("timestamped",),
-        )
+        self._check_types()
         if self.kind not in FLOW_KINDS:
             raise ConfigurationError(
                 f"unknown flow kind {self.kind!r}; accepted: {list(FLOW_KINDS)}"
@@ -695,64 +679,16 @@ class FlowSpec:
                 f"total_bytes must be > 0 (or null), got {self.total_bytes}"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "src": self.src,
-            "dst": self.dst,
-            "port": self.port,
-            "payload_bytes": self.payload_bytes,
-            "rate_bps": self.rate_bps,
-            "start_s": self.start_s,
-            "timestamped": self.timestamped,
-            "mean_on_s": self.mean_on_s,
-            "mean_off_s": self.mean_off_s,
-            "total_bytes": self.total_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FlowSpec":
-        _check_keys(data, cls, "flow")
-        total = data.get("total_bytes")
-        return cls(
-            kind=str(data["kind"]),
-            src=_integer(data["src"], "flow src"),
-            dst=_integer(data["dst"], "flow dst"),
-            port=_integer(data.get("port", 5001), "flow port"),
-            payload_bytes=_integer(
-                data.get("payload_bytes", 512), "flow payload_bytes"
-            ),
-            rate_bps=_optional_number(data.get("rate_bps"), "flow rate_bps"),
-            start_s=_number(data.get("start_s", 0.0), "flow start_s"),
-            timestamped=bool(data.get("timestamped", False)),
-            mean_on_s=_number(data.get("mean_on_s", 0.5), "flow mean_on_s"),
-            mean_off_s=_number(data.get("mean_off_s", 0.5), "flow mean_off_s"),
-            total_bytes=None if total is None else _integer(total, "total_bytes"),
-        )
-
 
 @dataclass(frozen=True)
-class TrafficSpec:
+class TrafficSpec(_Spec, section="traffic"):
     """The workload: an ordered tuple of flows (order is wiring order)."""
 
     flows: tuple[FlowSpec, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "flows", tuple(self.flows))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"flows": [flow.to_dict() for flow in self.flows]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TrafficSpec":
-        _check_keys(data, cls, "traffic")
-        return cls(
-            flows=tuple(FlowSpec.from_dict(flow) for flow in data.get("flows", ()))
-        )
-
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(_Spec, section="fault"):
     """Serialisable form of one :mod:`repro.faults` impairment.
 
     Unlike the live fault models, a spec carries only JSON primitives:
@@ -778,56 +714,11 @@ class FaultSpec:
     sigma_ns: float = 2000.0
 
     def __post_init__(self) -> None:
-        _freeze_types(
-            self,
-            ("start_s", "duration_s", "extra_loss_db", "noise_rise_db",
-             "sigma_ns"),
-            ("bidirectional",),
-        )
+        self._check_types()
         if self.kind not in FAULT_KINDS:
             raise ConfigurationError(
                 f"unknown fault kind {self.kind!r}; accepted: {list(FAULT_KINDS)}"
             )
-        if self.nodes is not None:
-            object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "restart_flows", tuple(self.restart_flows))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "node_a": self.node_a,
-            "node_b": self.node_b,
-            "extra_loss_db": self.extra_loss_db,
-            "bidirectional": self.bidirectional,
-            "nodes": list(self.nodes) if self.nodes is not None else None,
-            "noise_rise_db": self.noise_rise_db,
-            "node": self.node,
-            "restart_flows": list(self.restart_flows),
-            "sigma_ns": self.sigma_ns,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
-        _check_keys(data, cls, "fault")
-        nodes = data.get("nodes")
-        return cls(
-            kind=str(data["kind"]),
-            start_s=_number(data["start_s"], "fault start_s"),
-            duration_s=_optional_number(data.get("duration_s"), "fault duration_s"),
-            node_a=_integer(data.get("node_a", 0), "fault node_a"),
-            node_b=_integer(data.get("node_b", 1), "fault node_b"),
-            extra_loss_db=_optional_number(
-                data.get("extra_loss_db"), "fault extra_loss_db"
-            ),
-            bidirectional=bool(data.get("bidirectional", True)),
-            nodes=None if nodes is None else tuple(int(n) for n in nodes),
-            noise_rise_db=_number(data.get("noise_rise_db", 30.0), "noise_rise_db"),
-            node=_integer(data.get("node", 0), "fault node"),
-            restart_flows=tuple(int(i) for i in data.get("restart_flows", ())),
-            sigma_ns=_number(data.get("sigma_ns", 2000.0), "fault sigma_ns"),
-        )
 
     def to_fault(self, flows: Sequence[Any] | None = None) -> Any:
         """Instantiate the live :class:`repro.faults.models.Fault`.
@@ -906,7 +797,7 @@ class FaultSpec:
 
 
 @dataclass(frozen=True)
-class ObservabilitySpec:
+class ObservabilitySpec(_Spec, section="observability"):
     """What the flight recorder should do for this scenario.
 
     Everything defaults to off: an unobserved run pays one attribute
@@ -922,16 +813,6 @@ class ObservabilitySpec:
     trace_jsonl: str | None = None
     ledger_jsonl: str | None = None
 
-    def __post_init__(self) -> None:
-        _freeze_types(self, (), ("audit", "trace_digest"))
-        for name in ("trace_jsonl", "ledger_jsonl"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise ConfigurationError(
-                    f"observability {name} must be a path string or null, "
-                    f"got {value!r}"
-                )
-
     @property
     def enabled(self) -> bool:
         """True when any recorder feature is requested."""
@@ -942,27 +823,28 @@ class ObservabilitySpec:
             or self.ledger_jsonl
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "audit": self.audit,
-            "trace_digest": self.trace_digest,
-            "trace_jsonl": self.trace_jsonl,
-            "ledger_jsonl": self.ledger_jsonl,
-        }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ObservabilitySpec":
-        _check_keys(data, cls, "observability")
-        return cls(
-            audit=bool(data.get("audit", False)),
-            trace_digest=bool(data.get("trace_digest", False)),
-            trace_jsonl=data.get("trace_jsonl"),
-            ledger_jsonl=data.get("ledger_jsonl"),
+def _check_version(data: Any, what: str) -> None:
+    """Reject a ``what`` ("scenario" or "sweep") document of another version.
+
+    Version 3 moved the stack's ``short_retry_limit``,
+    ``long_retry_limit`` and ``mac_queue_frames`` under ``stack.mac``;
+    the message names the moves, so an older document can be fixed by
+    hand.
+    """
+    version = data.get("version", SPEC_VERSION) if isinstance(data, Mapping) else SPEC_VERSION
+    if version != SPEC_VERSION:
+        raise ConfigurationError(
+            f"unsupported {what} spec version {version!r}; this build reads "
+            f"version {SPEC_VERSION} only, which moved stack.short_retry_limit, "
+            "stack.long_retry_limit and stack.mac_queue_frames to "
+            "stack.mac.short_retry_limit, stack.mac.long_retry_limit and "
+            "stack.mac.queue_frames"
         )
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Spec, section="scenario"):
     """A complete, runnable scenario: everything but the code."""
 
     topology: TopologySpec
@@ -976,13 +858,9 @@ class ScenarioSpec:
     observability: ObservabilitySpec = field(default_factory=ObservabilitySpec)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "faults", tuple(self.faults))
-        import math
-
+        self._check_types()
         if (
-            not isinstance(self.duration_s, (int, float))
-            or isinstance(self.duration_s, bool)
-            or math.isnan(self.duration_s)
+            math.isnan(self.duration_s)
             or math.isinf(self.duration_s)
             or self.duration_s <= 0
         ):
@@ -990,12 +868,7 @@ class ScenarioSpec:
                 f"duration_s must be a positive finite number of seconds, "
                 f"got {self.duration_s!r}"
             )
-        if (
-            not isinstance(self.warmup_s, (int, float))
-            or isinstance(self.warmup_s, bool)
-            or math.isnan(self.warmup_s)
-            or self.warmup_s < 0
-        ):
+        if math.isnan(self.warmup_s) or self.warmup_s < 0:
             raise ConfigurationError(
                 f"warmup_s must be >= 0 s, got {self.warmup_s!r}"
             )
@@ -1024,44 +897,15 @@ class ScenarioSpec:
                         f"{fault.kind} fault restarts flow {flow_index}, but "
                         f"the scenario has {len(self.traffic.flows)} flows"
                     )
-        # After validation (which rejects bools) so `duration_s=True`
-        # still fails instead of silently becoming 1.0.
-        _freeze_types(self, ("duration_s", "warmup_s"))
 
     def to_dict(self) -> dict[str, Any]:
         """Versioned, JSON-ready representation (all fields explicit)."""
-        return {
-            "version": SPEC_VERSION,
-            "name": self.name,
-            "topology": self.topology.to_dict(),
-            "stack": self.stack.to_dict(),
-            "traffic": self.traffic.to_dict(),
-            "faults": [fault.to_dict() for fault in self.faults],
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "warmup_s": self.warmup_s,
-            "observability": self.observability.to_dict(),
-        }
+        return {"version": SPEC_VERSION, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        data = _upgraded(data, "scenario")
-        _check_keys(data, cls, "scenario")
-        if "topology" not in data:
-            raise ConfigurationError("scenario spec needs a 'topology' section")
-        return cls(
-            topology=TopologySpec.from_dict(data["topology"]),
-            stack=StackSpec.from_dict(data.get("stack", {})),
-            traffic=TrafficSpec.from_dict(data.get("traffic", {})),
-            faults=tuple(FaultSpec.from_dict(f) for f in data.get("faults", ())),
-            seed=_integer(data.get("seed", 1), "scenario seed"),
-            duration_s=_number(data.get("duration_s", 10.0), "scenario duration_s"),
-            warmup_s=_number(data.get("warmup_s", 0.0), "scenario warmup_s"),
-            name=str(data.get("name", "scenario")),
-            observability=ObservabilitySpec.from_dict(
-                data.get("observability", {})
-            ),
-        )
+        _check_version(data, "scenario")
+        return super().from_dict(data)
 
     def canonical_json(self) -> str:
         """The canonical serialisation the sweep cache keys on."""
@@ -1080,92 +924,6 @@ class ScenarioSpec:
         if not isinstance(data, dict):
             raise ConfigurationError("scenario spec must be a JSON object")
         return cls.from_dict(data)
-
-
-def _upgraded(data: Mapping[str, Any], what: str) -> Mapping[str, Any]:
-    """A ``what`` ("scenario" or "sweep") document in version-3 form.
-
-    Version 3 moved the stack's ``short_retry_limit``,
-    ``long_retry_limit`` and ``mac_queue_frames`` under ``stack.mac``
-    (the last as ``queue_frames``).  A version-2 document is migrated
-    by version 2's rules: an explicit ``stack.mac.queue_frames`` wins
-    over ``mac_queue_frames``, a retry limit set in both places is
-    rejected, and ``mac: null`` means no overrides.  A sweep's axes
-    that name a moved key move with it (:func:`_upgraded_axes`).  Other
-    versions are rejected.
-    """
-    version = data.get("version", SPEC_VERSION)
-    if version == SPEC_VERSION:
-        return data
-    if version != 2:
-        raise ConfigurationError(
-            f"unsupported {what} spec version {version!r}; this build "
-            f"reads version {SPEC_VERSION} and migrates version 2"
-        )
-    data = {**data, "version": SPEC_VERSION}
-    if what == "sweep":
-        data["axes"] = _upgraded_axes(
-            data.get("axes", ()), data["base"].get("stack", {})
-        )
-        data["base"] = _upgraded({"version": 2, **data["base"]}, "scenario")
-    elif "stack" in data:
-        stack = dict(data["stack"])
-        mac = dict(stack.get("mac") or {})
-        for old, new in _V2_STACK_KEYS.items():
-            value = stack.pop(old, None)
-            if value is None:
-                continue
-            if mac.get(new) is None:
-                mac[new] = value
-            elif new != "queue_frames":
-                raise ConfigurationError(
-                    f"version-2 stack sets {old} both on the stack and on "
-                    f"stack.mac; pick one"
-                )
-        data["stack"] = {**stack, "mac": mac}
-    return data
-
-
-def _upgraded_axes(
-    axes: Sequence[Mapping[str, Any]], stack: Mapping[str, Any]
-) -> list[Mapping[str, Any]]:
-    """A version-2 sweep's axes, with those naming a moved stack key renamed.
-
-    ``stack`` is the base's version-2 stack.  Version 2 kept the
-    stack-level knobs apart from ``stack.mac`` and settled the two by
-    rule, which renamed axes cannot carry.  So an axis is rejected when
-    it sets a knob that the base or another axis sets in the other
-    spelling (version 2 rejected a retry limit set twice and ignored a
-    ``stack.mac_queue_frames`` under ``stack.mac.queue_frames``), or
-    when it replaces ``stack.mac`` whole, which would drop the base's
-    moved knobs.
-    """
-    keys = {axis.get("key") for axis in axes}
-    if "stack.mac" in keys:
-        raise ConfigurationError(
-            "a version-2 sweep axis may not replace stack.mac whole; "
-            "write the sweep at version 3"
-        )
-    mac = stack.get("mac") or {}
-    upgraded = []
-    for axis in axes:
-        key = axis.get("key")
-        for old, new in _V2_STACK_KEYS.items():
-            if key == f"stack.{old}":
-                clash = mac.get(new) is not None or f"stack.mac.{new}" in keys
-            elif key == f"stack.mac.{new}":
-                clash = new != "queue_frames" and stack.get(old) is not None
-            else:
-                continue
-            if clash:
-                raise ConfigurationError(
-                    f"version-2 sweep axis {key} sets {old} in both "
-                    f"spellings; pick one"
-                )
-            axis = {**axis, "key": f"stack.mac.{new}"}
-            break
-        upgraded.append(axis)
-    return upgraded
 
 
 def _set_in(node: Any, segments: list[str], value: Any, full_key: str) -> None:
@@ -1231,35 +989,24 @@ def apply_overrides(
 
 
 @dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(_Spec, section="sweep axis"):
     """One override axis of a sweep: a dotted key and its values."""
 
     key: str
     values: tuple[Any, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
+        self._check_types()
         if not self.values:
             raise ConfigurationError(f"sweep axis {self.key!r} has no values")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"key": self.key, "values": list(self.values)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepAxis":
-        _check_keys(data, cls, "sweep axis")
-        return cls(key=str(data["key"]), values=tuple(data["values"]))
-
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Spec, section="sweep"):
     """A base scenario and the axes to sweep it over."""
 
     base: ScenarioSpec
     axes: tuple[SweepAxis, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "axes", tuple(self.axes))
 
     def expand(self) -> list[ScenarioSpec]:
         """Every scenario of the grid, first axis slowest (row-major)."""
@@ -1275,17 +1022,9 @@ class SweepSpec:
         ]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "version": SPEC_VERSION,
-            "base": self.base.to_dict(),
-            "axes": [axis.to_dict() for axis in self.axes],
-        }
+        return {"version": SPEC_VERSION, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
-        data = _upgraded(data, "sweep")
-        _check_keys(data, cls, "sweep")
-        return cls(
-            base=ScenarioSpec.from_dict(data["base"]),
-            axes=tuple(SweepAxis.from_dict(a) for a in data.get("axes", ())),
-        )
+        _check_version(data, "sweep")
+        return super().from_dict(data)

@@ -7,19 +7,16 @@ import pytest
 from repro.core.params import Dot11bConfig, MacParameters
 from repro.errors import ConfigurationError
 from repro.mac.dcf import DEFAULT_QUEUE_FRAMES
-from repro.parallel.cache import canonical_params
 from repro.scenario import (
     FlowSpec,
     MacParamsSpec,
     ScenarioSpec,
     StackSpec,
-    SweepAxis,
     SweepSpec,
     TopologySpec,
     TrafficSpec,
     apply_overrides,
     build,
-    scenario_sweep_points,
 )
 
 
@@ -139,141 +136,28 @@ def document(version: int, stack: dict) -> dict:
     return {**doc, "version": version, "stack": stack}
 
 
-def point_key(spec: ScenarioSpec) -> str:
-    [point] = scenario_sweep_points([spec], extract="m:f")
-    return canonical_params(point.params)
-
-
 class TestVersion2Migration:
-    """Version 2 spelled three MAC knobs on the stack; version 3 reads them."""
+    """Version 2 spelled three MAC knobs on the stack; version 3 rejects
+    an older document and names the moves, which are made by hand."""
 
-    @pytest.mark.parametrize(
-        "v2_stack, v3_mac",
-        [
-            (
-                {"short_retry_limit": 3, "long_retry_limit": 2},
-                {"short_retry_limit": 3, "long_retry_limit": 2},
-            ),
-            (
-                {"short_retry_limit": 3, "mac": {"cw_min_slots": 64}},
-                {"short_retry_limit": 3, "cw_min_slots": 64},
-            ),
-            ({"mac_queue_frames": 5}, {"queue_frames": 5}),
-            ({"mac_queue_frames": 200}, {}),
-            (
-                {"mac_queue_frames": 50, "mac": {"queue_frames": 5}},
-                {"queue_frames": 5},
-            ),
-            ({"mac": None}, {}),
-            (
-                {
-                    "short_retry_limit": None,
-                    "long_retry_limit": None,
-                    "mac_queue_frames": 200,
-                    "mac": None,
-                },
-                {},
-            ),
-        ],
-        ids=[
-            "stack-retry-limits",
-            "retry-limit-beside-mac",
-            "queue-alone",
-            "queue-at-default",
-            "queue-beside-mac-queue",
-            "mac-null",
-            "v2-default-document",
-        ],
-    )
-    def test_every_version_2_spelling_loads_as_its_version_3_form(
-        self, v2_stack, v3_mac
-    ):
-        migrated = ScenarioSpec.from_dict(document(2, v2_stack))
-        written = ScenarioSpec.from_dict(document(3, {"mac": v3_mac}))
-        assert migrated.to_dict()["version"] == 3
-        assert migrated.stack.dot11_config() == written.stack.dot11_config()
-        assert (
-            migrated.stack.effective_queue_frames
-            == written.stack.effective_queue_frames
-        )
-        assert point_key(migrated) == point_key(written)
-
-    def test_version_2_sweep_axes_move_with_their_keys(self):
-        v2 = {
-            "version": 2,
-            "base": document(2, {"mac_queue_frames": 50}),
-            "axes": [{"key": "stack.short_retry_limit", "values": [1, 7]}],
-        }
-        written = SweepSpec(
-            base=ScenarioSpec.from_dict(document(3, {"mac": {"queue_frames": 50}})),
-            axes=(SweepAxis("stack.mac.short_retry_limit", (1, 7)),),
-        )
-        migrated = SweepSpec.from_dict(v2)
-        assert migrated.to_dict()["version"] == 3
-        assert migrated == written
-        for spec, twin in zip(migrated.expand(), written.expand(), strict=True):
-            assert spec.stack.dot11_config() == twin.stack.dot11_config()
-            assert spec.stack.effective_queue_frames == 50
-            assert point_key(spec) == point_key(twin)
-
-    def test_a_retry_limit_set_in_both_places_is_rejected(self):
-        doc = document(2, {"short_retry_limit": 3, "mac": {"short_retry_limit": 5}})
-        with pytest.raises(ConfigurationError, match="version-2 stack sets"):
-            ScenarioSpec.from_dict(doc)
-        sweep = {
-            "version": 2,
-            "base": document(2, {"mac": {"short_retry_limit": 5}}),
-            "axes": [{"key": "stack.short_retry_limit", "values": [1, 7]}],
-        }
-        with pytest.raises(ConfigurationError, match="both spellings"):
-            SweepSpec.from_dict(sweep)
-
-    @pytest.mark.parametrize(
-        "base_stack, axes, match",
-        [
-            (
-                {},
-                [("stack.short_retry_limit", [1]),
-                 ("stack.mac.short_retry_limit", [2])],
-                "both spellings",
-            ),
-            (
-                {"mac": {"queue_frames": 5}},
-                [("stack.mac_queue_frames", [10, 20])],
-                "both spellings",
-            ),
-            (
-                {},
-                [("stack.mac.queue_frames", [5]),
-                 ("stack.mac_queue_frames", [10])],
-                "both spellings",
-            ),
-            (
-                {"mac_queue_frames": 50},
-                [("stack.mac", [{"cw_min_slots": 64}, None])],
-                "stack.mac whole",
-            ),
-        ],
-        ids=["two-retry-axes", "queue-axis-under-mac-queue",
-             "two-queue-axes", "whole-mac-axis"],
-    )
-    def test_version_2_sweep_axes_that_cannot_move_are_rejected(
-        self, base_stack, axes, match
-    ):
-        # Version 2 rejected or ignored each of these; a renamed axis
-        # would silently win instead.
-        sweep = {
-            "version": 2,
-            "base": document(2, base_stack),
-            "axes": [{"key": key, "values": values} for key, values in axes],
-        }
-        with pytest.raises(ConfigurationError, match=match):
-            SweepSpec.from_dict(sweep)
+    @pytest.mark.parametrize("reader", [ScenarioSpec, SweepSpec])
+    def test_version_2_documents_are_rejected_naming_the_moves(self, reader):
+        doc = document(2, {"short_retry_limit": 3, "mac_queue_frames": 5})
+        if reader is SweepSpec:
+            doc = {"version": 2, "base": doc, "axes": []}
+        with pytest.raises(ConfigurationError) as error:
+            reader.from_dict(doc)
+        message = str(error.value)
+        assert "version 2" in message
+        for old, new in [
+            ("stack.short_retry_limit", "stack.mac.short_retry_limit"),
+            ("stack.long_retry_limit", "stack.mac.long_retry_limit"),
+            ("stack.mac_queue_frames", "stack.mac.queue_frames"),
+        ]:
+            assert old in message and new in message
 
     def test_version_1_documents_are_rejected(self):
-        with pytest.raises(
-            ConfigurationError, match="reads version 3 and migrates version 2"
-        ):
+        with pytest.raises(ConfigurationError, match="reads version 3 only"):
             ScenarioSpec.from_dict(document(1, {}))
 
     @pytest.mark.parametrize(

@@ -79,6 +79,24 @@ def test_cli_spec_command_rejects_unknown_override(capsys):
     assert "turbo" in err and "accepted" in err
 
 
+def test_cli_spec_command_rejects_a_non_json_bool(capsys):
+    # "False" is not JSON, so it stays a string and fails the bool field
+    # instead of being read as true.
+    assert (
+        main(
+            [
+                "spec",
+                str(SPEC_PATH),
+                "--no-cache",
+                "--set",
+                "stack.rts_enabled=False",
+            ]
+        )
+        == 1
+    )
+    assert "rts_enabled" in capsys.readouterr().err
+
+
 def test_overrides_reach_the_build():
     spec = apply_overrides(_load(), {"stack.rts_enabled": True, "seed": 9})
     assert spec.stack.rts_enabled is True

@@ -104,6 +104,54 @@ def test_unknown_propagation_preset_rejected():
         TopologySpec.line(0, 10, propagation="string-and-cans")
 
 
+def _with(section: str, key: str, value) -> dict:
+    """The base spec's document with ``section.key`` set to ``value``."""
+    doc = _base_spec().to_dict()
+    doc[section][key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "make, section, key",
+    [
+        (
+            lambda: ScenarioSpec.from_dict(_with("stack", "rts_enabled", "false")),
+            "stack",
+            "rts_enabled",
+        ),
+        (
+            lambda: ScenarioSpec.from_dict(
+                {
+                    **_base_spec().to_dict(),
+                    "faults": [
+                        {"kind": "interference", "start_s": 1.0, "nodes": [1.7]}
+                    ],
+                }
+            ),
+            "fault",
+            "nodes",
+        ),
+        (lambda: FlowSpec(kind="cbr", src="0", dst=1), "flow", "src"),
+        (lambda: _base_spec(seed="7"), "scenario", "seed"),
+        (lambda: StackSpec(data_rate_mbps="11"), "stack", "data_rate_mbps"),
+        (
+            lambda: ScenarioSpec.from_dict(_with("topology", "positions_m", [["a", 0]])),
+            "topology",
+            "positions_m",
+        ),
+        (lambda: WeatherSpec.from_dict({}), "weather", "name"),
+    ],
+    ids=[
+        "string-bool", "float-node-index", "string-flow-endpoint",
+        "string-seed", "string-rate", "string-position", "missing-weather-name",
+    ],
+)
+def test_wrongly_typed_or_missing_fields_are_rejected(make, section, key):
+    # Each is read from its annotation: no coercion, no raw TypeError.
+    with pytest.raises(ConfigurationError, match=f"{section} .*{key}"):
+        make()
+
+
 # --------------------------------------------------------- serialization
 
 
