@@ -17,11 +17,14 @@ from repro.core.encapsulation import mac_payload_bytes
 from repro.errors import ConfigurationError
 from repro.net.node import Node
 from repro.sim.timers import Timer
+from repro.sim.tracing import take_channel
 from repro.units import us_to_ns
 
 
 class CbrSource:
     """UDP packet generator attached to a node."""
+
+    _category = property(lambda source: f"app.{source._node.address}")
 
     def __init__(
         self,
@@ -44,6 +47,8 @@ class CbrSource:
         self._timestamped = timestamped
         self._socket = node.udp.bind()
         self._mac = node.mac
+        self._tracer = node.ip.tracer
+        self._trace_offer = None  # audit channel, taken on first use
         self._interval_ns = self._choose_interval_ns(rate_bps)
         self._on_timer = self._tick if rate_bps is not None else self._tick_saturated
         self._timer = Timer(node.sim, self._on_timer, name=f"cbr{node.address}")
@@ -97,16 +102,13 @@ class CbrSource:
         payload: object = self._sequence
         if self._timestamped:
             payload = (self._sequence, self._node.sim.now_s)
-        tracer = self._node.ip.tracer
-        if tracer.audit:
-            tracer.emit_audit(
-                self._node.sim.now_ns,
-                f"app.{self._node.address}",
-                "offer",
-                seq=self._sequence,
-                dst=self._dst,
-                size_bytes=self._payload_bytes,
-            )
+        if self._tracer.audit:
+            offer = self._trace_offer or take_channel(self, "offer")
+            offer.count += 1
+            if offer.callbacks:
+                offer.publish(self._node.sim.now_ns, {
+                    "seq": self._sequence, "dst": self._dst, "size_bytes": self._payload_bytes,
+                })
         accepted = self._socket.send(
             payload, self._payload_bytes, self._dst, self._dst_port
         )

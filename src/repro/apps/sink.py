@@ -4,17 +4,22 @@ from __future__ import annotations
 
 from repro.analysis.meters import DelayMeter
 from repro.net.node import Node
+from repro.sim.tracing import take_channel
 from repro.units import ns_to_s, s_to_ns
 
 
 class UdpSink:
     """Receives UDP datagrams on a port and counts them over time."""
 
+    _category = property(lambda sink: f"app.{sink._node.address}")
+
     def __init__(self, node: Node, port: int, warmup_s: float = 0.0):
         self._node = node
         self._warmup_ns = s_to_ns(warmup_s)
         self._socket = node.udp.bind(port)
         self._socket.on_receive(self._on_datagram)
+        self._tracer = node.ip.tracer
+        self._trace_rx = None  # audit channel, taken on first use
         self.packets = 0
         self.bytes = 0
         self.packets_after_warmup = 0
@@ -33,15 +38,11 @@ class UdpSink:
         now = self._node.sim.now_ns
         self.packets += 1
         self.bytes += payload_bytes
-        tracer = self._node.ip.tracer
-        if tracer.audit:
-            tracer.emit_audit(
-                now,
-                f"app.{self._node.address}",
-                "rx",
-                src=src,
-                size_bytes=payload_bytes,
-            )
+        if self._tracer.audit:
+            rx = self._trace_rx or take_channel(self, "rx")
+            rx.count += 1
+            if rx.callbacks:
+                rx.publish(now, {"src": src, "size_bytes": payload_bytes})
         if isinstance(payload, int):
             self.sequences.append(payload)
         elif isinstance(payload, tuple) and len(payload) == 2:

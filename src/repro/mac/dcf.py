@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import random
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -50,7 +50,7 @@ from repro.phy.reception import ReceptionOutcome
 from repro.phy.transceiver import PhyListener, PhyState, Transceiver
 from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
-from repro.sim.tracing import Tracer
+from repro.sim.tracing import Tracer, take_channel
 from repro.units import us_to_ns
 
 ReceiveCallback = Callable[[Any, int], None]
@@ -216,11 +216,15 @@ class MacStation(PhyListener):
         self._mac = config.dot11.mac
         self._rng = rng if rng is not None else random.Random(config.address)
         self._tracer = tracer if tracer is not None else Tracer()
-        # Self-counting trace channel (see Tracer.register_counters):
-        # count locally, fan out only when a subscriber is attached.
         self._category = f"mac.{config.address}"
-        self._trace_counts: dict[str, int] = defaultdict(int)
-        self._tracer.register_counters(self._category, self._trace_counts)
+        # Trace channels, each taken on first use (take_channel).
+        self._trace_tx_data = self._trace_tx_rts = self._trace_timeout = None
+        self._trace_tx_ack = self._trace_tx_cts = self._trace_nav_set = None
+        self._trace_nav_reset = self._trace_cts_suppressed = None
+        self._trace_ack_suppressed = None
+        # Audit channels.
+        self._trace_nav = self._trace_sdu_enqueue = self._trace_sdu_tx_ok = None
+        self._trace_sdu_drop = None
         phy.set_listener(self)
 
         # Precomputed timing, in ns.
@@ -339,12 +343,12 @@ class MacStation(PhyListener):
         if self._down:
             self.counters.queue_drops += 1
             if self._tracer.audit:
-                self._audit_sdu("sdu_drop", msdu, dst, reason="fault-crash")
+                self._audit_sdu("sdu_drop", msdu, dst, "fault-crash")
             return False
         if self.queue_full:
             self.counters.queue_drops += 1
             if self._tracer.audit:
-                self._audit_sdu("sdu_drop", msdu, dst, reason="queue-overflow")
+                self._audit_sdu("sdu_drop", msdu, dst, "queue-overflow")
             return False
         self._queue.append((msdu, dst, msdu_bytes))
         if self._tracer.audit:
@@ -378,12 +382,9 @@ class MacStation(PhyListener):
             self.counters.flushed_frames += 1
         if self._tracer.audit:
             for msdu, dst, _bytes in self._queue:
-                self._audit_sdu("sdu_drop", msdu, dst, reason="fault-crash")
+                self._audit_sdu("sdu_drop", msdu, dst, "fault-crash")
             if self._work is not None:
-                self._audit_sdu(
-                    "sdu_drop", self._work.msdu, self._work.dst,
-                    reason="fault-crash",
-                )
+                self._audit_sdu("sdu_drop", self._work.msdu, self._work.dst, "fault-crash")
         self._queue.clear()
         self._work = None
         for timer in self._timers():
@@ -398,7 +399,7 @@ class MacStation(PhyListener):
         self._cw.reset()
         self._needs_eifs = False
         self._idle_since_ns = None
-        self._trace("shutdown")
+        self._tracer.emit(self._sim.now_ns, self._category, "shutdown")
 
     def restart(self) -> None:
         """Reboot after :meth:`shutdown` with factory-fresh receiver state."""
@@ -409,7 +410,7 @@ class MacStation(PhyListener):
         self._frag_progress.clear()
         self._seq_counter = 0
         self._idle_since_ns = self._sim.now_ns if not self._medium_busy() else None
-        self._trace("restart")
+        self._tracer.emit(self._sim.now_ns, self._category, "restart")
 
     def set_clock_jitter(self, jitter: Callable[[int], int] | None) -> None:
         """Perturb every MAC timer's delay (clock-skew fault injection)."""
@@ -556,9 +557,10 @@ class MacStation(PhyListener):
         plan = data_frame_plan(fragment_bytes, rate, self._airtime)
         self._tx_context = "data"
         self.counters.data_tx += 1
-        self._trace_counts["tx_data"] += 1
-        if self._tracer.active:
-            self._tracer.fanout(self._sim.now_ns, self._category, "tx_data", {
+        tx_data = self._trace_tx_data or take_channel(self, "tx_data")
+        tx_data.count += 1
+        if tx_data.callbacks:
+            tx_data.publish(self._sim.now_ns, {
                 "dst": dst, "seq": work.seq, "frag": frag_index,
                 "retry": work.retries, "rate": rate.mbps,
             })
@@ -580,11 +582,10 @@ class MacStation(PhyListener):
         )
         self._tx_context = "rts"
         self.counters.rts_tx += 1
-        self._trace_counts["tx_rts"] += 1
-        if self._tracer.active:
-            self._tracer.fanout(
-                self._sim.now_ns, self._category, "tx_rts", {"dst": work.dst}
-            )
+        tx_rts = self._trace_tx_rts or take_channel(self, "tx_rts")
+        tx_rts.count += 1
+        if tx_rts.callbacks:
+            tx_rts.publish(self._sim.now_ns, {"dst": work.dst})
         self._phy.transmit(self._rts_plan, frame)
 
     def on_tx_end(self) -> None:
@@ -630,17 +631,15 @@ class MacStation(PhyListener):
             if work.use_rts
             else self._mac.short_retry_limit
         )
-        self._trace_counts["timeout"] += 1
-        if self._tracer.active:
-            self._tracer.fanout(
-                self._sim.now_ns, self._category, "timeout",
-                {"kind": kind, "retries": work.retries},
-            )
+        timeout = self._trace_timeout or take_channel(self, "timeout")
+        timeout.count += 1
+        if timeout.callbacks:
+            timeout.publish(self._sim.now_ns, {"kind": kind, "retries": work.retries})
         if work.retries > limit:
             self.counters.tx_drops += 1
             self._cw.reset()
             if self._tracer.audit:
-                self._audit_sdu("sdu_drop", work.msdu, work.dst, reason="retry-limit")
+                self._audit_sdu("sdu_drop", work.msdu, work.dst, "retry-limit")
             self._sent_callback(work.msdu, work.dst, False)
             self._complete_exchange()
         else:
@@ -761,7 +760,8 @@ class MacStation(PhyListener):
             return
         if self._nav.busy:
             self.counters.cts_suppressed_nav += 1
-            self._trace("cts_suppressed", reason="nav")
+            cts_suppressed = self._trace_cts_suppressed or take_channel(self, "cts_suppressed")
+            cts_suppressed.emit(self._sim.now_ns, {"reason": "nav"})
             return
         self._schedule_response("cts", frame)
 
@@ -788,26 +788,19 @@ class MacStation(PhyListener):
         now = self._sim.now_ns
         moved = self._nav.update(now + us_to_ns(duration_us))
         if moved:
-            self._trace_counts["nav_set"] += 1
-            tracer = self._tracer
-            if tracer.active:
-                tracer.fanout(
-                    now, self._category, "nav_set",
-                    {"until_us": round(self._nav.until_ns / 1000)},
-                )
-            if tracer.audit:
-                tracer.emit_audit(
-                    now,
-                    self._category,
-                    "nav",
-                    until_ns=self._nav.until_ns,
-                )
+            nav_set = self._trace_nav_set or take_channel(self, "nav_set")
+            nav_set.count += 1
+            if nav_set.callbacks:
+                nav_set.publish(now, {"until_us": round(self._nav.until_ns / 1000)})
+            if self._tracer.audit:
+                nav = self._trace_nav or take_channel(self, "nav")
+                nav.emit(now, {"until_ns": self._nav.until_ns})
             self._on_medium_state_change()
         return moved
 
     def _on_nav_reset(self) -> None:
         self.counters.nav_resets += 1
-        self._trace("nav_reset")
+        (self._trace_nav_reset or take_channel(self, "nav_reset")).emit(self._sim.now_ns, {})
         self._nav.reset()
 
     # --------------------------------------------------------- responses
@@ -845,16 +838,16 @@ class MacStation(PhyListener):
             and self._phy.cs_busy
         ):
             self.counters.acks_suppressed += 1
-            self._trace("ack_suppressed", dst=data_frame.src)
+            ack_suppressed = self._trace_ack_suppressed or take_channel(self, "ack_suppressed")
+            ack_suppressed.emit(self._sim.now_ns, {"dst": data_frame.src})
             return
         ack = AckFrame(src=self.address, dst=data_frame.src, duration_us=0.0)
         self._tx_context = "ack"
         self.counters.ack_tx += 1
-        self._trace_counts["tx_ack"] += 1
-        if self._tracer.active:
-            self._tracer.fanout(
-                self._sim.now_ns, self._category, "tx_ack", {"dst": data_frame.src}
-            )
+        tx_ack = self._trace_tx_ack or take_channel(self, "tx_ack")
+        tx_ack.count += 1
+        if tx_ack.callbacks:
+            tx_ack.publish(self._sim.now_ns, {"dst": data_frame.src})
         self._phy.transmit(self._ack_plan, ack)
 
     def _respond_cts(self, rts: RtsFrame) -> None:
@@ -863,17 +856,17 @@ class MacStation(PhyListener):
         # arrived during another frame.
         if self._nav.busy:
             self.counters.cts_suppressed_nav += 1
-            self._trace("cts_suppressed", reason="nav-late")
+            cts_suppressed = self._trace_cts_suppressed or take_channel(self, "cts_suppressed")
+            cts_suppressed.emit(self._sim.now_ns, {"reason": "nav-late"})
             return
         duration_us = max(0.0, rts.duration_us - self._mac.sifs_us - self._cts_us)
         cts = CtsFrame(src=self.address, dst=rts.src, duration_us=duration_us)
         self._tx_context = "cts"
         self.counters.cts_tx += 1
-        self._trace_counts["tx_cts"] += 1
-        if self._tracer.active:
-            self._tracer.fanout(
-                self._sim.now_ns, self._category, "tx_cts", {"dst": rts.src}
-            )
+        tx_cts = self._trace_tx_cts or take_channel(self, "tx_cts")
+        tx_cts.count += 1
+        if tx_cts.callbacks:
+            tx_cts.publish(self._sim.now_ns, {"dst": rts.src})
         self._phy.transmit(self._cts_plan, cts)
 
     def _respond_data(self) -> None:
@@ -883,22 +876,15 @@ class MacStation(PhyListener):
 
     # --------------------------------------------------------- utilities
 
-    def _trace(self, event: str, **fields: Any) -> None:
-        self._trace_counts[event] += 1
-        if self._tracer.active:
-            self._tracer.fanout(self._sim.now_ns, self._category, event, fields)
-
-    def _audit_sdu(self, event: str, msdu: Any, dst: int, **fields: Any) -> None:
-        """Audit-channel SDU lifecycle event (callers gate on tracer.audit)."""
+    def _audit_sdu(self, event: str, msdu: Any, dst: int, reason: str | None = None) -> None:
+        """Audit an SDU lifecycle event (callers gate on tracer.audit)."""
         sdu = getattr(msdu, "sdu_id", -1)
         if sdu < 0:
             return
-        self._tracer.emit_audit(
-            self._sim.now_ns,
-            self._category,
-            event,
-            sdu=sdu,
-            origin=msdu.src,
-            dst=dst,
-            **fields,
-        )
+        channel = getattr(self, f"_trace_{event}") or take_channel(self, event)
+        channel.count += 1
+        if channel.callbacks:
+            fields = {"sdu": sdu, "origin": msdu.src, "dst": dst}
+            if reason is not None:
+                fields["reason"] = reason
+            channel.publish(self._sim.now_ns, fields)

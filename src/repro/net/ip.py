@@ -10,12 +10,15 @@ from repro.errors import ConfigurationError
 from repro.mac.dcf import MacStation
 from repro.net.packet import Datagram
 from repro.net.routing import StaticRouting
+from repro.sim.tracing import take_channel
 
 ProtocolHandler = Callable[[Any, int], None]  # (segment, src_address)
 
 
 class IpLayer:
     """One node's network layer on top of its MAC."""
+
+    _category = property(lambda ip: f"net.{ip._address}")
 
     def __init__(self, mac: MacStation, routing: StaticRouting | None = None):
         self._mac = mac
@@ -29,6 +32,10 @@ class IpLayer:
         self.send_failures = 0
         self.datagrams_no_route = 0
         self.datagrams_ttl_expired = 0
+        self._tracer = mac.tracer
+        # Audit channels, each taken on first use (take_channel).
+        self._trace_sdu_open = self._trace_sdu_drop = None
+        self._trace_sdu_deliver = self._trace_sdu_forward = None
         mac.set_receive_callback(self._on_mac_receive)
 
     @property
@@ -49,7 +56,7 @@ class IpLayer:
     @property
     def tracer(self):
         """The stack's shared tracer."""
-        return self._mac.tracer
+        return self._tracer
 
     def register_protocol(self, protocol: str, handler: ProtocolHandler) -> None:
         """Attach a transport: ``handler(segment, src)`` on delivery."""
@@ -71,21 +78,15 @@ class IpLayer:
             sdu_id=self._next_sdu_id,
         )
         self._next_sdu_id += 1
-        tracer = self._mac.tracer
-        if tracer.audit:
+        if self._tracer.audit:
             # The open event must precede the MAC's enqueue/drop events,
             # so the ledger sees the SDU before any terminal state.
-            tracer.emit_audit(
-                self._mac.sim.now_ns,
-                f"net.{self._address}",
-                "sdu_open",
-                sdu=datagram.sdu_id,
-                origin=self._address,
-                dst=dst,
-                protocol=protocol,
-                size_bytes=datagram.size_bytes,
-                src_port=getattr(segment, "src_port", None),
-            )
+            sdu_open = self._trace_sdu_open or take_channel(self, "sdu_open")
+            sdu_open.emit(self._mac.sim.now_ns, {
+                "sdu": datagram.sdu_id, "origin": self._address, "dst": dst,
+                "protocol": protocol, "size_bytes": datagram.size_bytes,
+                "src_port": getattr(segment, "src_port", None),
+            })
         accepted = self._transmit(datagram)
         if accepted:
             self.datagrams_sent += 1
@@ -105,30 +106,22 @@ class IpLayer:
         return self._mac.enqueue(datagram, next_hop, datagram.size_bytes)
 
     def _drop(self, datagram: Datagram, reason: str) -> None:
-        tracer = self._mac.tracer
-        if tracer.audit and datagram.sdu_id >= 0:
-            tracer.emit_audit(
-                self._mac.sim.now_ns,
-                f"net.{self._address}",
-                "sdu_drop",
-                sdu=datagram.sdu_id,
-                origin=datagram.src,
-                reason=reason,
-            )
+        if self._tracer.audit and datagram.sdu_id >= 0:
+            sdu_drop = self._trace_sdu_drop or take_channel(self, "sdu_drop")
+            sdu_drop.emit(self._mac.sim.now_ns, {
+                "sdu": datagram.sdu_id, "origin": datagram.src, "reason": reason,
+            })
 
     def _on_mac_receive(self, msdu: Any, mac_src: int) -> None:
         if not isinstance(msdu, Datagram):
             return
-        tracer = self._mac.tracer
+        audit = self._tracer.audit
         if msdu.dst == self._address:
             self.datagrams_delivered += 1
-            if tracer.audit and msdu.sdu_id >= 0:
-                tracer.emit_audit(
-                    self._mac.sim.now_ns,
-                    f"net.{self._address}",
-                    "sdu_deliver",
-                    sdu=msdu.sdu_id,
-                    origin=msdu.src,
+            if audit and msdu.sdu_id >= 0:
+                sdu_deliver = self._trace_sdu_deliver or take_channel(self, "sdu_deliver")
+                sdu_deliver.emit(
+                    self._mac.sim.now_ns, {"sdu": msdu.sdu_id, "origin": msdu.src}
                 )
             handler = self._handlers.get(msdu.protocol)
             if handler is not None:
@@ -142,12 +135,9 @@ class IpLayer:
             self._drop(msdu, "ttl-expired")
             return
         self.datagrams_forwarded += 1
-        if tracer.audit and msdu.sdu_id >= 0:
-            tracer.emit_audit(
-                self._mac.sim.now_ns,
-                f"net.{self._address}",
-                "sdu_forward",
-                sdu=msdu.sdu_id,
-                origin=msdu.src,
+        if audit and msdu.sdu_id >= 0:
+            sdu_forward = self._trace_sdu_forward or take_channel(self, "sdu_forward")
+            sdu_forward.emit(
+                self._mac.sim.now_ns, {"sdu": msdu.sdu_id, "origin": msdu.src}
             )
         self._transmit(replace(msdu, ttl=msdu.ttl - 1))

@@ -15,7 +15,6 @@ beyond the transmission range.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from math import log10
@@ -33,7 +32,7 @@ from repro.phy.reception import (
     SinrThresholdReception,
 )
 from repro.sim.engine import Simulator
-from repro.sim.tracing import Tracer
+from repro.sim.tracing import Tracer, take_channel
 from repro.units import dbm_to_mw
 
 
@@ -82,6 +81,11 @@ class PhyListener:
 class Transceiver:
     """One station's radio."""
 
+    # A property, not an attribute: CPython 3.11 stores up to 29 names
+    # inline, and past that every attribute read of this hottest class
+    # goes through a dict.  The radio's own 22 and its 7 channels fill it.
+    _category = property(lambda phy: f"phy.{phy.name}")
+
     def __init__(
         self,
         sim: Simulator,
@@ -101,12 +105,11 @@ class Transceiver:
         self._reception = reception if reception is not None else SinrThresholdReception()
         self._rng = rng if rng is not None else random.Random(0)
         self._tracer = tracer if tracer is not None else Tracer()
-        # Self-counting trace channel: the category string is built once,
-        # counts land in a registered local dict, and the tracer is only
-        # called (fan-out) when a subscriber is attached.
-        self._category = f"phy.{name}"
-        self._counts: dict[str, int] = defaultdict(int)
-        self._tracer.register_counters(self._category, self._counts)
+        # Trace channels, each taken on first use (take_channel).  Fault
+        # events (power_off, power_on) go through Tracer.emit.
+        self._trace_tx_start = self._trace_tx_end = None
+        self._trace_rx_lock = self._trace_rx_end = self._trace_rx_abort = None
+        self._trace_capture = self._trace_sdu_rx_fail = None
         self._listener = PhyListener()
         self._state = _IDLE
         self._signals: dict[int, float] = {}  # signal_id -> rx power, mW
@@ -211,14 +214,14 @@ class Transceiver:
         self._signals.clear()
         self._state = _IDLE
         self._cs_busy = False
-        self._trace("power_off")
+        self._tracer.emit(self._sim.now_ns, self._category, "power_off")
 
     def power_on(self) -> None:
         """Reboot the radio.  Signals already in flight stay unheard."""
         if self._powered:
             return
         self._powered = True
-        self._trace("power_on")
+        self._tracer.emit(self._sim.now_ns, self._category, "power_on")
         self._update_cs()
 
     # --------------------------------------------------------------- MAC
@@ -241,12 +244,11 @@ class Transceiver:
         signal = self._medium.transmit(
             self, PhyFrame(mac_frame, plan), plan.duration_ns, self._radio.tx_power_dbm
         )
-        self._counts["tx_start"] += 1
-        if self._tracer.active:
-            self._tracer.fanout(
+        tx_start = self._trace_tx_start or take_channel(self, "tx_start")
+        tx_start.count += 1
+        if tx_start.callbacks:
+            tx_start.publish(
                 self._sim.now_ns,
-                self._category,
-                "tx_start",
                 {"frame": type(mac_frame).__name__, "dur_ns": signal.duration_ns},
             )
         self._tx_slot, self._tx_seq = self._sim.schedule_slot(
@@ -261,9 +263,10 @@ class Transceiver:
     def _finish_tx(self) -> None:
         self._tx_seq = 0
         self._state = _IDLE
-        self._counts["tx_end"] += 1
-        if self._tracer.active:
-            self._tracer.fanout(self._sim.now_ns, self._category, "tx_end", {})
+        tx_end = self._trace_tx_end or take_channel(self, "tx_end")
+        tx_end.count += 1
+        if tx_end.callbacks:
+            tx_end.publish(self._sim.now_ns, {})
         self._update_cs()
         self._listener.on_tx_end()
 
@@ -338,13 +341,11 @@ class Transceiver:
         self._locked_power_dbm = rx_power_dbm
         self._locked_start_ns = now
         self._interference_log = [(0, interference_mw)]
-        self._counts["rx_lock"] += 1
-        if self._tracer.active:
-            self._tracer.fanout(
-                now,
-                self._category,
-                "rx_lock",
-                {"signal": signal.signal_id, "rx_dbm": round(rx_power_dbm, 1)},
+        rx_lock = self._trace_rx_lock or take_channel(self, "rx_lock")
+        rx_lock.count += 1
+        if rx_lock.callbacks:
+            rx_lock.publish(
+                now, {"signal": signal.signal_id, "rx_dbm": round(rx_power_dbm, 1)}
             )
         self._listener.on_rx_start()
 
@@ -358,10 +359,9 @@ class Transceiver:
         if not in_preamble:
             return
         if rx_power_dbm >= self._locked_power_dbm + self._radio.capture_margin_db:
-            self._trace(
-                "capture",
-                old=self._locked_signal.signal_id,
-                new=signal.signal_id,
+            (self._trace_capture or take_channel(self, "capture")).emit(
+                self._sim.now_ns,
+                {"old": self._locked_signal.signal_id, "new": signal.signal_id},
             )
             # The previously locked frame degrades into interference.
             self._locked_signal = None
@@ -389,20 +389,17 @@ class Transceiver:
         self._locked_signal = None
         self._interference_log = []
         self._state = _IDLE
-        self._counts["rx_end"] += 1
-        tracer = self._tracer
-        if tracer.active:
-            tracer.fanout(
-                self._sim.now_ns,
-                self._category,
-                "rx_end",
-                {"signal": signal.signal_id, "outcome": outcome.value},
+        rx_end = self._trace_rx_end or take_channel(self, "rx_end")
+        rx_end.count += 1
+        if rx_end.callbacks:
+            rx_end.publish(
+                self._sim.now_ns, {"signal": signal.signal_id, "outcome": outcome.value}
             )
         if outcome.success:
             mac_frame = phy_frame.mac_frame
         else:
             mac_frame = None
-            if tracer.audit:
+            if self._tracer.audit:
                 self._audit_rx_fail(phy_frame, outcome.value)
         self._listener.on_rx_end(mac_frame, outcome)
 
@@ -412,7 +409,8 @@ class Transceiver:
         self._interference_log = []
         self._state = _IDLE
         if signal is not None:
-            self._trace("rx_abort", signal=signal.signal_id)
+            rx_abort = self._trace_rx_abort or take_channel(self, "rx_abort")
+            rx_abort.emit(self._sim.now_ns, {"signal": signal.signal_id})
             if self._tracer.audit:
                 self._audit_rx_fail(signal.frame, ReceptionOutcome.ABORTED.value)
             self._listener.on_rx_end(None, ReceptionOutcome.ABORTED)
@@ -430,11 +428,6 @@ class Transceiver:
         else:
             self._listener.on_cs_idle()
 
-    def _trace(self, event: str, **fields: Any) -> None:
-        self._counts[event] += 1
-        if self._tracer.active:
-            self._tracer.fanout(self._sim.now_ns, self._category, event, fields)
-
     def _audit_rx_fail(self, phy_frame: PhyFrame, outcome_value: str) -> None:
         """Audit-channel record of a failed reception of a tracked SDU.
 
@@ -446,11 +439,6 @@ class Transceiver:
         sdu = getattr(msdu, "sdu_id", -1)
         if sdu < 0:
             return
-        self._tracer.emit_audit(
-            self._sim.now_ns,
-            self._category,
-            "sdu_rx_fail",
-            sdu=sdu,
-            origin=msdu.src,
-            outcome=outcome_value,
+        (self._trace_sdu_rx_fail or take_channel(self, "sdu_rx_fail")).emit(
+            self._sim.now_ns, {"sdu": sdu, "origin": msdu.src, "outcome": outcome_value}
         )

@@ -25,7 +25,6 @@ picklable and content-addressable.  They run after the scenario's
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
@@ -43,21 +42,17 @@ def scenario_point(
     spec: Mapping[str, Any],
     extract: str,
     extract_params: Mapping[str, Any] | None = None,
-    seed: int | None = None,
 ) -> Any:
     """Build, run and measure the scenario ``spec`` describes.
 
     ``spec`` is a :meth:`ScenarioSpec.to_dict` document (plain JSON so
     the point is picklable and cacheable); ``extract`` names the metric
     function ``"pkg.mod:fn"`` called as ``fn(net, **extract_params)``
-    once the scenario's ``duration_s`` has run.
-
-    ``seed``, when given, overrides the spec's seed — this is how the
-    retry-with-perturbed-seed policy reaches spec points.
+    once the scenario's ``duration_s`` has run.  A retry reseeds the
+    point through ``spec["seed"]``
+    (:func:`repro.parallel.supervisor.perturbed_params`).
     """
     scenario = ScenarioSpec.from_dict(spec)
-    if seed is not None:
-        scenario = dataclasses.replace(scenario, seed=seed)
     net = build(scenario)
     net.run(scenario.duration_s)
     extractor = resolve_point_fn(extract)

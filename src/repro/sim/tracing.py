@@ -3,10 +3,19 @@
 Components publish :class:`TraceRecord` objects ("mac.tx_start",
 "phy.rx_drop"...) to a :class:`Tracer`; analysis code subscribes either to
 everything or to a category prefix, and may name the events it reads so
-that it receives no others.  Tracing is off by default: then
-:meth:`Tracer.emit` still formats its key and bumps its counter, and the
-call sites of :meth:`Tracer.fanout` and :meth:`Tracer.emit_audit`, guarded
-by :attr:`Tracer.active` and :attr:`Tracer.audit`, cost one attribute read.
+that it receives no others.
+
+Every ``category.event`` key a component publishes goes through a
+:class:`TraceChannel`, which holds the key's count and the callbacks
+routed to it; the tracer reroutes every channel when a subscriber comes
+or goes.  A component takes each channel once, at construction or on
+the event's first use (:func:`take_channel`), and at each trace site
+bumps ``count`` and builds the record only when ``callbacks`` is
+non-empty.  An event nobody reads therefore costs one attribute
+increment and one attribute read, however many subscribers read other
+keys.  Audit sites do the same behind :attr:`Tracer.audit`, which is
+off by default.  :meth:`Tracer.emit` is the general path for cold
+callers such as fault schedules.
 """
 
 from __future__ import annotations
@@ -49,44 +58,80 @@ class TraceRecord:
         return f"[{ns_to_s(self.time_ns):.6f}s] {self.category}.{self.event} {kv}"
 
 
+class TraceChannel:
+    """One publisher's ``category.event`` key: its count and its readers.
+
+    The emitting component bumps :attr:`count` for every event and calls
+    :meth:`publish` only when :attr:`callbacks` is non-empty (or calls
+    :meth:`emit`, which does both).  The :class:`Tracer` that issued the
+    channel keeps :attr:`callbacks` current as subscribers come and go.
+    """
+
+    __slots__ = ("category", "event", "count", "callbacks")
+
+    def __init__(self, category: str, event: str, callbacks: tuple[TraceSubscriber, ...]) -> None:
+        self.category = category
+        self.event = event
+        self.count = 0
+        #: The subscribers routed to this key, in subscription order.
+        self.callbacks = callbacks
+
+    def publish(self, time_ns: int, fields: dict[str, Any]) -> None:
+        """Build one record and hand it to every callback."""
+        record = TraceRecord(time_ns, self.category, self.event, fields)
+        for callback in self.callbacks:
+            callback(record)
+
+    def emit(self, time_ns: int, fields: dict[str, Any]) -> None:
+        """Count one event and publish it if anyone reads it.
+
+        For rare events and for those a run that counts them nearly
+        always reads: the caller builds ``fields`` either way.  Hot
+        sites whose events often go unread inline the count and build
+        their fields only behind a test of :attr:`callbacks`.
+        """
+        self.count += 1
+        if self.callbacks:
+            self.publish(time_ns, fields)
+
+
+def take_channel(component: Any, event: str) -> TraceChannel:
+    """Take ``component``'s ``event`` channel on the event's first use.
+
+    For components built by the hundred: each holds ``None`` in
+    ``_trace_<event>`` until the event first happens, so an unaudited
+    network holds no channel for an audit event, nor for an event its
+    station never sends.  Setting those attributes to ``None`` in
+    ``__init__`` keeps them among the names CPython stores inline for
+    every instance; added later, they would give each instance a dict.
+    The component provides ``_tracer`` and ``_category``.
+    """
+    channel: TraceChannel = component._tracer.channel(component._category, event)
+    setattr(component, f"_trace_{event}", channel)
+    return channel
+
+
 class Tracer:
-    """Fan-out hub for trace records with per-prefix subscriptions.
+    """Issues trace channels and routes subscribers to them.
 
-    Two emission paths exist:
-
-    * :meth:`emit` — the general path: bumps the ``category.event``
-      counter here, then fans out to subscribers.
-    * self-counting components (the PHY and MAC hot paths) keep their
-      own per-event counter dict, registered via
-      :meth:`register_counters`, and call :meth:`fanout` only behind a
-      read of the public :attr:`active` flag.  With no subscribers a
-      hot-path trace then costs one local dict bump and one attribute
-      read — no f-string key, no call into the tracer.  :meth:`count` /
-      :meth:`counters` merge the registered dicts back in, so counter
-      totals (and the golden trace digests derived from them) are
-      identical whichever path a component uses.
+    Components publish through the channels :meth:`channel` issues;
+    :meth:`emit` and :meth:`emit_audit`, which look a key's channel up
+    on every call, are for cold callers (fault schedules, tests).
+    :meth:`count` and :meth:`counters` sum over every channel, whichever
+    path published an event.
     """
 
     def __init__(self) -> None:
-        self._subscribers: list[
-            tuple[str, frozenset[str] | None, TraceSubscriber]
-        ] = []
-        #: ``category.event`` -> the callbacks whose prefix matches it and
-        #: whose event set admits its event, in subscription order.  Built
-        #: on first delivery of each key.
-        self._routes: dict[str, tuple[TraceSubscriber, ...]] = {}
-        self._counters: dict[str, int] = {}
-        self._registered: list[tuple[str, dict[str, int]]] = []
-        #: Gate for the audit event channel (:meth:`emit_audit`).  A
-        #: public attribute so instrumented hook points can guard with a
-        #: single attribute read (``if tracer.audit: ...``) and pay
-        #: nothing — not even keyword-argument packing — when auditing
-        #: is off, which it is by default.
+        self._subscribers: list[tuple[str, frozenset[str] | None, TraceSubscriber]] = []
+        #: Every channel issued, in issue order.
+        self._channels: list[TraceChannel] = []
+        #: The channels of :meth:`emit`, by ``category.event`` key.
+        self._keyed: dict[str, TraceChannel] = {}
+        #: Gate for the audit events.  A public attribute so instrumented
+        #: hook points can guard with a single attribute read (``if
+        #: tracer.audit: ...``) and pay nothing when auditing is off,
+        #: which it is by default.
         self.audit = False
-        #: True while at least one subscriber is attached — the cached
-        #: flag self-counting components read before calling
-        #: :meth:`fanout`.  Maintained by subscribe/unsubscribe.
-        self.active = False
 
     def subscribe(
         self,
@@ -105,106 +150,67 @@ class Tracer:
         the last part of a key is its event.  A record no callback
         receives is never built.
         """
-        self._subscribers.append(
-            (prefix, None if events is None else frozenset(events), callback)
-        )
-        self._routes.clear()
-        self.active = True
+        self._subscribers.append((prefix, None if events is None else frozenset(events), callback))
+        self._reroute()
 
     def unsubscribe(self, callback: TraceSubscriber) -> None:
         """Detach a subscriber (all of its prefixes)."""
-        self._subscribers = [
-            entry for entry in self._subscribers if entry[2] != callback
-        ]
-        self._routes.clear()
-        self.active = bool(self._subscribers)
+        self._subscribers = [entry for entry in self._subscribers if entry[2] != callback]
+        self._reroute()
 
-    def register_counters(self, category: str, counters: dict[str, int]) -> None:
-        """Adopt a component-owned ``event -> count`` dict.
+    def channel(self, category: str, event: str) -> TraceChannel:
+        """A new channel for ``category.event``, routed to today's subscribers."""
+        channel = TraceChannel(category, event, self._route(category, event))
+        self._channels.append(channel)
+        return channel
 
-        The component bumps ``counters`` directly on its hot path;
-        :meth:`counters`/:meth:`count` report each entry as
-        ``category.event``, summed with anything emitted through
-        :meth:`emit` under the same key.  :meth:`reset_counters` clears
-        registered dicts in place.
-        """
-        self._registered.append((category, counters))
-
-    def emit(
-        self, time_ns: int, category: str, event: str, **fields: Any
-    ) -> None:
-        """Publish one record; also bumps the ``category.event`` counter."""
+    def _route(self, category: str, event: str) -> tuple[TraceSubscriber, ...]:
+        """The callbacks whose prefix and event set admit ``category.event``."""
+        if not self._subscribers:
+            return ()
         key = f"{category}.{event}"
-        self._counters[key] = self._counters.get(key, 0) + 1
-        if self.active:
-            self._deliver(key, time_ns, category, event, fields)
+        return tuple(
+            callback
+            for prefix, events, callback in self._subscribers
+            if key.startswith(prefix) and (events is None or event in events)
+        )
 
-    def fanout(
-        self, time_ns: int, category: str, event: str, fields: dict[str, Any]
-    ) -> None:
-        """Deliver one record to subscribers *without* counting it.
+    def _reroute(self) -> None:
+        for channel in self._channels:
+            channel.callbacks = self._route(channel.category, channel.event)
 
-        The fan-out half of :meth:`emit`, for self-counting components
-        (their registered dict already holds the count).  Callers guard
-        with :attr:`active`; calling with no subscribers is a no-op.
-        """
-        if self.active:
-            self._deliver(f"{category}.{event}", time_ns, category, event, fields)
-
-    def emit_audit(
-        self, time_ns: int, category: str, event: str, **fields: Any
-    ) -> None:
-        """Publish an audit-channel record — a complete no-op unless
-        :attr:`audit` is on.
-
-        Audit events feed the :mod:`repro.obs` flight recorder.  When
-        disabled they bump no counter and fan out to nobody, so trace
-        counter digests (and cache keys derived from them) are identical
-        whether a build carries audit instrumentation or not.
-        """
-        if not self.audit:
-            return
+    def emit(self, time_ns: int, category: str, event: str, **fields: Any) -> None:
+        """Count and publish one record through the ``category.event`` channel."""
         key = f"{category}.{event}"
-        self._counters[key] = self._counters.get(key, 0) + 1
-        if self.active:
-            self._deliver(key, time_ns, category, event, fields)
+        channel = self._keyed.get(key)
+        if channel is None:
+            channel = self._keyed[key] = self.channel(category, event)
+        channel.emit(time_ns, fields)
 
-    def _deliver(
-        self, key: str, time_ns: int, category: str, event: str, fields: dict[str, Any]
-    ) -> None:
-        """Build one record and hand it to every callback routed to ``key``."""
-        route = self._routes.get(key)
-        if route is None:
-            route = self._routes[key] = tuple(
-                callback
-                for prefix, events, callback in self._subscribers
-                if key.startswith(prefix) and (events is None or event in events)
-            )
-        if route:
-            record = TraceRecord(time_ns, category, event, fields)
-            for callback in route:
-                callback(record)
+    def emit_audit(self, time_ns: int, category: str, event: str, **fields: Any) -> None:
+        """:meth:`emit` an audit record for the :mod:`repro.obs` flight recorder.
+
+        A no-op unless :attr:`audit` is on, so an unaudited run counts
+        nothing for it and keeps the trace counter digests of a build
+        without audit instrumentation.
+        """
+        if self.audit:
+            self.emit(time_ns, category, event, **fields)
 
     def count(self, key: str) -> int:
-        """How many records of ``category.event`` were emitted."""
-        total = self._counters.get(key, 0)
-        for category, counters in self._registered:
-            prefix = category + "."
-            if key.startswith(prefix):
-                total += counters.get(key[len(prefix):], 0)
-        return total
+        """How many records of ``category.event`` were published."""
+        return self.counters().get(key, 0)
 
     def counters(self) -> dict[str, int]:
-        """All counters, with registered component dicts merged in."""
-        merged = dict(self._counters)
-        for category, counters in self._registered:
-            for event, value in counters.items():
-                key = f"{category}.{event}"
-                merged[key] = merged.get(key, 0) + value
-        return merged
+        """Every published key's count, summed over its channels."""
+        totals: dict[str, int] = {}
+        for channel in self._channels:
+            if channel.count:
+                key = f"{channel.category}.{channel.event}"
+                totals[key] = totals.get(key, 0) + channel.count
+        return totals
 
     def reset_counters(self) -> None:
-        """Zero every counter (including registered component dicts)."""
-        self._counters.clear()
-        for _, counters in self._registered:
-            counters.clear()
+        """Zero every channel's count."""
+        for channel in self._channels:
+            channel.count = 0

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol
+from typing import Callable, Protocol
 
 from repro.errors import TransportError
 from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
-from repro.sim.tracing import Tracer
+from repro.sim.tracing import TraceChannel, Tracer
 from repro.transport.tcp.buffers import ReceiveReassembly, SendBuffer
 from repro.transport.tcp.congestion import RenoCongestionControl
 from repro.transport.tcp.rto import RtoEstimator
@@ -84,6 +84,16 @@ class TcpConnection:
         self.remote_addr = remote_addr
         self.remote_port = remote_port
         self._tracer = tracer if tracer is not None else Tracer()
+        category = f"tcp.{local_addr}:{local_port}"
+        channel = self._tracer.channel
+        self._trace_rx = channel(category, "rx")
+        self._trace_tx = channel(category, "tx")
+        self._trace_tx_ack = channel(category, "tx_ack")
+        self._trace_closed = channel(category, "closed")
+        # Audit channels.
+        self._trace_open = channel(category, "open")
+        self._trace_state = channel(category, "state")
+        self._trace_abort = channel(category, "abort")
 
         self.state = TcpState.CLOSED
         # Sender side.
@@ -132,7 +142,9 @@ class TcpConnection:
             raise TransportError(f"connect in state {self.state}")
         self.state = TcpState.SYN_SENT
         if self._tracer.audit:
-            self._audit("open", role="active", peer=self.remote_addr)
+            self._trace_open.emit(
+                self._sim.now_ns, {"role": "active", "peer": self.remote_addr}
+            )
         self._send_control(syn=True)
         self.snd_nxt = 1
         self._rexmit_timer.start_s(self.rto.rto_s)
@@ -143,7 +155,9 @@ class TcpConnection:
             raise TransportError(f"accept_syn in state {self.state}")
         self.state = TcpState.SYN_RCVD
         if self._tracer.audit:
-            self._audit("open", role="passive", peer=self.remote_addr)
+            self._trace_open.emit(
+                self._sim.now_ns, {"role": "passive", "peer": self.remote_addr}
+            )
         self.reassembly = ReceiveReassembly(rcv_nxt=segment.seq + 1)
         self.peer_window = segment.window
         self._send_control(syn=True)  # SYN|ACK (ack_flag always set)
@@ -175,7 +189,7 @@ class TcpConnection:
         """Process one inbound segment."""
         if self.state is TcpState.CLOSED:
             return
-        self._trace("rx", desc=segment.describe())
+        self._count_segment(self._trace_rx, segment)
         if self.state is TcpState.SYN_SENT:
             if segment.syn and segment.ack_flag and segment.ack >= 1:
                 self.snd_una = 1
@@ -200,12 +214,10 @@ class TcpConnection:
             self._process_fin(segment)
         self._pump()
         if self._tracer.audit and self.state is not TcpState.CLOSED:
-            self._audit(
-                "state",
-                snd_una=self.snd_una,
-                snd_nxt=self.snd_nxt,
-                rcv_nxt=self.reassembly.rcv_nxt,
-            )
+            self._trace_state.emit(self._sim.now_ns, {
+                "snd_una": self.snd_una, "snd_nxt": self.snd_nxt,
+                "rcv_nxt": self.reassembly.rcv_nxt,
+            })
 
     def _process_ack(self, segment: TcpSegment) -> None:
         if not segment.ack_flag:
@@ -338,7 +350,7 @@ class TcpConnection:
         if accepted:
             self.segments_sent += 1
             self._ack_piggybacked()
-            self._trace("tx", desc=segment.describe())
+            self._count_segment(self._trace_tx, segment)
         return accepted
 
     def _send_control(self, syn: bool = False, fin: bool = False,
@@ -357,7 +369,7 @@ class TcpConnection:
         )
         self._transport.send_segment(segment, self.remote_addr)
         self.segments_sent += 1
-        self._trace("tx", desc=segment.describe())
+        self._count_segment(self._trace_tx, segment)
 
     def _send_ack(self) -> None:
         segment = TcpSegment(
@@ -371,7 +383,10 @@ class TcpConnection:
         self._transport.send_segment(segment, self.remote_addr)
         self.acks_sent += 1
         self._ack_piggybacked()
-        self._trace("tx_ack", ack=self.reassembly.rcv_nxt)
+        tx_ack = self._trace_tx_ack
+        tx_ack.count += 1
+        if tx_ack.callbacks:
+            tx_ack.publish(self._sim.now_ns, {"ack": self.reassembly.rcv_nxt})
 
     def _ack_piggybacked(self) -> None:
         self._unacked_segments = 0
@@ -439,9 +454,9 @@ class TcpConnection:
         self._rexmit_timer.cancel()
         self._pump_timer.cancel()
         self._delack_timer.cancel()
-        self._trace("closed", reason=reason)
+        self._trace_closed.emit(self._sim.now_ns, {"reason": reason})
         if self._tracer.audit and reason != "closed":
-            self._audit("abort", reason=reason)
+            self._trace_abort.emit(self._sim.now_ns, {"reason": reason})
         self.on_closed(reason)
 
     def abort(self) -> None:
@@ -450,19 +465,8 @@ class TcpConnection:
 
     # --------------------------------------------------------- utilities
 
-    def _trace(self, event: str, **fields: Any) -> None:
-        self._tracer.emit(
-            self._sim.now_ns,
-            f"tcp.{self.local_addr}:{self.local_port}",
-            event,
-            **fields,
-        )
-
-    def _audit(self, event: str, **fields: Any) -> None:
-        """Audit-channel event (callers gate on ``tracer.audit``)."""
-        self._tracer.emit_audit(
-            self._sim.now_ns,
-            f"tcp.{self.local_addr}:{self.local_port}",
-            event,
-            **fields,
-        )
+    def _count_segment(self, channel: TraceChannel, segment: TcpSegment) -> None:
+        """Count a segment; describe it only for a reader."""
+        channel.count += 1
+        if channel.callbacks:
+            channel.publish(self._sim.now_ns, {"desc": segment.describe()})

@@ -7,6 +7,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ConfigurationError, TransportError
 from repro.core.encapsulation import TransportProtocol
+from repro.sim.tracing import take_channel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.ip import IpLayer
@@ -81,10 +82,15 @@ class UdpSocket:
 class UdpProtocol:
     """The per-node UDP endpoint table."""
 
+    _category = property(lambda udp: f"udp.{udp._ip.address}")
+
     def __init__(self, ip: "IpLayer"):
         self._ip = ip
         self._sockets: dict[int, UdpSocket] = {}
         self._next_ephemeral = 49152
+        self._tracer = ip.tracer
+        # Audit channels, each taken on first use (take_channel).
+        self._trace_tx = self._trace_rx = None
         ip.register_protocol(TransportProtocol.UDP.value, self._on_segment)
 
     def bind(self, port: int | None = None) -> UdpSocket:
@@ -106,31 +112,25 @@ class UdpProtocol:
 
     def send_segment(self, segment: UdpSegment, dst: int) -> bool:
         """Hand a segment to IP."""
-        tracer = self._ip.tracer
-        if tracer.audit:
-            tracer.emit_audit(
-                self._ip.sim.now_ns,
-                f"udp.{self._ip.address}",
-                "tx",
-                dst=dst,
-                dst_port=segment.dst_port,
-                size_bytes=segment.payload_bytes,
-            )
+        if self._tracer.audit:
+            tx = self._trace_tx or take_channel(self, "tx")
+            tx.count += 1
+            if tx.callbacks:
+                tx.publish(self._ip.sim.now_ns, {
+                    "dst": dst, "dst_port": segment.dst_port, "size_bytes": segment.payload_bytes,
+                })
         return self._ip.send(
             segment, segment.payload_bytes + UDP_HEADER_BYTES, dst, TransportProtocol.UDP.value
         )
 
     def _on_segment(self, segment: UdpSegment, src: int) -> None:
-        tracer = self._ip.tracer
-        if tracer.audit:
-            tracer.emit_audit(
-                self._ip.sim.now_ns,
-                f"udp.{self._ip.address}",
-                "rx",
-                src=src,
-                dst_port=segment.dst_port,
-                size_bytes=segment.payload_bytes,
-            )
+        if self._tracer.audit:
+            rx = self._trace_rx or take_channel(self, "rx")
+            rx.count += 1
+            if rx.callbacks:
+                rx.publish(self._ip.sim.now_ns, {
+                    "src": src, "dst_port": segment.dst_port, "size_bytes": segment.payload_bytes,
+                })
         socket = self._sockets.get(segment.dst_port)
         if socket is not None:
             socket._deliver(segment, src)

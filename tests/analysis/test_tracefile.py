@@ -32,10 +32,12 @@ class TestTraceWriter:
 
     def test_detaches_on_exit(self, tmp_path):
         tracer = Tracer()
-        with TraceWriter(tracer, tmp_path / "t.jsonl"):
+        channel = tracer.channel("phy", "rx_lock")
+        with TraceWriter(tracer, tmp_path / "t.jsonl") as writer:
             pass
         tracer.emit(0, "mac", "tx_data")  # must not explode
-        assert not tracer.active
+        assert writer.records_written == 0
+        assert channel.callbacks == ()
 
     def test_creates_parent_directories(self, tmp_path):
         tracer = Tracer()

@@ -22,6 +22,7 @@ import json
 from pathlib import Path
 
 GOLDENS_PATH = Path(__file__).with_name("goldens.json")
+AUDITED_COUNTERS_PATH = Path(__file__).with_name("audited_counters.json")
 
 #: (experiment name, kwargs for the registry runner) — small but
 #: non-trivial parameters so the whole file regenerates in minutes.
@@ -51,9 +52,14 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def counters_digest(counters: dict) -> str:
+    """Order-independent fingerprint of a ``counters()`` table."""
+    return sha(json.dumps(counters, sort_keys=True))
+
+
 def trace_digest(tracer) -> str:
     """Order-independent fingerprint of every trace counter."""
-    return sha(json.dumps(tracer.counters(), sort_keys=True))
+    return counters_digest(tracer.counters())
 
 
 def experiment_outputs() -> dict:
@@ -233,6 +239,41 @@ def trace_stream_digests() -> dict:
     return digests
 
 
+def audited_counters(name: str, observability: dict) -> dict:
+    """``counters()`` of ``trace_spec_cases()[name]`` run with ``observability``."""
+    from repro.scenario import ScenarioSpec, build
+
+    spec = ScenarioSpec.from_dict(
+        {**trace_spec_cases()[name].to_dict(), "observability": observability}
+    )
+    net = build(spec)
+    net.run(spec.duration_s)
+    net.recorder.finalize()
+    return net.tracer.counters()
+
+
+def audited_counter_digests() -> dict:
+    """Counter digests of audited runs in which only the recorder reads.
+
+    With the trace digest off, the ledger and the auditors are the only
+    subscribers, so most keys are counted without being delivered.
+    """
+    counters = audited_counters("mac-surface-audit", {"audit": True})
+    print(f"  mac-surface-audit: {sum(counters.values())} events")
+    return {
+        "mac-surface-audit": {
+            "keys": len(counters),
+            "events": sum(counters.values()),
+            "counters_sha256": counters_digest(counters),
+        }
+    }
+
+
+def write_json(path: Path, document: dict) -> None:
+    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path}")
+
+
 def main() -> None:
     print("experiment outputs:")
     outputs = experiment_outputs()
@@ -240,15 +281,11 @@ def main() -> None:
     digests = scenario_digests()
     print("trace stream digests:")
     traces = trace_stream_digests()
-    GOLDENS_PATH.write_text(
-        json.dumps(
-            {"experiments": outputs, "scenarios": digests, "traces": traces},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    write_json(
+        GOLDENS_PATH, {"experiments": outputs, "scenarios": digests, "traces": traces}
     )
-    print(f"wrote {GOLDENS_PATH}")
+    print("audited counter digests:")
+    write_json(AUDITED_COUNTERS_PATH, audited_counter_digests())
 
 
 if __name__ == "__main__":

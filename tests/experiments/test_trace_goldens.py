@@ -19,11 +19,17 @@ import pytest
 from repro.parallel import SweepCache
 from repro.scenario import run_scenarios
 
-from tests.experiments.make_goldens import trace_spec_cases
+from tests.experiments.make_goldens import (
+    AUDITED_COUNTERS_PATH,
+    audited_counters,
+    counters_digest,
+    trace_spec_cases,
+)
 
 GOLDENS = json.loads(
     (Path(__file__).with_name("goldens.json")).read_text(encoding="utf-8")
 )
+AUDITED_COUNTERS = json.loads(AUDITED_COUNTERS_PATH.read_text(encoding="utf-8"))
 
 EXTRACT = "repro.obs.export:trace_digest_row"
 
@@ -47,3 +53,19 @@ def test_trace_digest_is_identical_serial_pooled_and_cached(tmp_path):
     [warm] = run_scenarios([spec], extract=EXTRACT, cache=cache)
     assert serial == pooled == warm == GOLDENS["traces"]["figure7-udp"]
     assert cache.hits > 0
+
+
+def test_audited_counters_need_no_reader():
+    """An audited run counts every key, whether or not anyone reads it.
+
+    With the trace digest off only the ledger and the auditors subscribe,
+    so most keys are counted without a record being built.  The counts
+    must equal those of the same run with a catch-all subscriber (the
+    trace digest) and the digest recorded in ``audited_counters.json``.
+    """
+    unread = audited_counters("mac-surface-audit", {"audit": True})
+    read = audited_counters("mac-surface-audit", {"audit": True, "trace_digest": True})
+    assert unread == read
+    golden = AUDITED_COUNTERS["mac-surface-audit"]
+    assert (len(unread), sum(unread.values())) == (golden["keys"], golden["events"])
+    assert counters_digest(unread) == golden["counters_sha256"]

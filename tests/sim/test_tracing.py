@@ -1,12 +1,11 @@
 """Tests for the tracing hub.
 
-:class:`Tracer` routes each ``category.event`` key once and caches the
-matching callbacks.  :class:`LinearTracer` below compares every
-subscriber's prefix and event set on every record and is the oracle:
-over random interleavings of subscribe, unsubscribe and the three
-publishing calls, both must deliver the same records to the same
-callbacks in the same order, and keep the same counters in the same key
-order.
+:class:`Tracer` keeps each channel's callbacks routed as subscribers
+come and go.  :class:`LinearTracer` below compares every subscriber's
+prefix and event set on every record and is the oracle: over random
+interleavings of subscribe, unsubscribe, taking channels and the three
+publishing paths, both must deliver the same records to the same
+callbacks in the same order, and keep the same counters.
 """
 
 from hypothesis import given, settings
@@ -16,10 +15,18 @@ from repro.sim import tracing
 from repro.sim.tracing import TraceRecord, Tracer
 
 
+def publish(channel, time_ns, fields):
+    """What a component's trace site does with its channel."""
+    channel.count += 1
+    if channel.callbacks:
+        channel.publish(time_ns, fields)
+
+
 class TestTracer:
     def test_disabled_by_default_but_counts(self):
         tracer = Tracer()
-        assert not tracer.active
+        channel = tracer.channel("mac", "tx_end")
+        assert channel.callbacks == ()
         tracer.emit(0, "mac", "tx_start", frame="data")
         assert tracer.count("mac.tx_start") == 1
 
@@ -47,8 +54,8 @@ class TestTracer:
         tracer.subscribe(records.append)
         tracer.unsubscribe(records.append)
         tracer.emit(0, "mac", "tx_start")
+        publish(tracer.channel("mac", "tx_end"), 1, {})
         assert records == []
-        assert not tracer.active
 
     def test_counters_accumulate(self):
         tracer = Tracer()
@@ -60,9 +67,13 @@ class TestTracer:
     def test_reset_counters(self):
         tracer = Tracer()
         tracer.emit(0, "a", "b")
+        channels = [tracer.channel("a", "c"), tracer.channel("a", "b")]
+        for channel in channels:
+            publish(channel, 0, {})
         tracer.reset_counters()
         assert tracer.count("a.b") == 0
         assert tracer.counters() == {}
+        assert [channel.count for channel in channels] == [0, 0]
 
     def test_record_str_is_readable(self):
         tracer = Tracer()
@@ -73,33 +84,58 @@ class TestTracer:
         assert "dst=3" in str(records[0])
 
 
+class LinearChannel:
+    """Reference channel: scans the subscribers on every record."""
+
+    def __init__(self, tracer, category, event):
+        self._tracer = tracer
+        self._category = category
+        self._event = event
+
+    @property
+    def count(self):
+        return self._tracer.counts.get(f"{self._category}.{self._event}", 0)
+
+    @count.setter
+    def count(self, value):
+        self._tracer.counts[f"{self._category}.{self._event}"] = value
+
+    @property
+    def callbacks(self):
+        return bool(self._tracer.subscribers)
+
+    def publish(self, time_ns, fields):
+        self._tracer.deliver(time_ns, self._category, self._event, fields)
+
+
 class LinearTracer:
     """Reference delivery: compare every subscriber's filter per record."""
 
     def __init__(self):
-        self._subscribers = []
-        self._counters = {}
+        self.subscribers = []
+        self.counts = {}
         self.audit = False
 
     def subscribe(self, callback, prefix="", events=None):
-        self._subscribers.append((prefix, events, callback))
+        self.subscribers.append((prefix, events, callback))
 
     def unsubscribe(self, callback):
-        self._subscribers = [
-            entry for entry in self._subscribers if entry[2] != callback
+        self.subscribers = [
+            entry for entry in self.subscribers if entry[2] != callback
         ]
+
+    def channel(self, category, event):
+        return LinearChannel(self, category, event)
 
     def emit(self, time_ns, category, event, **fields):
         key = f"{category}.{event}"
-        self._counters[key] = self._counters.get(key, 0) + 1
-        self.fanout(time_ns, category, event, fields)
+        self.counts[key] = self.counts.get(key, 0) + 1
+        self.deliver(time_ns, category, event, fields)
 
-    def fanout(self, time_ns, category, event, fields):
-        if not self._subscribers:
-            return
+    def deliver(self, time_ns, category, event, fields):
         key = f"{category}.{event}"
         record = TraceRecord(time_ns, category, event, fields)
-        for prefix, events, callback in self._subscribers:
+        for prefix, events, callback in self.subscribers:
             if key.startswith(prefix) and (events is None or event in events):
                 callback(record)
 
@@ -109,7 +145,7 @@ class LinearTracer:
         self.emit(time_ns, category, event, **fields)
 
     def counters(self):
-        return dict(self._counters)
+        return {key: count for key, count in self.counts.items() if count}
 
 
 PREFIXES = ["", "mac.", "mac.1.", "phy.", "net.3.sdu_open", "x"]
@@ -127,7 +163,10 @@ operations = st.lists(
         ),
         st.tuples(st.just("unsubscribe"), st.integers(0, SUBSCRIBERS - 1)),
         st.tuples(
-            st.sampled_from(["emit", "fanout", "emit_audit"]),
+            st.just("channel"), st.sampled_from(CATEGORIES), st.sampled_from(EVENTS)
+        ),
+        st.tuples(
+            st.sampled_from(["emit", "publish", "emit_audit"]),
             st.integers(min_value=0, max_value=10**9),
             st.sampled_from(CATEGORIES),
             st.sampled_from(EVENTS),
@@ -139,8 +178,14 @@ operations = st.lists(
 
 
 def replay(tracer, audit, ops):
-    """Run ``ops`` on ``tracer``; return its delivery log and counters."""
+    """Run ``ops`` on ``tracer``; return its delivery log and counters.
+
+    ``channel`` takes a channel, as a component does, possibly one more
+    for a key that has one already; ``publish`` goes through the first
+    channel taken for its key (one is taken on the spot if none was).
+    """
     log = []
+    channels = {}
 
     def make(index):
         def callback(record):
@@ -156,13 +201,18 @@ def replay(tracer, audit, ops):
             tracer.subscribe(callbacks[op[1]], prefix=op[2], events=op[3])
         elif op[0] == "unsubscribe":
             tracer.unsubscribe(callbacks[op[1]])
-        elif op[0] == "fanout":
+        elif op[0] == "channel":
+            _, category, event = op
+            channels.setdefault((category, event), tracer.channel(category, event))
+        elif op[0] == "publish":
             _, time_ns, category, event, fields = op
-            tracer.fanout(time_ns, category, event, dict(fields))
+            if (category, event) not in channels:
+                channels[category, event] = tracer.channel(category, event)
+            publish(channels[category, event], time_ns, dict(fields))
         else:
             name, time_ns, category, event, fields = op
             getattr(tracer, name)(time_ns, category, event, **fields)
-    return log, list(tracer.counters().items())
+    return log, sorted(tracer.counters().items())
 
 
 class TestRouteTable:
@@ -192,7 +242,6 @@ class TestRouteTable:
         tracer.emit(1, "mac", "tx")
         tracer.emit(2, "phy", "rx")
         assert [r.time_ns for r in records] == [0]
-        assert not tracer.active
 
     def test_subscribe_after_a_route_was_built(self):
         tracer = Tracer()
@@ -222,7 +271,7 @@ class TestRouteTable:
         records = []
         tracer.subscribe(records.append, prefix="mac.", events={"nav"})
         tracer.emit(0, "mac.1", "tx_start")
-        tracer.fanout(1, "mac.1", "rx_end", {"ok": True})
+        publish(tracer.channel("mac.1", "rx_end"), 1, {"ok": True})
         tracer.emit_audit(2, "mac.1", "sdu_drop", sdu=0)
         tracer.emit(3, "phy.n1", "nav")
         assert built == [] and records == []
@@ -243,6 +292,36 @@ class TestRouteTable:
         assert [r.time_ns for r in late] == [1]
 
 
+class TestChannels:
+    def test_a_channel_taken_before_subscribe_receives_records(self):
+        tracer = Tracer()
+        channel = tracer.channel("mac.1", "tx_data")
+        records = []
+        tracer.subscribe(records.append, prefix="mac.", events={"tx_data"})
+        publish(channel, 7, {"dst": 2})
+        assert records == [TraceRecord(7, "mac.1", "tx_data", {"dst": 2})]
+
+    def test_a_channel_receives_nothing_after_unsubscribe(self):
+        tracer = Tracer()
+        records = []
+        tracer.subscribe(records.append)
+        channel = tracer.channel("phy.0", "rx_end")
+        tracer.unsubscribe(records.append)
+        publish(channel, 1, {})
+        assert records == [] and channel.callbacks == ()
+        assert tracer.count("phy.0.rx_end") == 1
+
+    def test_two_channels_of_one_key_sum(self):
+        tracer = Tracer()
+        first, second = tracer.channel("app.1", "offer"), tracer.channel("app.1", "offer")
+        for _ in range(2):
+            publish(first, 0, {})
+        publish(second, 0, {})
+        tracer.emit(0, "app.1", "offer")
+        assert tracer.count("app.1.offer") == 4
+        assert tracer.counters() == {"app.1.offer": 4}
+
+
 class TestTraceRecord:
     def test_equality(self):
         record = TraceRecord(1, "mac", "tx", {"dst": 2})
@@ -261,3 +340,22 @@ class TestTraceRecord:
         one, two = TraceRecord(0, "a", "b"), TraceRecord(0, "a", "b")
         assert one.fields == {} and one == two
         assert one.fields is not two.fields
+
+
+def test_audited_hot_paths_publish_through_their_channels(monkeypatch):
+    """No trace site of a saturated audited run falls back to a key lookup."""
+    from repro.experiments.mac_surface import saturation_spec
+    from repro.scenario import build
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trace site took the key-lookup path")
+
+    spec = saturation_spec(5, duration_s=0.2, warmup_s=0.1)
+    assert spec.observability.audit
+    monkeypatch.setattr(Tracer, "emit", refuse)
+    monkeypatch.setattr(Tracer, "emit_audit", refuse)
+    net = build(spec)
+    net.run(spec.duration_s)
+    report = net.recorder.finalize()
+    assert report.balanced and report.opened > 0
+    assert net.tracer.count("phy.n1.rx_end") > 0

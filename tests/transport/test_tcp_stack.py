@@ -6,6 +6,7 @@ from repro.core.params import Rate
 from repro.core.throughput_model import ThroughputModel
 from repro.scenario import build_network
 from repro.transport.tcp.connection import TcpConfig, TcpState
+from repro.transport.tcp.segment import TcpSegment
 
 
 class TestHandshake:
@@ -125,3 +126,37 @@ class TestCongestionBehaviour:
         t2 = r2.throughput_bps(5.0)
         assert t1 > 0 and t2 > 0
         assert 0.5 < t1 / t2 < 2.0
+
+
+class TestTracing:
+    @staticmethod
+    def bulk_transfer():
+        net = build_network([0, 10], data_rate=Rate.MBPS_2, seed=4, fast_sigma_db=0.0)
+        BulkTcpReceiver(net[1], port=80)
+        BulkTcpSender(net[0], dst=2, dst_port=80)
+        return net
+
+    def test_segments_are_described_only_for_a_reader(self, monkeypatch):
+        plain = self.bulk_transfer()
+        plain.run(0.5)
+
+        def refuse(segment):
+            raise AssertionError("a segment was described with no reader")
+
+        monkeypatch.setattr(TcpSegment, "describe", refuse)
+        unread = self.bulk_transfer()
+        unread.run(0.5)
+        counters = unread.tracer.counters()
+        assert counters == plain.tracer.counters()
+        assert sum(count for key, count in counters.items() if key.endswith(".rx")) > 0
+
+    def test_a_tcp_reader_gets_each_segments_description(self):
+        net = self.bulk_transfer()
+        records = []
+        net.tracer.subscribe(records.append, prefix="tcp.", events={"rx", "tx"})
+        net.run(0.5)
+        assert {record.event for record in records} == {"rx", "tx"}
+        assert all(
+            list(record.fields) == ["desc"] and "seq=" in record.fields["desc"]
+            for record in records
+        )
